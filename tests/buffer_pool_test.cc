@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "sim/fault_injector.h"
 #include "sim/media_fault.h"
 #include "util/fnv.h"
+#include "util/random.h"
 #include "workload/crash_torture.h"
 #include "workload/getput_runner.h"
 
@@ -61,6 +63,35 @@ TEST(BufferPoolTest, DisabledPoolIsPassThrough) {
   // Pass-through never touches frames or counters.
   EXPECT_EQ(pool.frame_count(), 0u);
   EXPECT_EQ(pool.stats().hits + pool.stats().misses, 0u);
+  EXPECT_EQ(dev.stats().reads, 1u);
+  EXPECT_EQ(dev.stats().writes, 1u);
+
+  // Views read and write the arena directly.
+  std::vector<uint8_t> viewed;
+  pool.View(0, kFrame, [&](std::span<const uint8_t> chunk) {
+    viewed.insert(viewed.end(), chunk.begin(), chunk.end());
+  });
+  EXPECT_EQ(viewed, data);
+  pool.WriteViewThrough(0, kFrame, [](std::span<uint8_t> chunk) {
+    std::fill(chunk.begin(), chunk.end(), uint8_t{0xAB});
+  });
+  bool rewritten = true;
+  dev.ReadView(0, kFrame, [&](std::span<const uint8_t> chunk) {
+    for (uint8_t byte : chunk) rewritten = rewritten && byte == 0xAB;
+  });
+  EXPECT_TRUE(rewritten) << "disabled WriteViewThrough missed the arena";
+
+  // Range operations are no-ops: no frames, no counters, no device I/O.
+  EXPECT_EQ(pool.PinRange(0, 8 * kMiB), 0u);
+  pool.UnpinRange(0, 8 * kMiB);
+  pool.Invalidate(0, 8 * kMiB);
+  ASSERT_TRUE(pool.FlushRange(0, 8 * kMiB).ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  pool.Reset();
+  EXPECT_EQ(pool.frame_count(), 0u);
+  EXPECT_EQ(pool.cached_bytes(), 0u);
+  EXPECT_EQ(pool.stats().invalidations, 0u);
+  EXPECT_EQ(pool.stats().writebacks, 0u);
   EXPECT_EQ(dev.stats().reads, 1u);
   EXPECT_EQ(dev.stats().writes, 1u);
 }
@@ -388,6 +419,253 @@ TEST(BufferPoolTest, FailedFillDropsFrameInsteadOfServingZeros) {
   ASSERT_TRUE(pool.ReadThrough(again).ok());
   EXPECT_EQ(back, data) << "cache served a never-filled frame";
   EXPECT_GT(dev.stats().reads, reads_before);
+}
+
+// Pins every decision the pool makes (hits, fills, evictions, flush
+// batches, pins, device charges) under a seeded op stream, so that an
+// index or eviction-bookkeeping rewrite can prove it changed nothing.
+class SeededChurn {
+ public:
+  static constexpr uint64_t kCapacity = 16 * kMiB;
+  static constexpr uint64_t kPoolBytes = 4 * kMiB;
+  /// Multi-slice reads keep their slices this far apart, beyond the
+  /// largest frame the stream installs, so no slice's fill can drop a
+  /// frame an earlier slice of the same call is still copying from.
+  static constexpr uint64_t kSliceGap = 3 * kMiB;
+
+  SeededChurn(uint64_t seed, bool strict_lru, uint32_t shards, DataMode mode)
+      : rng_(seed),
+        dev_(SmallDisk(kCapacity), mode),
+        pool_(&dev_, Options(strict_lru, shards)),
+        payload_(8 * kMiB),
+        scratch_(8 * kMiB) {
+    Rng fill(seed ^ 0x5eed);
+    for (uint8_t& b : payload_) b = static_cast<uint8_t>(fill.Next());
+    dev_.AttachFaultInjector(&injector_);
+  }
+
+  uint64_t Run(int ops) {
+    for (int step = 0; step < ops; ++step) {
+      Step(step);
+      HashState();
+    }
+    return hash_;
+  }
+
+ private:
+  static BufferPoolOptions Options(bool strict_lru, uint32_t shards) {
+    BufferPoolOptions options;
+    options.capacity_bytes = kPoolBytes;
+    options.shards = shards;
+    options.strict_lru = strict_lru;
+    return options;
+  }
+
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= kFnvPrime;
+    }
+  }
+  void MixDouble(double d) { Mix(std::bit_cast<uint64_t>(d)); }
+  void MixStatus(const Status& s) { Mix(s.ok() ? 0 : 1 + s.ToString().size()); }
+
+  /// Lengths from one byte to 2.5 MiB: mostly small, some spanning
+  /// several 1 MiB offset buckets.
+  uint64_t Length() {
+    const uint64_t r = rng_.Uniform(100);
+    uint64_t len;
+    if (r < 75) {
+      len = rng_.UniformRange(1, 32 * kKiB);
+    } else if (r < 95) {
+      len = rng_.UniformRange(32 * kKiB, 128 * kKiB);
+    } else if (r < 99) {
+      len = rng_.UniformRange(128 * kKiB, 768 * kKiB);
+    } else {
+      len = rng_.UniformRange(kMiB + 1, 5 * kMiB / 2);
+    }
+    if (rng_.Bernoulli(0.6)) {
+      len = std::max<uint64_t>(4 * kKiB, len & ~(4 * kKiB - 1));
+    }
+    return len;
+  }
+
+  /// Start offsets: a hot region for hits, the whole device for misses,
+  /// unaligned starts, and ranges ending on the device's last byte.
+  uint64_t Offset(uint64_t len) {
+    const uint64_t r = rng_.Uniform(100);
+    if (r < 3) return kCapacity - len;
+    const uint64_t span = r < 60 ? 5 * kMiB : kCapacity;
+    uint64_t off = rng_.Uniform(span > len ? span - len + 1 : 1);
+    if (rng_.Bernoulli(0.7)) off &= ~(4 * kKiB - 1);
+    return off;
+  }
+
+  const uint8_t* Src(uint64_t len) {
+    if (rng_.Bernoulli(0.3)) return nullptr;
+    return payload_.data() + rng_.Uniform(payload_.size() - len + 1);
+  }
+
+  void HashBytes(const uint8_t* p, uint64_t len) {
+    for (uint64_t at : {uint64_t{0}, len / 3, len / 2, len - 1}) Mix(p[at]);
+  }
+
+  void Read() {
+    std::vector<CacheSlice> slices;
+    const int n =
+        rng_.Bernoulli(0.8) ? 1 : 2 + static_cast<int>(rng_.Uniform(2));
+    uint64_t floor = 0;
+    uint64_t used = 0;
+    for (int i = 0; i < n; ++i) {
+      const uint64_t len = Length();
+      uint64_t off = i == 0 ? Offset(len) : floor + rng_.Uniform(kMiB);
+      if (off + len > kCapacity) break;
+      CacheSlice s{off, len, nullptr, nullptr, off, 0};
+      if (rng_.Bernoulli(0.6)) {
+        // Read-ahead over the surrounding run, clamped to the device.
+        const uint64_t before = std::min(off, rng_.Uniform(96 * kKiB));
+        const uint64_t after =
+            std::min(kCapacity - off - len, rng_.Uniform(160 * kKiB));
+        s.fill_offset = off - before;
+        s.fill_length = before + len + after;
+        if (i > 0 && s.fill_offset < floor) break;
+      }
+      if (rng_.Bernoulli(0.7) && used + len <= scratch_.size()) {
+        s.dst = scratch_.data() + used;
+        used += len;
+      }
+      slices.push_back(s);
+      floor = std::max(off + len, s.fill_offset + s.fill_length) + kSliceGap;
+    }
+    uint64_t device_bytes = 0;
+    MixStatus(pool_.ReadThrough(slices, &device_bytes));
+    Mix(device_bytes);
+    for (const CacheSlice& s : slices) {
+      if (s.dst != nullptr) HashBytes(s.dst, s.length);
+    }
+  }
+
+  void Write() {
+    std::vector<CacheSlice> slices;
+    const int n =
+        rng_.Bernoulli(0.85) ? 1 : 2 + static_cast<int>(rng_.Uniform(2));
+    uint64_t floor = 0;
+    for (int i = 0; i < n; ++i) {
+      const uint64_t len = Length();
+      const uint64_t off = i == 0 ? Offset(len) : floor + rng_.Uniform(kMiB);
+      if (off + len > kCapacity) break;
+      slices.push_back({off, len, Src(len), nullptr, off, 0});
+      floor = off + len;
+    }
+    uint64_t device_bytes = 0;
+    MixStatus(pool_.WriteThrough(slices, &device_bytes));
+    Mix(device_bytes);
+  }
+
+  void Step(int step) {
+    // Short armed crash windows force write-through now and then.
+    if (step % 2000 == 1000) {
+      CrashSpec spec;
+      spec.crash_after_writes = 1ull << 40;
+      injector_.Arm(spec);
+    } else if (step % 2000 == 1100) {
+      injector_.Disarm();
+    }
+    const uint64_t r = rng_.Uniform(1000);
+    if (r < 380) {
+      Read();
+    } else if (r < 680) {
+      Write();
+    } else if (r < 800) {
+      const uint64_t len = Length();
+      pool_.Invalidate(Offset(len), len);
+    } else if (r < 860) {
+      const uint64_t len = Length();
+      const uint64_t off = Offset(len);
+      Mix(pool_.PinRange(off, len));
+      pins_.emplace_back(off, len);
+      if (pins_.size() > 6) {
+        pool_.UnpinRange(pins_.front().first, pins_.front().second);
+        pins_.erase(pins_.begin());
+      }
+    } else if (r < 900 && !pins_.empty()) {
+      const size_t i = rng_.Uniform(pins_.size());
+      pool_.UnpinRange(pins_[i].first, pins_[i].second);
+      pins_.erase(pins_.begin() + static_cast<long>(i));
+    } else if (r < 940) {
+      const uint64_t len = Length();
+      MixStatus(pool_.FlushRange(Offset(len), len));
+    } else if (r < 945) {
+      MixStatus(pool_.FlushAll());
+    } else if (r < 975) {
+      const uint64_t len = Length();
+      pool_.View(Offset(len), len, [this](std::span<const uint8_t> chunk) {
+        HashBytes(chunk.data(), chunk.size());
+      });
+    } else if (r < 999) {
+      const uint64_t len = Length();
+      uint8_t salt = static_cast<uint8_t>(step);
+      pool_.WriteViewThrough(Offset(len), len, [&salt](std::span<uint8_t> c) {
+        c.front() = salt;
+        c.back() = static_cast<uint8_t>(salt + 1);
+        ++salt;
+      });
+    } else {
+      pool_.Reset();
+      pins_.clear();
+    }
+  }
+
+  void HashState() {
+    const BufferPoolStats& s = pool_.stats();
+    for (uint64_t v :
+         {s.hits, s.misses, s.fills, s.evictions, s.writebacks,
+          s.invalidations, s.hit_bytes, s.miss_bytes, s.fill_bytes,
+          s.writeback_bytes, s.frame_allocs, s.frame_recycles, s.pinned_hits,
+          s.eviction_refusals, s.write_installs, s.forced_write_through,
+          pool_.frame_count(), pool_.cached_bytes(), pool_.dirty_bytes()}) {
+      Mix(v);
+    }
+    const IoStats& io = dev_.stats();
+    for (uint64_t v : {io.reads, io.writes, io.bytes_read, io.bytes_written,
+                       io.seeks, io.sequential_hits, io.vectored_requests,
+                       io.coalesced_runs}) {
+      Mix(v);
+    }
+    MixDouble(io.seek_time_s);
+    MixDouble(io.rotational_time_s);
+    MixDouble(io.transfer_time_s);
+    MixDouble(io.busy_time_s);
+    MixDouble(dev_.clock().now());
+  }
+
+  Rng rng_;
+  FaultInjector injector_;
+  BlockDevice dev_;
+  BufferPool pool_;
+  std::vector<uint8_t> payload_;
+  std::vector<uint8_t> scratch_;
+  std::vector<std::pair<uint64_t, uint64_t>> pins_;
+  uint64_t hash_ = kFnvBasis;
+};
+
+TEST(BufferPoolTest, SeededChurnDecisionsArePinned) {
+  // 8 configurations x 25k ops: CLOCK and strict LRU, 1 and 4 eviction
+  // domains, payload-carrying and bookkeeping frames. The pinned value
+  // is the hash the std::map-indexed pool produced; any change to a
+  // decision, a counter or a device charge changes it.
+  uint64_t hash = kFnvBasis;
+  uint64_t seed = 7;
+  for (const bool strict_lru : {false, true}) {
+    for (const uint32_t shards : {1u, 4u}) {
+      for (const DataMode mode : {DataMode::kRetain, DataMode::kMetadataOnly}) {
+        SeededChurn churn(seed++, strict_lru, shards, mode);
+        const uint64_t h = churn.Run(25000);
+        hash = (hash ^ h) * kFnvPrime;
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x73010117651b53b5ull);
 }
 
 }  // namespace
