@@ -21,12 +21,125 @@ size_t RecycleClass(uint64_t capacity) {
   return capacity <= 1 ? 0 : static_cast<size_t>(std::bit_width(capacity) - 1);
 }
 
+// Positions in one offset bucket (sorted by start offset).
+template <typename Bucket>
+auto FirstAtOrAfter(Bucket& bucket, uint64_t offset) {
+  return std::partition_point(
+      bucket.begin(), bucket.end(),
+      [offset](const auto& e) { return e.offset < offset; });
+}
+template <typename Bucket>
+auto FirstAfter(Bucket& bucket, uint64_t offset) {
+  return std::partition_point(
+      bucket.begin(), bucket.end(),
+      [offset](const auto& e) { return e.offset <= offset; });
+}
+
 }  // namespace
+
+void BufferPool::OffsetIndex::Build(uint64_t capacity) {
+  const size_t n = static_cast<size_t>(capacity >> 20) + 1;
+  buckets_.assign(n, {});
+  nonempty_.assign((n + 63) / 64, 0);
+  size_ = 0;
+}
+
+size_t BufferPool::OffsetIndex::BucketOf(uint64_t offset) const {
+  return std::min(static_cast<size_t>(offset >> 20), buckets_.size() - 1);
+}
+
+void BufferPool::OffsetIndex::SetBit(size_t bucket, bool on) {
+  const uint64_t bit = uint64_t{1} << (bucket % 64);
+  if (on) {
+    nonempty_[bucket / 64] |= bit;
+  } else {
+    nonempty_[bucket / 64] &= ~bit;
+  }
+}
+
+size_t BufferPool::OffsetIndex::PrevBucket(size_t bucket) const {
+  if (bucket == 0) return kNone;
+  size_t w = (bucket - 1) / 64;
+  // Bits at or below bucket-1 within its word.
+  uint64_t word = nonempty_[w] & (~uint64_t{0} >> (63 - (bucket - 1) % 64));
+  while (true) {
+    if (word != 0) return w * 64 + 63 - std::countl_zero(word);
+    if (w == 0) return kNone;
+    word = nonempty_[--w];
+  }
+}
+
+size_t BufferPool::OffsetIndex::NextBucket(size_t bucket) const {
+  size_t w = (bucket + 1) / 64;
+  if (w >= nonempty_.size()) return kNone;
+  // Bits at or above bucket+1 within its word.
+  uint64_t word = nonempty_[w] & (~uint64_t{0} << ((bucket + 1) % 64));
+  while (true) {
+    if (word != 0) return w * 64 + std::countr_zero(word);
+    if (++w == nonempty_.size()) return kNone;
+    word = nonempty_[w];
+  }
+}
+
+void BufferPool::OffsetIndex::Insert(uint64_t offset, uint32_t slot) {
+  const size_t b = BucketOf(offset);
+  std::vector<Entry>& bucket = buckets_[b];
+  bucket.insert(FirstAtOrAfter(bucket, offset), Entry{offset, slot});
+  if (bucket.size() == 1) SetBit(b, true);
+  ++size_;
+}
+
+void BufferPool::OffsetIndex::Erase(uint64_t offset) {
+  const size_t b = BucketOf(offset);
+  std::vector<Entry>& bucket = buckets_[b];
+  bucket.erase(FirstAtOrAfter(bucket, offset));
+  if (bucket.empty()) SetBit(b, false);
+  --size_;
+}
+
+uint32_t BufferPool::OffsetIndex::Floor(uint64_t offset) const {
+  if (size_ == 0) return kNoSlot;
+  size_t b = BucketOf(offset);
+  const std::vector<Entry>& bucket = buckets_[b];
+  auto it = FirstAfter(bucket, offset);
+  if (it != bucket.begin()) return std::prev(it)->slot;
+  b = PrevBucket(b);
+  return b == kNone ? kNoSlot : buckets_[b].back().slot;
+}
+
+uint64_t BufferPool::OffsetIndex::NextStart(uint64_t offset) const {
+  if (size_ == 0) return UINT64_MAX;
+  size_t b = BucketOf(offset);
+  const std::vector<Entry>& bucket = buckets_[b];
+  auto it = FirstAfter(bucket, offset);
+  if (it != bucket.end()) return it->offset;
+  b = NextBucket(b);
+  return b == kNone ? UINT64_MAX : buckets_[b].front().offset;
+}
+
+void BufferPool::OffsetIndex::Collect(uint64_t lo, uint64_t hi,
+                                      std::vector<uint32_t>* out) const {
+  if (size_ == 0 || lo >= hi) return;
+  size_t b = BucketOf(lo);
+  const std::vector<Entry>* bucket = &buckets_[b];
+  auto it = FirstAtOrAfter(*bucket, lo);
+  while (true) {
+    for (; it != bucket->end(); ++it) {
+      if (it->offset >= hi) return;
+      out->push_back(it->slot);
+    }
+    b = NextBucket(b);
+    if (b == kNone) return;
+    bucket = &buckets_[b];
+    it = bucket->begin();
+  }
+}
 
 BufferPool::BufferPool(BlockDevice* device, BufferPoolOptions options)
     : device_(device), options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   shards_.resize(options_.shards);
+  if (enabled()) index_.Build(device_->capacity());
 }
 
 bool BufferPool::WriteBackActive() const {
@@ -35,15 +148,17 @@ bool BufferPool::WriteBackActive() const {
   return injector == nullptr || !injector->armed();
 }
 
-std::map<uint64_t, BufferPool::Frame>::iterator BufferPool::FirstOverlap(
-    uint64_t offset, uint64_t len) {
-  auto it = frames_.lower_bound(offset);
-  if (it != frames_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end() > offset) it = prev;
+bool BufferPool::CollectOverlaps(uint64_t offset, uint64_t len) {
+  overlaps_.clear();
+  // A frame starting before `offset` overlaps only if it reaches past
+  // it; non-overlap means at most one such frame.
+  uint64_t lo = offset;
+  const uint32_t floor = index_.Floor(offset);
+  if (floor != kNoSlot && slots_[floor].end() > offset) {
+    lo = slots_[floor].offset;
   }
-  if (it == frames_.end() || it->first >= offset + len) return frames_.end();
-  return it;
+  index_.Collect(lo, offset + len, &overlaps_);
+  return !overlaps_.empty();
 }
 
 BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) {
@@ -52,9 +167,9 @@ BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) {
 }
 
 const BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) const {
-  auto it = frames_.upper_bound(offset);
-  if (it == frames_.begin()) return nullptr;
-  const Frame& f = std::prev(it)->second;
+  const uint32_t slot = index_.Floor(offset);
+  if (slot == kNoSlot) return nullptr;
+  const Frame& f = slots_[slot];
   return f.end() > offset ? &f : nullptr;
 }
 
@@ -73,26 +188,36 @@ void BufferPool::Touch(Frame* frame) {
   frame->referenced = true;
   if (!options_.strict_lru) return;
   Shard& sh = shards_[frame->shard];
-  sh.lru_index.erase(frame->lru_seq);
+  auto node = sh.lru_index.extract(frame->lru_seq);
   frame->lru_seq = ++lru_clock_;
-  sh.lru_index.emplace(frame->lru_seq, frame->offset);
+  node.key() = frame->lru_seq;
+  sh.lru_index.insert(sh.lru_index.end(), std::move(node));
 }
 
 Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
-  // Dirty overlaps hold bytes newer than the device: write them back
-  // before they are dropped (a read fill would otherwise resurrect
-  // stale device content; a partially-overlapping write would lose the
-  // non-overlapped dirty bytes).
-  LOR_RETURN_IF_ERROR(FlushOverlapping(offset, len));
   uint32_t inherited_pin = 0;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len;) {
-    inherited_pin = std::max(inherited_pin, it->second.pin);
-    it = DropFrame(it);
+  if (CollectOverlaps(offset, len)) {
+    // Dirty overlaps hold bytes newer than the device: write them back
+    // before they are dropped (a read fill would otherwise resurrect
+    // stale device content; a partially-overlapping write would lose
+    // the non-overlapped dirty bytes).
+    LOR_RETURN_IF_ERROR(FlushSlots(overlaps_));
+    for (uint32_t slot : overlaps_) {
+      inherited_pin = std::max(inherited_pin, slots_[slot].pin);
+      DropFrame(slot);
+    }
   }
   const uint32_t shard = ShardOf(offset);
   LOR_RETURN_IF_ERROR(EvictFor(shard, len));
-  Frame frame;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Frame& frame = slots_[slot];
   frame.offset = offset;
   frame.length = len;
   // Replacing a pinned frame keeps its pin (the granularity changed,
@@ -100,18 +225,19 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
   frame.pin = inherited_pin;
   frame.shard = shard;
   frame.lru_seq = ++lru_clock_;
+  frame.dirty = false;
   frame.referenced = true;
   if (RetainData()) frame.data = TakeBuffer(len);
-  auto [it, inserted] = frames_.emplace(offset, std::move(frame));
+  index_.Insert(offset, slot);
   Shard& sh = shards_[shard];
   sh.used_bytes += len;
   cached_bytes_ += len;
   if (options_.strict_lru) {
-    sh.lru_index.emplace(it->second.lru_seq, offset);
+    sh.lru_index.emplace_hint(sh.lru_index.end(), frame.lru_seq, slot);
   } else {
-    sh.clock_ring.emplace_back(offset, it->second.lru_seq);
+    sh.clock_ring.push_back({slot, frame.lru_seq});
   }
-  *out = &it->second;
+  *out = &frame;
   return Status::OK();
 }
 
@@ -135,13 +261,11 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   *evicted = false;
   Shard& sh = shards_[shard];
   if (options_.strict_lru) {
-    for (auto it = sh.lru_index.begin(); it != sh.lru_index.end(); ++it) {
-      auto fit = frames_.find(it->second);
-      if (fit == frames_.end() || fit->second.lru_seq != it->first) continue;
-      Frame& f = fit->second;
+    for (const auto& [seq, slot] : sh.lru_index) {
+      Frame& f = slots_[slot];
       if (f.pin > 0) continue;
       if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
-      DropFrame(fit);
+      DropFrame(slot);
       ++stats_.evictions;
       *evicted = true;
       return Status::OK();
@@ -149,20 +273,20 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
     return Status::OK();
   }
   // CLOCK: sweep the ring, clearing reference bits; pinned frames are
-  // skipped, stale entries (generation mismatch) removed in passing.
-  // Two full sweeps bound the scan when every frame is referenced.
+  // skipped, stale entries (seq mismatch: the frame was dropped and
+  // its slot freed or reused) removed in passing. Two full sweeps
+  // bound the scan when every frame is referenced.
   size_t scanned = 0;
   const size_t limit = sh.clock_ring.size() * 2 + 2;
   while (!sh.clock_ring.empty() && scanned < limit) {
     if (sh.hand >= sh.clock_ring.size()) sh.hand = 0;
-    const auto [off, seq] = sh.clock_ring[sh.hand];
-    auto fit = frames_.find(off);
-    if (fit == frames_.end() || fit->second.lru_seq != seq) {
+    const RingEntry entry = sh.clock_ring[sh.hand];
+    Frame& f = slots_[entry.slot];
+    if (f.lru_seq != entry.seq) {
       sh.clock_ring[sh.hand] = sh.clock_ring.back();
       sh.clock_ring.pop_back();
       continue;
     }
-    Frame& f = fit->second;
     if (f.pin > 0) {
       ++sh.hand;
       ++scanned;
@@ -175,7 +299,7 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
       continue;
     }
     if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
-    DropFrame(fit);
+    DropFrame(entry.slot);
     sh.clock_ring[sh.hand] = sh.clock_ring.back();
     sh.clock_ring.pop_back();
     ++stats_.evictions;
@@ -185,16 +309,18 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   return Status::OK();
 }
 
-std::map<uint64_t, BufferPool::Frame>::iterator BufferPool::DropFrame(
-    std::map<uint64_t, Frame>::iterator it) {
-  Frame& f = it->second;
+void BufferPool::DropFrame(uint32_t slot) {
+  Frame& f = slots_[slot];
   Shard& sh = shards_[f.shard];
   sh.used_bytes -= f.length;
   cached_bytes_ -= f.length;
   if (f.dirty) dirty_bytes_ -= f.length;
   if (options_.strict_lru) sh.lru_index.erase(f.lru_seq);
   if (!f.data.empty()) RecycleBuffer(std::move(f.data));
-  return frames_.erase(it);
+  f.data = {};
+  index_.Erase(f.offset);
+  f.lru_seq = 0;  // Any ring entry for this slot is now stale.
+  free_slots_.push_back(slot);
 }
 
 Status BufferPool::WriteBackFrame(Frame* frame) {
@@ -211,13 +337,12 @@ Status BufferPool::WriteBackFrame(Frame* frame) {
   return Status::OK();
 }
 
-Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
+Status BufferPool::FlushSlots(std::span<const uint32_t> slots) {
   if (dirty_bytes_ == 0) return Status::OK();
   flush_requests_.clear();
   flush_frames_.clear();
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len; ++it) {
-    Frame& f = it->second;
+  for (uint32_t slot : slots) {
+    Frame& f = slots_[slot];
     if (!f.dirty) continue;
     IoRequest req;
     req.write = true;
@@ -228,9 +353,9 @@ Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
     flush_frames_.push_back(&f);
   }
   if (flush_requests_.empty()) return Status::OK();
-  // One offset-ordered vectored submission (map order is offset order):
-  // the batch rides the IoScheduler and charges like the equivalent
-  // scalar sequence, so a big flush pays one positioning per
+  // One offset-ordered vectored submission (index order is offset
+  // order): the batch rides the IoScheduler and charges like the
+  // equivalent scalar sequence, so a big flush pays one positioning per
   // contiguous dirty range.
   LOR_RETURN_IF_ERROR(device_->SubmitV(flush_requests_));
   for (Frame* f : flush_frames_) {
@@ -240,6 +365,11 @@ Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
     stats_.writeback_bytes += f->length;
   }
   return Status::OK();
+}
+
+Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
+  if (dirty_bytes_ == 0 || !CollectOverlaps(offset, len)) return Status::OK();
+  return FlushSlots(overlaps_);
 }
 
 Status BufferPool::FlushRange(uint64_t offset, uint64_t len) {
@@ -386,11 +516,11 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
   }
   if (!fill_status.ok()) {
     // The fill never happened: drop (do not park) every frame this call
-    // installed, or a stale-zero frame would sit in the map as a valid
+    // installed, or a stale-zero frame would sit in the index as a valid
     // cache entry and serve wrong bytes to the next hit.
     for (uint64_t fo : fill_offsets_) {
-      auto it = frames_.find(fo);
-      if (it != frames_.end()) DropFrame(it);
+      const uint32_t slot = index_.Floor(fo);
+      if (slot != kNoSlot && slots_[slot].offset == fo) DropFrame(slot);
     }
   }
   if (device_bytes != nullptr) *device_bytes = filled;
@@ -470,35 +600,31 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
 }
 
 void BufferPool::Invalidate(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0) return;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len;) {
+  if (!enabled() || len == 0 || !CollectOverlaps(offset, len)) return;
+  for (uint32_t slot : overlaps_) {
     ++stats_.invalidations;
-    it = DropFrame(it);  // Dirty content dies with the owner.
+    DropFrame(slot);  // Dirty content dies with the owner.
   }
 }
 
 uint64_t BufferPool::PinRange(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0) return 0;
-  uint64_t pinned = 0;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len; ++it) {
-    ++it->second.pin;
-    ++pinned;
-  }
-  return pinned;
+  if (!enabled() || len == 0 || !CollectOverlaps(offset, len)) return 0;
+  for (uint32_t slot : overlaps_) ++slots_[slot].pin;
+  return overlaps_.size();
 }
 
 void BufferPool::UnpinRange(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0) return;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len; ++it) {
-    if (it->second.pin > 0) --it->second.pin;
+  if (!enabled() || len == 0 || !CollectOverlaps(offset, len)) return;
+  for (uint32_t slot : overlaps_) {
+    if (slots_[slot].pin > 0) --slots_[slot].pin;
   }
 }
 
 void BufferPool::Reset() {
-  frames_.clear();
+  if (!enabled()) return;
+  slots_.clear();
+  free_slots_.clear();
+  index_.Build(device_->capacity());
   shards_.assign(options_.shards, Shard{});
   free_lists_.clear();
   free_list_bytes_ = 0;
@@ -514,10 +640,7 @@ const uint8_t* BufferPool::ViewChunk(uint64_t offset, uint64_t len,
     if (f->data.empty()) return nullptr;  // Bookkeeping frame: device view.
     return f->data.data() + (offset - f->offset);
   }
-  auto it = frames_.upper_bound(offset);
-  const uint64_t gap_end =
-      it == frames_.end() ? offset + len : std::min(it->first, offset + len);
-  *chunk = gap_end - offset;
+  *chunk = GapLength(offset, len);
   return nullptr;
 }
 
@@ -533,11 +656,12 @@ uint8_t* BufferPool::MutableViewChunk(uint64_t offset, uint64_t len,
     }
     return f->data.data() + (offset - f->offset);
   }
-  auto it = frames_.upper_bound(offset);
-  const uint64_t gap_end =
-      it == frames_.end() ? offset + len : std::min(it->first, offset + len);
-  *chunk = gap_end - offset;
+  *chunk = GapLength(offset, len);
   return nullptr;
+}
+
+uint64_t BufferPool::GapLength(uint64_t offset, uint64_t len) const {
+  return std::min(index_.NextStart(offset), offset + len) - offset;
 }
 
 void BufferPool::CopyFrameToDevice(uint64_t offset, const uint8_t* src,

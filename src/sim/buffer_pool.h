@@ -11,12 +11,21 @@
 //   * capacity_bytes == 0 (the default) disables the pool: every entry
 //     point is a strict pass-through to the equivalent device call, so
 //     the paper's cold-cache figures are reproduced bit-identically.
-//   * Frames are variable-length (one per cached extent run), kept
-//     non-overlapping, and indexed by start offset; a read that is
-//     fully covered by resident frames is a *hit* and never touches
-//     the device — it charges only the host-side cache CPU
-//     (per-request cost + bytes / copy_bandwidth) via ChargeCpu, so
-//     hits still ride op scopes and show up in latency percentiles.
+//   * Frames are variable-length (one per cached extent run) and kept
+//     non-overlapping; a read that is fully covered by resident frames
+//     is a *hit* and never touches the device — it charges only the
+//     host-side cache CPU (per-request cost + bytes / copy_bandwidth)
+//     via ChargeCpu, so hits still ride op scopes and show up in
+//     latency percentiles.
+//   * Frames live in a slot arena (a deque, so addresses are stable,
+//     plus a free list of slots) and are found through an offset
+//     index: one small sorted vector of (start, slot) per 1 MiB offset
+//     bucket — the granularity ShardOf uses — with a bitmap of
+//     non-empty buckets for predecessor/successor lookups by word
+//     scan. Invariant: every walk over the index (flush batches,
+//     invalidations, pins) visits frames in ascending offset order, so
+//     a flush is one offset-ordered SubmitV. The index is built only
+//     when the pool is enabled.
 //   * Misses fill through one vectored ReadV per call, at extent-run
 //     granularity (optionally extended to the caller's fill range —
 //     read-ahead), into frames recycled from per-size free lists (the
@@ -37,8 +46,13 @@
 //   * Eviction is CLOCK by default (strict LRU behind strict_lru),
 //     sharded: frames hash to `shards` independent eviction domains,
 //     each with its own capacity slice, clock hand, and recency index.
-//     Pinned frames are never evicted — when a domain is entirely
-//     pinned the pool grows past its slice and counts the refusal.
+//     Every install stamps the frame with a fresh sequence number;
+//     CLOCK ring entries are (slot, install seq) pairs, so an entry
+//     whose frame was dropped (its slot freed or reused) is recognised
+//     as stale by one compare and removed as the hand passes it. Strict
+//     LRU keeps seq -> slot in recency order. Pinned frames are never
+//     evicted — when a domain is entirely pinned the pool grows past
+//     its slice and counts the refusal.
 //   * Pin/Unpin operate on the frames resident in a byte range; the
 //     handle layer pins an object's cached frames for the open window.
 //
@@ -54,6 +68,7 @@
 #define LOREPO_SIM_BUFFER_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <span>
 #include <vector>
@@ -157,6 +172,10 @@ class BufferPool {
   /// fall through to the device arena. Charges nothing.
   template <typename Fn>
   void View(uint64_t offset, uint64_t len, Fn&& fn) const {
+    if (!enabled()) {
+      device_->ReadView(offset, len, fn);
+      return;
+    }
     while (len > 0) {
       uint64_t chunk = 0;
       const uint8_t* p = ViewChunk(offset, len, &chunk);
@@ -181,6 +200,10 @@ class BufferPool {
   /// pair with WriteThrough for the timing.
   template <typename Fn>
   void WriteViewThrough(uint64_t offset, uint64_t len, Fn&& fn) {
+    if (!enabled()) {
+      device_->WriteView(offset, len, fn);
+      return;
+    }
     const bool through = !WriteBackActive();
     while (len > 0) {
       uint64_t chunk = 0;
@@ -226,10 +249,13 @@ class BufferPool {
   const BufferPoolOptions& options() const { return options_; }
   uint64_t cached_bytes() const { return cached_bytes_; }
   uint64_t dirty_bytes() const { return dirty_bytes_; }
-  uint64_t frame_count() const { return frames_.size(); }
+  uint64_t frame_count() const { return index_.size(); }
   BlockDevice* device() { return device_; }
 
  private:
+  /// "No frame" marker for slot lookups.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   struct Frame {
     uint64_t offset = 0;
     uint64_t length = 0;
@@ -237,10 +263,49 @@ class BufferPool {
     std::vector<uint8_t> data;
     uint32_t pin = 0;
     uint32_t shard = 0;
+    /// Install seq under CLOCK, last-touch seq under strict LRU; 0 marks
+    /// a free arena slot (seqs start at 1).
     uint64_t lru_seq = 0;
     bool dirty = false;
     bool referenced = false;  ///< CLOCK second-chance bit.
     uint64_t end() const { return offset + length; }
+  };
+
+  /// Resident frames ordered by start offset: a sorted (start, slot)
+  /// vector per 1 MiB bucket plus a bitmap of non-empty buckets.
+  class OffsetIndex {
+   public:
+    /// Sizes the buckets for a device of `capacity` bytes, empty.
+    void Build(uint64_t capacity);
+    uint64_t size() const { return size_; }
+
+    void Insert(uint64_t offset, uint32_t slot);
+    void Erase(uint64_t offset);
+    /// Slot of the frame with the largest start <= offset, or kNoSlot.
+    uint32_t Floor(uint64_t offset) const;
+    /// Start of the first frame starting after `offset`, or UINT64_MAX.
+    uint64_t NextStart(uint64_t offset) const;
+    /// Appends the slots of frames starting in [lo, hi), in offset
+    /// order.
+    void Collect(uint64_t lo, uint64_t hi, std::vector<uint32_t>* out) const;
+
+   private:
+    struct Entry {
+      uint64_t offset;
+      uint32_t slot;
+    };
+    static constexpr size_t kNone = SIZE_MAX;
+
+    size_t BucketOf(uint64_t offset) const;
+    void SetBit(size_t bucket, bool on);
+    /// Nearest non-empty bucket strictly below / above `bucket`, or
+    /// kNone.
+    size_t PrevBucket(size_t bucket) const;
+    size_t NextBucket(size_t bucket) const;
+
+    std::vector<std::vector<Entry>> buckets_;
+    std::vector<uint64_t> nonempty_;
+    uint64_t size_ = 0;
   };
 
   /// One deferred payload move of a ReadThrough call (hit copies and
@@ -253,14 +318,18 @@ class BufferPool {
     uint64_t length = 0;
   };
 
-  /// Per-domain eviction state. The clock ring holds (offset, install
-  /// seq) pairs; entries whose seq no longer matches the resident
-  /// frame are stale and removed lazily as the hand passes them.
+  /// CLOCK ring entry: stale once the slot's frame has another seq.
+  struct RingEntry {
+    uint32_t slot;
+    uint64_t seq;
+  };
+
+  /// Per-domain eviction state.
   struct Shard {
     uint64_t used_bytes = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> clock_ring;
+    std::vector<RingEntry> clock_ring;
     size_t hand = 0;
-    std::map<uint64_t, uint64_t> lru_index;  ///< seq -> frame offset.
+    std::map<uint64_t, uint32_t> lru_index;  ///< seq -> slot.
   };
 
   uint32_t ShardOf(uint64_t offset) const {
@@ -276,10 +345,9 @@ class BufferPool {
   /// configured and no armed fault injector on the device).
   bool WriteBackActive() const;
 
-  /// Iterator to the first frame intersecting [offset, offset+len), or
-  /// end() when none does.
-  std::map<uint64_t, Frame>::iterator FirstOverlap(uint64_t offset,
-                                                   uint64_t len);
+  /// Fills overlaps_ with the slots of the frames intersecting
+  /// [offset, offset+len), in offset order; returns whether any does.
+  bool CollectOverlaps(uint64_t offset, uint64_t len);
   /// Frame containing `offset`, or null.
   Frame* FrameAt(uint64_t offset);
   const Frame* FrameAt(uint64_t offset) const;
@@ -303,17 +371,18 @@ class BufferPool {
   /// one existed.
   Status EvictOne(uint32_t shard, bool* evicted);
 
-  /// Removes a frame from the index + eviction state, recycling its
-  /// buffer, and returns the iterator past it. Does not write anything
-  /// back — callers flush or discard dirty content first.
-  std::map<uint64_t, Frame>::iterator DropFrame(
-      std::map<uint64_t, Frame>::iterator it);
+  /// Removes the frame in `slot` from the index and eviction state,
+  /// recycling its buffer and its slot. Does not write anything back —
+  /// callers flush or discard dirty content first.
+  void DropFrame(uint32_t slot);
 
   /// Writes one dirty frame back (scalar submit) and marks it clean.
   Status WriteBackFrame(Frame* frame);
 
-  /// Flushes the dirty frames overlapping [offset, offset+len) — the
-  /// shared core of FlushRange/FlushAll — as one SubmitV batch.
+  /// Flushes the dirty frames among `slots` (offset order) as one
+  /// SubmitV batch — the shared core of FlushRange/FlushAll/install.
+  Status FlushSlots(std::span<const uint32_t> slots);
+  /// Flushes the dirty frames overlapping [offset, offset+len).
   Status FlushOverlapping(uint64_t offset, uint64_t len);
 
   /// Buffer recycling (per-size free lists, power-of-two classes).
@@ -326,6 +395,8 @@ class BufferPool {
                            uint64_t* chunk) const;
   uint8_t* MutableViewChunk(uint64_t offset, uint64_t len, uint64_t* chunk,
                             bool through);
+  /// Length of the uncached gap at `offset`, capped at `len`.
+  uint64_t GapLength(uint64_t offset, uint64_t len) const;
   /// Copies frame bytes through to the device arena (write-through
   /// views).
   void CopyFrameToDevice(uint64_t offset, const uint8_t* src, uint64_t len);
@@ -333,8 +404,11 @@ class BufferPool {
   BlockDevice* device_;
   BufferPoolOptions options_;
   BufferPoolStats stats_;
-  /// Non-overlapping frames by start offset.
-  std::map<uint64_t, Frame> frames_;
+  /// Frame arena: slots are reused through free_slots_, and a deque
+  /// never moves a live frame.
+  std::deque<Frame> slots_;
+  std::vector<uint32_t> free_slots_;
+  OffsetIndex index_;
   std::vector<Shard> shards_;
   uint64_t cached_bytes_ = 0;
   uint64_t dirty_bytes_ = 0;
@@ -342,12 +416,14 @@ class BufferPool {
   /// Recycled buffers by floor-log2 capacity class.
   std::vector<std::vector<std::vector<uint8_t>>> free_lists_;
   uint64_t free_list_bytes_ = 0;
-  /// Scratch for the vectored fill/flush submissions and deferred
-  /// copies — reused across calls so the hit path never allocates.
+  /// Scratch for the vectored fill/flush submissions, deferred copies
+  /// and overlap walks — reused across calls so the hit path never
+  /// allocates.
   std::vector<IoSlice> fill_slices_;
   std::vector<IoRequest> flush_requests_;
   std::vector<Frame*> flush_frames_;
   std::vector<CopyJob> copy_jobs_;
+  std::vector<uint32_t> overlaps_;
   /// Start offsets of frames installed by the in-progress ReadThrough;
   /// a failed fill drops exactly these (never parks them as valid).
   std::vector<uint64_t> fill_offsets_;
