@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
+
 #include "alloc/buddy_allocator.h"
 #include "alloc/free_space_map.h"
 #include "alloc/policy_allocator.h"
@@ -94,6 +96,65 @@ void BM_RunCacheAllocatorChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RunCacheAllocatorChurn);
+
+// The aged_256k shape: a 20 GiB volume of 4 KiB clusters (2% MFT zone)
+// holding ~40k live 256 KiB (64-cluster) objects, each written as four
+// 16-cluster requests that carry extension hints, replacing a random
+// live object (the safe write), with two allocator ticks per write and
+// the default 128-tick journal commit. Every 16th write also splits a
+// one-cluster directory index buffer and frees the oldest one, as the
+// file store does; those single clusters are what age the map. One
+// iteration is one safe write; 200k writes age the map before timing.
+void BM_RunCacheAllocatorAgedSafeWrite(benchmark::State& state) {
+  constexpr uint64_t kVolumeClusters = 5 * (1 << 20);
+  constexpr uint64_t kObjects = 40000;
+  alloc::RunCacheAllocator allocator(kVolumeClusters, {},
+                                     kVolumeClusters / 50);
+  Rng rng(19);
+  std::vector<alloc::ExtentList> live(kObjects);
+  std::deque<alloc::Extent> index_buffers;
+  uint64_t writes = 0;
+  auto write = [&](alloc::ExtentList* object) {
+    alloc::ExtentList fresh;
+    for (int request = 0; request < 4; ++request) {
+      const uint64_t hint =
+          fresh.empty() ? alloc::kNoHint : fresh.back().end();
+      Status s = allocator.Allocate(16, hint, &fresh);
+      benchmark::DoNotOptimize(s.ok());
+    }
+    const bool split = ++writes % 16 == 0;
+    if (split) {
+      alloc::ExtentList buffer;
+      if (allocator.Allocate(1, alloc::kNoHint, &buffer).ok()) {
+        index_buffers.push_back(buffer.front());
+      }
+    }
+    allocator.Tick();
+    for (const alloc::Extent& e : *object) {
+      Status s = allocator.Free(e);
+      benchmark::DoNotOptimize(s.ok());
+    }
+    if (split && index_buffers.size() > 1) {
+      Status s = allocator.Free(index_buffers.front());
+      benchmark::DoNotOptimize(s.ok());
+      index_buffers.pop_front();
+    }
+    allocator.Tick();
+    object->swap(fresh);
+  };
+  for (alloc::ExtentList& object : live) write(&object);
+  for (int i = 0; i < 200000; ++i) write(&live[rng.Uniform(kObjects)]);
+  for (auto _ : state) write(&live[rng.Uniform(kObjects)]);
+  uint64_t fragments = 0;
+  for (const alloc::ExtentList& object : live) {
+    fragments += alloc::CountFragments(object);
+  }
+  state.counters["free_runs"] =
+      static_cast<double>(allocator.FreeStats().run_count);
+  state.counters["frags_per_obj"] =
+      static_cast<double>(fragments) / static_cast<double>(kObjects);
+}
+BENCHMARK(BM_RunCacheAllocatorAgedSafeWrite);
 
 void BM_BuddyAllocateFree(benchmark::State& state) {
   alloc::BuddyAllocator allocator(kClusters);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 #include "alloc/deferred_free_queue.h"
 #include "alloc/policy_allocator.h"
 #include "alloc/run_cache_allocator.h"
+#include "util/fnv.h"
 #include "util/random.h"
 
 namespace lor {
@@ -377,6 +379,230 @@ INSTANTIATE_TEST_SUITE_P(
                                n, RunCacheOptions{.deferred_free = false});
                          }}),
     [](const auto& info) { return info.param.label; });
+
+// -- Decision pin -------------------------------------------------------
+//
+// Seeded churn over FreeSpaceMap and the allocators layered on it. Every
+// returned extent and status, the free-space statistics, the run-cache
+// view (LargestRuns(32)) and the free cluster count are folded into one
+// FNV value, pinned at what the node-based (std::map/std::set) map
+// produced. Any change to a placement decision changes the hash.
+
+class DecisionHash {
+ public:
+  void Add(uint64_t v) { hash_ = (hash_ ^ v) * kFnvPrime; }
+  void Add(const Extent& e) {
+    Add(e.start);
+    Add(e.length);
+  }
+  void Add(const Status& s) { Add(static_cast<uint64_t>(s.code())); }
+  void Add(const ExtentList& list) {
+    Add(list.size());
+    for (const Extent& e : list) Add(e);
+  }
+  void Add(const FreeSpaceStats& s) {
+    Add(s.free_clusters);
+    Add(s.run_count);
+    Add(s.largest_run);
+    Add(std::bit_cast<uint64_t>(s.mean_run));
+    Add(std::bit_cast<uint64_t>(s.external_fragmentation));
+  }
+  void AddMap(const FreeSpaceMap& map) {
+    Add(map.Stats());
+    Add(map.LargestRuns(32));
+    Add(map.free_clusters());
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = kFnvBasis;
+};
+
+constexpr FitPolicy kAllFitPolicies[] = {FitPolicy::kFirstFit,
+                                         FitPolicy::kBestFit,
+                                         FitPolicy::kWorstFit,
+                                         FitPolicy::kNextFit};
+
+// Direct FreeSpaceMap churn: every allocation entry point, frees of
+// whole and partial extents, and rejected double frees.
+uint64_t FreeSpaceMapChurn(uint64_t seed, int steps) {
+  constexpr uint64_t kClusters = 1 << 17;
+  FreeSpaceMap map(kClusters);
+  Rng rng(seed);
+  DecisionHash h;
+  std::vector<Extent> live;
+  auto keep = [&](const Extent& e) {
+    h.Add(e);
+    if (!e.empty()) live.push_back(e);
+  };
+  auto small_length = [&] {
+    return rng.Bernoulli(0.8) ? 1 + rng.Uniform(64) : 1 + rng.Uniform(2048);
+  };
+  for (int step = 0; step < steps; ++step) {
+    const uint64_t op = rng.Uniform(100);
+    const bool fill = map.free_clusters() > kClusters / 3;
+    if (op < 30 && fill) {
+      const FitPolicy policy = kAllFitPolicies[rng.Uniform(4)];
+      Result<Extent> e = map.AllocateContiguous(small_length(), policy);
+      h.Add(e.status());
+      if (e.ok()) keep(*e);
+    } else if (op < 42 && fill) {
+      keep(map.AllocateUpTo(small_length(), kAllFitPolicies[rng.Uniform(4)]));
+    } else if (op < 50 && fill) {
+      keep(map.AllocateFrom(rng.Uniform(kClusters), small_length()));
+    } else if (op < 60 && fill) {
+      // Sequential extension behind a live extent, a few requests long.
+      uint64_t at = live.empty() ? rng.Uniform(kClusters)
+                                 : live[rng.Uniform(live.size())].end();
+      for (int k = 0; k < 4; ++k) {
+        const uint64_t got = map.ExtendAt(at, 1 + rng.Uniform(32));
+        h.Add(got);
+        if (got == 0) break;
+        keep({at, got});
+        at += got;
+      }
+    } else if (op < 66 && fill) {
+      // ExtendAt / AllocateAt inside a cached run: head, middle or tail.
+      const std::vector<Extent> runs = map.LargestRuns(32);
+      if (runs.empty()) continue;
+      const Extent run = runs[rng.Uniform(runs.size())];
+      const uint64_t offset = rng.Uniform(run.length);
+      if (rng.Bernoulli(0.5)) {
+        const uint64_t got = map.ExtendAt(run.start + offset, small_length());
+        h.Add(got);
+        if (got > 0) keep({run.start + offset, got});
+      } else {
+        const Extent want{run.start + offset,
+                          1 + rng.Uniform(run.length - offset + 8)};
+        Status s = map.AllocateAt(want);
+        h.Add(s);
+        if (s.ok()) keep(want);
+      }
+    } else if (op < 70) {
+      // Random placement, usually rejected.
+      const Extent want{rng.Uniform(kClusters), small_length()};
+      Status s = map.AllocateAt(want);
+      h.Add(s);
+      if (s.ok()) keep(want);
+    } else if (op < 74) {
+      // Double free: a range overlapping free space must be rejected.
+      const std::vector<Extent> runs = map.LargestRuns(32);
+      if (runs.empty()) continue;
+      const Extent run = runs[rng.Uniform(runs.size())];
+      const uint64_t lead = rng.Uniform(4);
+      const Extent again{run.start > lead ? run.start - lead : 0,
+                         1 + rng.Uniform(run.length + 4)};
+      h.Add(map.Free(again));
+    } else if (!live.empty()) {
+      const size_t i = rng.Uniform(live.size());
+      Extent e = live[i];
+      if (e.length > 1 && rng.Bernoulli(0.3)) {
+        // Free a piece; the rest stays live.
+        const uint64_t cut = 1 + rng.Uniform(e.length - 1);
+        if (rng.Bernoulli(0.5)) {
+          live[i] = {e.start + cut, e.length - cut};
+          e.length = cut;
+        } else {
+          live[i] = {e.start, cut};
+          e = {e.start + cut, e.length - cut};
+        }
+      } else {
+        live[i] = live.back();
+        live.pop_back();
+      }
+      h.Add(map.Free(e));
+    }
+    h.AddMap(map);
+  }
+  EXPECT_TRUE(map.CheckConsistency().ok());
+  return h.value();
+}
+
+// Allocator churn: objects written as a chain of request-sized
+// allocations carrying extension hints (the safe-write stream), deleted
+// at random, with one Tick per operation.
+uint64_t AllocatorChurn(ExtentAllocator* a, const FreeSpaceMap& map,
+                        uint64_t clusters, uint64_t seed, int steps) {
+  Rng rng(seed);
+  DecisionHash h;
+  std::vector<ExtentList> live;
+  for (int step = 0; step < steps; ++step) {
+    const bool write = live.empty() ||
+                       a->total_unused_clusters() > clusters / 4 ||
+                       rng.Bernoulli(0.3);
+    if (write && rng.Bernoulli(0.55)) {
+      ExtentList object;
+      const uint64_t requests = 1 + rng.Uniform(rng.Bernoulli(0.9) ? 6 : 40);
+      for (uint64_t r = 0; r < requests; ++r) {
+        const uint64_t length = rng.Bernoulli(0.8) ? 16 : 1 + rng.Uniform(48);
+        const uint64_t hint = object.empty() ? kNoHint : object.back().end();
+        Status s = a->Allocate(length, hint, &object);
+        h.Add(s);
+        if (!s.ok()) break;
+      }
+      h.Add(object);
+      if (!object.empty()) live.push_back(std::move(object));
+    } else if (!live.empty()) {
+      const size_t i = rng.Uniform(live.size());
+      for (const Extent& e : live[i]) h.Add(a->Free(e));
+      live[i] = std::move(live.back());
+      live.pop_back();
+    }
+    a->Tick();
+    if (rng.Uniform(500) == 0) a->CommitPending();
+    h.Add(a->FreeStats());
+    h.Add(map.LargestRuns(32));
+    h.Add(a->free_clusters());
+    h.Add(a->total_unused_clusters());
+  }
+  EXPECT_TRUE(map.CheckConsistency().ok());
+  return h.value();
+}
+
+TEST(AllocatorDecisionTest, AllocatorDecisionsArePinned) {
+  constexpr uint64_t kClusters = 1 << 16;
+  constexpr uint64_t kReserved = 1024;
+  uint64_t hash = kFnvBasis;
+  auto fold = [&hash](uint64_t h) { hash = (hash ^ h) * kFnvPrime; };
+  uint64_t seed = 11;
+
+  for (int round = 0; round < 3; ++round) {
+    fold(FreeSpaceMapChurn(seed++, 12000));
+  }
+
+  for (const RunSelection selection :
+       {RunSelection::kBestFitCached, RunSelection::kCursorSweep,
+        RunSelection::kSweepThenBestFit, RunSelection::kLargestFirst}) {
+    for (const uint32_t interval : {0u, 8u, 128u}) {
+      RunCacheAllocator a(kClusters,
+                          {.selection = selection,
+                           .commit_interval = interval},
+                          kReserved);
+      fold(AllocatorChurn(&a, a.map(), kClusters, seed++, 6000));
+    }
+    RunCacheAllocator immediate(
+        kClusters,
+        {.selection = selection, .cache_size = 8, .deferred_free = false},
+        kReserved);
+    fold(AllocatorChurn(&immediate, immediate.map(), kClusters, seed++,
+                        6000));
+  }
+
+  for (const FitPolicy policy : kAllFitPolicies) {
+    for (const bool deferred : {false, true}) {
+      // Next-fit runs without extension hints, the others with them.
+      PolicyAllocator a(kClusters,
+                        {.policy = policy,
+                         .allow_extension = policy != FitPolicy::kNextFit,
+                         .deferred_free = deferred,
+                         .commit_interval = 16},
+                        kReserved);
+      fold(AllocatorChurn(&a, a.map(), kClusters, seed++, 6000));
+    }
+  }
+
+  EXPECT_EQ(hash, 0x65e72a9fbc730d71ull) << std::hex << hash;
+}
 
 }  // namespace
 }  // namespace alloc
