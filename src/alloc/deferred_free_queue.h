@@ -42,15 +42,15 @@ class DeferredFreeQueue {
     return Status::OK();
   }
 
-  /// Releases all pending extents into `map` now.
+  /// Releases all pending extents into `map` now, as one sorted,
+  /// coalescing merge. A pending extent that overlaps free space (a
+  /// double free) is dropped and reported; the others are released.
   Status Commit(FreeSpaceMap* map) {
     ticks_since_commit_ = 0;
-    for (const Extent& e : pending_) {
-      LOR_RETURN_IF_ERROR(map->Free(e));
-    }
+    Status s = map->FreeAll(pending_);
     pending_.clear();
     pending_clusters_ = 0;
-    return Status::OK();
+    return s;
   }
 
   uint64_t pending_clusters() const { return pending_clusters_; }

@@ -20,326 +20,308 @@ std::string_view FitPolicyName(FitPolicy policy) {
 }
 
 FreeSpaceMap::FreeSpaceMap(uint64_t clusters) {
-  if (clusters > 0) InsertRun(0, clusters);
+  if (clusters > 0) InsertRun(runs_.end(), {0, clusters});
 }
 
-FreeSpaceMap::FreeSpaceMap(const FreeSpaceMap& other) { *this = other; }
-
-FreeSpaceMap& FreeSpaceMap::operator=(const FreeSpaceMap& other) {
-  if (this == &other) return *this;
-  other.FlushPendingResize();
-  runs_ = other.runs_;
-  by_size_ = other.by_size_;
-  buckets_ = other.buckets_;
-  bucket_mask_ = other.bucket_mask_;
-  buckets_enabled_ = other.buckets_enabled_;
-  pending_valid_ = false;
-  shrink_cache_valid_ = false;
-  free_clusters_ = other.free_clusters_;
-  next_fit_cursor_ = other.next_fit_cursor_;
-  return *this;
+FreeSpaceMap::Pos FreeSpaceMap::Containing(uint64_t cluster) const {
+  if (runs_.valid(last_run_)) {
+    const Extent& run = runs_[last_run_];
+    if (run.start <= cluster && cluster < run.end()) return last_run_;
+  }
+  const Pos after = runs_.UpperBound({cluster, 0});
+  if (after == runs_.begin()) return runs_.end();
+  const Pos at = runs_.Prev(after);
+  return cluster < runs_[at].end() ? at : runs_.end();
 }
 
-FreeSpaceMap::FreeSpaceMap(FreeSpaceMap&& other) noexcept {
-  *this = std::move(other);
+bool FreeSpaceMap::InTop(const Extent& run) const {
+  return top_count_ > 0 && !BySize{}(run, top_[top_count_ - 1]);
 }
 
-FreeSpaceMap& FreeSpaceMap::operator=(FreeSpaceMap&& other) noexcept {
-  if (this == &other) return *this;
-  other.FlushPendingResize();
-  other.shrink_cache_valid_ = false;
-  runs_ = std::move(other.runs_);
-  by_size_ = std::move(other.by_size_);
-  buckets_ = std::move(other.buckets_);
-  bucket_mask_ = other.bucket_mask_;
-  buckets_enabled_ = other.buckets_enabled_;
-  pending_valid_ = false;
-  shrink_cache_valid_ = false;
-  free_clusters_ = other.free_clusters_;
-  next_fit_cursor_ = other.next_fit_cursor_;
-  return *this;
+void FreeSpaceMap::TopInsert(const Extent& run) {
+  uint32_t i = top_count_++;
+  for (; i > 0 && BySize{}(top_[i - 1], run); --i) top_[i] = top_[i - 1];
+  top_[i] = run;
 }
 
-void FreeSpaceMap::FlushPendingResize() const {
-  if (!pending_valid_) return;
-  by_size_.erase(pending_stale_);
-  by_size_.insert(pending_true_);
-  pending_valid_ = false;
+void FreeSpaceMap::TopErase(const Extent& run) {
+  uint32_t i = 0;
+  while (!(top_[i] == run)) ++i;
+  for (--top_count_; i < top_count_; ++i) top_[i] = top_[i + 1];
 }
 
-void FreeSpaceMap::EraseRun(RunMap::iterator it) {
-  if (pending_valid_ && pending_true_.second == it->first) {
-    by_size_.erase(pending_stale_);
-    pending_valid_ = false;
+void FreeSpaceMap::PromoteRest() {
+  if (by_size_.empty()) return;
+  // The largest of the rest sorts below every top run.
+  top_[top_count_++] = by_size_.back();
+  by_size_.Erase(by_size_.Prev(by_size_.end()));
+}
+
+FreeSpaceMap::SizeIndex::Pos FreeSpaceMap::FindRest(const Extent& run) const {
+  if (by_size_.valid(last_size_) && by_size_[last_size_] == run) {
+    return last_size_;
+  }
+  return by_size_.LowerBound(run);
+}
+
+void FreeSpaceMap::SizeInsert(const Extent& run) {
+  if (top_count_ < kTopRuns) {
+    TopInsert(run);  // The rest is empty until the top is full.
+    return;
+  }
+  if (BySize{}(top_[kTopRuns - 1], run)) {
+    // `run` joins the top; the smallest top run heads the rest.
+    by_size_.Insert(by_size_.end(), top_[--top_count_]);
+    TopInsert(run);
+    return;
+  }
+  last_size_ = by_size_.Insert(by_size_.LowerBound(run), run);
+}
+
+void FreeSpaceMap::SizeErase(const Extent& run) {
+  if (InTop(run)) {
+    TopErase(run);
+    PromoteRest();
   } else {
-    by_size_.erase({it->second, it->first});
+    by_size_.Erase(FindRest(run));
   }
-  if (shrink_cache_valid_ && shrink_cache_it_ == it) {
-    shrink_cache_valid_ = false;
-  }
-  if (buckets_enabled_) {
-    const int bucket = BucketFor(it->second);
-    buckets_[bucket].erase(it->first);
-    if (buckets_[bucket].empty()) bucket_mask_ &= ~(1ULL << bucket);
-  }
-  free_clusters_ -= it->second;
-  runs_.erase(it);
 }
 
-void FreeSpaceMap::InsertRun(uint64_t start, uint64_t length) {
-  runs_.emplace(start, length);
-  by_size_.emplace(length, start);
-  if (buckets_enabled_) {
-    const int bucket = BucketFor(length);
-    buckets_[bucket].emplace(start, length);
-    bucket_mask_ |= 1ULL << bucket;
+void FreeSpaceMap::SizeRekey(const Extent& old, const Extent& run) {
+  if (InTop(old)) {
+    TopErase(old);
+    if (!by_size_.empty() && BySize{}(run, by_size_.back())) {
+      PromoteRest();
+      last_size_ = by_size_.Insert(by_size_.LowerBound(run), run);
+    } else {
+      TopInsert(run);
+    }
+    return;
   }
-  free_clusters_ += length;
+  const SizeIndex::Pos at = FindRest(old);
+  if (BySize{}(top_[kTopRuns - 1], run)) {  // Grew past the top's tail.
+    by_size_.Erase(at);
+    SizeInsert(run);
+    return;
+  }
+  last_size_ = by_size_.Rekey(at, run);
 }
 
-void FreeSpaceMap::BuildBuckets() {
-  for (const auto& [start, length] : runs_) {
-    const int bucket = BucketFor(length);
-    buckets_[bucket].emplace(start, length);
-    bucket_mask_ |= 1ULL << bucket;
-  }
-  buckets_enabled_ = true;
+void FreeSpaceMap::InsertRun(Pos at, const Extent& run) {
+  runs_.Insert(at, run);
+  SizeInsert(run);
+  free_clusters_ += run.length;
+}
+
+void FreeSpaceMap::EraseRun(Pos at) {
+  const Extent run = runs_[at];
+  runs_.Erase(at);
+  SizeErase(run);
+  free_clusters_ -= run.length;
+}
+
+void FreeSpaceMap::ResizeRun(Pos at, const Extent& run) {
+  const Extent old = runs_[at];
+  runs_.Assign(at, run);
+  free_clusters_ = free_clusters_ - old.length + run.length;
+  SizeRekey(old, run);
 }
 
 Status FreeSpaceMap::Free(const Extent& extent) {
   if (extent.empty()) return Status::OK();
-  // Find the first run at or after the freed range and its predecessor.
-  auto next = runs_.lower_bound(extent.start);
-  if (next != runs_.end() && next->first < extent.end()) {
+  // The first run at or after the freed range and its predecessor.
+  const Pos next = runs_.LowerBound({extent.start, 0});
+  const bool has_next = next != runs_.end();
+  if (has_next && runs_[next].start < extent.end()) {
     return Status::InvalidArgument("double free: overlaps following run");
   }
-  auto prev = next;
-  if (prev != runs_.begin()) {
-    --prev;
-    if (prev->first + prev->second > extent.start) {
-      return Status::InvalidArgument("double free: overlaps preceding run");
-    }
+  const bool has_prev = next != runs_.begin();
+  const Pos prev = has_prev ? runs_.Prev(next) : next;
+  if (has_prev && runs_[prev].end() > extent.start) {
+    return Status::InvalidArgument("double free: overlaps preceding run");
+  }
+  const bool join_prev = has_prev && runs_[prev].end() == extent.start;
+  const bool join_next = has_next && runs_[next].start == extent.end();
+  if (join_prev) {
+    const uint64_t after = join_next ? runs_[next].length : 0;
+    // Grow the predecessor first: its position survives the resize,
+    // while erasing the successor may move blocks.
+    ResizeRun(prev, {runs_[prev].start,
+                     runs_[prev].length + extent.length + after});
+    if (join_next) EraseRun(next);
+  } else if (join_next) {
+    ResizeRun(next, {extent.start, extent.length + runs_[next].length});
   } else {
-    prev = runs_.end();
+    InsertRun(next, extent);
   }
-
-  uint64_t start = extent.start;
-  uint64_t length = extent.length;
-  if (prev != runs_.end() && prev->first + prev->second == extent.start) {
-    start = prev->first;
-    length += prev->second;
-    EraseRun(prev);
-  }
-  if (next != runs_.end() && next->first == extent.end()) {
-    length += next->second;
-    EraseRun(next);
-  }
-  InsertRun(start, length);
   return Status::OK();
 }
 
-FreeSpaceMap::RunMap::iterator FreeSpaceMap::LargestRun() {
-  FlushPendingResize();
-  if (by_size_.empty()) return runs_.end();
-  return runs_.find(by_size_.rbegin()->second);
-}
-
-uint64_t FreeSpaceMap::FindFrom(uint64_t length, uint64_t cursor) {
-  if (!buckets_enabled_) BuildBuckets();
-  uint64_t best = kNoRun;
-  const int boundary = BucketFor(length);
-  // Every non-empty bucket above the boundary guarantees a fit; each
-  // contributes its lowest start at or after the cursor.
-  uint64_t mask = bucket_mask_ & ~((2ULL << boundary) - 1);
-  while (mask != 0) {
-    const int k = std::countr_zero(mask);
-    mask &= mask - 1;
-    const auto& bucket = buckets_[k];
-    auto it = cursor == 0 ? bucket.begin() : bucket.lower_bound(cursor);
-    if (it != bucket.end() && it->first < best) best = it->first;
-  }
-  // Boundary bucket: lengths share the request's power-of-two band, so
-  // each run needs an explicit check. Address order allows stopping as
-  // soon as starts pass the best guaranteed candidate.
-  const auto& bucket = buckets_[boundary];
-  for (auto it = cursor == 0 ? bucket.begin() : bucket.lower_bound(cursor);
-       it != bucket.end() && it->first < best; ++it) {
-    if (it->second >= length) {
-      best = it->first;
-      break;
+Status FreeSpaceMap::FreeAll(std::span<const Extent> extents) {
+  batch_.assign(extents.begin(), extents.end());
+  std::sort(batch_.begin(), batch_.end(),
+            [](const Extent& a, const Extent& b) { return a.start < b.start; });
+  Status result = Status::OK();
+  auto note = [&result](Status s) {
+    if (result.ok() && !s.ok()) result = std::move(s);
+  };
+  Extent joined{};
+  for (const Extent& e : batch_) {
+    if (e.empty()) continue;
+    if (!joined.empty() && e.start < joined.end()) {
+      note(Status::InvalidArgument("double free: overlaps another free"));
+    } else if (!joined.empty() && e.start == joined.end()) {
+      joined.length += e.length;
+    } else {
+      if (!joined.empty()) note(Free(joined));
+      joined = e;
     }
   }
-  return best;
+  if (!joined.empty()) note(Free(joined));
+  return result;
 }
 
-FreeSpaceMap::RunMap::iterator FreeSpaceMap::SelectRun(uint64_t length,
-                                                       FitPolicy policy) {
-  switch (policy) {
-    case FitPolicy::kFirstFit: {
-      const uint64_t start = FindFrom(length, 0);
-      return start == kNoRun ? runs_.end() : runs_.find(start);
-    }
-    case FitPolicy::kBestFit: {
-      FlushPendingResize();
-      auto sized = by_size_.lower_bound({length, 0});
-      if (sized == by_size_.end()) return runs_.end();
-      return runs_.find(sized->second);
-    }
-    case FitPolicy::kWorstFit: {
-      auto it = LargestRun();
-      if (it == runs_.end() || it->second < length) return runs_.end();
-      return it;
-    }
-    case FitPolicy::kNextFit: {
-      // First fit at or after the cursor; runs before it only qualify
-      // on the wrapped pass (which no run >= cursor can win, so a plain
-      // lowest-address query is equivalent).
-      uint64_t start = FindFrom(length, next_fit_cursor_);
-      if (start == kNoRun) start = FindFrom(length, 0);
-      return start == kNoRun ? runs_.end() : runs_.find(start);
+FreeSpaceMap::Pos FreeSpaceMap::LargestRun() const {
+  if (top_count_ == 0) return runs_.end();
+  return runs_.LowerBound(top_[0]);
+}
+
+FreeSpaceMap::Pos FreeSpaceMap::FindFrom(uint64_t length,
+                                         uint64_t cursor) const {
+  Pos at = runs_.LowerBound({cursor, 0});
+  for (uint32_t b = at.block; b < runs_.block_count(); ++b) {
+    if (runs_.BlockMax(b) < length) continue;
+    const std::span<const Extent> block = runs_.block(b);
+    for (uint32_t i = b == at.block ? at.index : 0; i < block.size(); ++i) {
+      if (block[i].length >= length) return {b, i};
     }
   }
   return runs_.end();
 }
 
-Extent FreeSpaceMap::TakeFromRun(RunMap::iterator it, uint64_t take) {
-  const uint64_t run_start = it->first;
-  const uint64_t run_length = it->second;
-  if (take >= run_length) {
-    EraseRun(it);
-  } else {
-    // Shrink the run in place — [start, end) becomes [start+take, end)
-    // — by re-keying the existing nodes of every index. This is the
-    // sequential-extension hot path (one call per append request at
-    // scale), so it must not allocate.
-    const uint64_t new_start = run_start + take;
-    const uint64_t new_length = run_length - take;
-    // Defer the by_size_ re-key: repeated shrinks of the same run (the
-    // sequential-extension pattern) collapse into one reconcile at the
-    // next by_size_ read.
-    if (pending_valid_ && pending_true_.second == run_start) {
-      pending_true_ = {new_length, new_start};
-    } else {
-      FlushPendingResize();
-      pending_stale_ = {run_length, run_start};
-      pending_true_ = {new_length, new_start};
-      pending_valid_ = true;
+FreeSpaceMap::Pos FreeSpaceMap::SelectRun(uint64_t length,
+                                          FitPolicy policy) const {
+  switch (policy) {
+    case FitPolicy::kFirstFit:
+      return FindFrom(length, 0);
+    case FitPolicy::kBestFit: {
+      // Every top run is larger than the rest, so a fitting rest run
+      // wins; otherwise the smallest fitting top run does.
+      const SizeIndex::Pos sized = by_size_.LowerBound({0, length});
+      if (sized != by_size_.end()) return runs_.LowerBound(by_size_[sized]);
+      for (uint32_t i = top_count_; i-- > 0;) {
+        if (top_[i].length >= length) return runs_.LowerBound(top_[i]);
+      }
+      return runs_.end();
     }
-    if (buckets_enabled_) {
-      const int old_bucket = BucketFor(run_length);
-      const int new_bucket = BucketFor(new_length);
-      auto bucket_node = buckets_[old_bucket].extract(run_start);
-      bucket_node.key() = new_start;
-      bucket_node.mapped() = new_length;
-      buckets_[new_bucket].insert(std::move(bucket_node));
-      if (buckets_[old_bucket].empty()) bucket_mask_ &= ~(1ULL << old_bucket);
-      bucket_mask_ |= 1ULL << new_bucket;
+    case FitPolicy::kWorstFit: {
+      const Pos at = LargestRun();
+      if (at == runs_.end() || runs_[at].length < length) return runs_.end();
+      return at;
     }
-    // The shifted key still sorts immediately before the old successor.
-    auto next = std::next(it);
-    auto run_node = runs_.extract(it);
-    run_node.key() = new_start;
-    run_node.mapped() = new_length;
-    shrink_cache_it_ = runs_.insert(next, std::move(run_node));
-    shrink_cache_valid_ = true;
-    free_clusters_ -= take;
+    case FitPolicy::kNextFit: {
+      // First fit at or after the cursor; runs before it only qualify
+      // on the wrapped pass (which no run >= cursor can win, so a plain
+      // lowest-address query is equivalent).
+      const Pos at = FindFrom(length, next_fit_cursor_);
+      return at != runs_.end() ? at : FindFrom(length, 0);
+    }
   }
-  next_fit_cursor_ = run_start + take;
-  return Extent{run_start, take};
+  return runs_.end();
+}
+
+Extent FreeSpaceMap::TakeFromRun(Pos at, uint64_t take) {
+  const Extent run = runs_[at];
+  if (take >= run.length) {
+    EraseRun(at);
+  } else {
+    // [start, end) becomes [start+take, end): the address entry keeps
+    // its rank and is rewritten in place.
+    ResizeRun(at, {run.start + take, run.length - take});
+    last_run_ = at;
+  }
+  next_fit_cursor_ = run.start + take;
+  return Extent{run.start, take};
 }
 
 Result<Extent> FreeSpaceMap::AllocateContiguous(uint64_t length,
                                                 FitPolicy policy) {
   if (length == 0) return Status::InvalidArgument("zero-length allocation");
-  auto it = SelectRun(length, policy);
-  if (it == runs_.end()) {
+  const Pos at = SelectRun(length, policy);
+  if (at == runs_.end()) {
     return Status::NoSpace("no contiguous run of requested length");
   }
-  return TakeFromRun(it, length);
+  return TakeFromRun(at, length);
 }
 
 Extent FreeSpaceMap::AllocateUpTo(uint64_t max_length, FitPolicy policy) {
   if (max_length == 0 || runs_.empty()) return Extent{};
-  auto it = SelectRun(max_length, policy);
-  if (it == runs_.end()) {
+  Pos at = SelectRun(max_length, policy);
+  if (at == runs_.end()) {
     // No run fits the whole request; fall back to the largest run so the
     // caller makes forward progress (this is where fragmentation happens).
-    it = LargestRun();
-    if (it == runs_.end()) return Extent{};
+    at = LargestRun();
   }
-  return TakeFromRun(it, std::min(max_length, it->second));
+  return TakeFromRun(at, std::min(max_length, runs_[at].length));
 }
 
 Extent FreeSpaceMap::AllocateFrom(uint64_t cursor, uint64_t max_length) {
   if (max_length == 0 || runs_.empty()) return Extent{};
-  auto it = runs_.lower_bound(cursor);
-  if (it == runs_.end()) it = runs_.begin();
-  return TakeFromRun(it, std::min(max_length, it->second));
+  Pos at = runs_.LowerBound({cursor, 0});
+  if (at == runs_.end()) at = runs_.begin();
+  return TakeFromRun(at, std::min(max_length, runs_[at].length));
 }
 
 Status FreeSpaceMap::AllocateAt(const Extent& extent) {
   if (extent.empty()) return Status::InvalidArgument("empty extent");
-  if (!IsFree(extent)) return Status::NoSpace("requested range not free");
-  auto it = runs_.upper_bound(extent.start);
-  --it;  // IsFree guarantees a containing run exists.
-  if (it->first == extent.start) {
-    // Head take (the run-cache allocator's common case): reuse the
-    // node-rekeying shrink, which AllocateAt must not let move the
-    // next-fit cursor.
+  const Pos at = Containing(extent.start);
+  if (at == runs_.end() || runs_[at].end() < extent.end()) {
+    return Status::NoSpace("requested range not free");
+  }
+  const Extent run = runs_[at];
+  if (run.start == extent.start) {
+    // Head take (the run-cache allocator's common case), which
+    // AllocateAt must not let move the next-fit cursor.
     const uint64_t cursor = next_fit_cursor_;
-    TakeFromRun(it, extent.length);
+    TakeFromRun(at, extent.length);
     next_fit_cursor_ = cursor;
     return Status::OK();
   }
-  const uint64_t run_start = it->first;
-  const uint64_t run_length = it->second;
-  EraseRun(it);
-  InsertRun(run_start, extent.start - run_start);
-  const uint64_t tail = run_start + run_length - extent.end();
-  if (tail > 0) InsertRun(extent.end(), tail);
+  // Keep the head, claim the middle, re-add the tail.
+  ResizeRun(at, {run.start, extent.start - run.start});
+  const uint64_t tail = run.end() - extent.end();
+  if (tail > 0) InsertRun(runs_.Next(at), {extent.end(), tail});
   return Status::OK();
 }
 
 uint64_t FreeSpaceMap::ExtendAt(uint64_t start, uint64_t max_length) {
   if (max_length == 0) return 0;
-  if (shrink_cache_valid_ && shrink_cache_it_->first == start) {
-    // The run shrunk last time starts exactly here — the sequential-
-    // extension pattern. Skip the address lookup.
-    const uint64_t take = std::min(max_length, shrink_cache_it_->second);
-    TakeFromRun(shrink_cache_it_, take);
+  const Pos at = Containing(start);
+  if (at == runs_.end()) return 0;
+  const Extent run = runs_[at];
+  if (run.start == start) {
+    const uint64_t take = std::min(max_length, run.length);
+    TakeFromRun(at, take);
     return take;
   }
-  auto it = runs_.upper_bound(start);
-  if (it == runs_.begin()) return 0;
-  --it;
-  if (it->first > start || it->first + it->second <= start) return 0;
-  if (it->first != start) {
-    // `start` is inside the run but not at its head; split so the head
-    // stays free.
-    const uint64_t head = start - it->first;
-    const uint64_t run_length = it->second;
-    const uint64_t run_start = it->first;
-    EraseRun(it);
-    InsertRun(run_start, head);
-    InsertRun(start, run_length - head);
-    it = runs_.find(start);
-  }
-  const uint64_t take = std::min(max_length, it->second);
-  TakeFromRun(it, take);
+  // `start` is inside the run but not at its head: the head stays free
+  // and the clusters after the claim become a run of their own.
+  const uint64_t rest = run.end() - start;
+  const uint64_t take = std::min(max_length, rest);
+  ResizeRun(at, {run.start, start - run.start});
+  if (take < rest) InsertRun(runs_.Next(at), {start + take, rest - take});
+  next_fit_cursor_ = start + take;
   return take;
 }
 
 bool FreeSpaceMap::IsFree(const Extent& extent) const {
   if (extent.empty()) return false;
-  auto it = runs_.upper_bound(extent.start);
-  if (it == runs_.begin()) return false;
-  --it;
-  return it->first <= extent.start && it->first + it->second >= extent.end();
+  const Pos at = Containing(extent.start);
+  return at != runs_.end() && runs_[at].end() >= extent.end();
 }
 
 uint64_t FreeSpaceMap::largest_run() const {
-  FlushPendingResize();
-  return by_size_.empty() ? 0 : by_size_.rbegin()->first;
+  return top_count_ == 0 ? 0 : top_[0].length;
 }
 
 FreeSpaceStats FreeSpaceMap::Stats() const {
@@ -361,20 +343,22 @@ FreeSpaceStats FreeSpaceMap::Stats() const {
 std::vector<Extent> FreeSpaceMap::Snapshot() const {
   std::vector<Extent> out;
   out.reserve(runs_.size());
-  for (const auto& [start, length] : runs_) out.push_back({start, length});
+  runs_.ForEach([&out](const Extent& run) {
+    out.push_back(run);
+    return true;
+  });
   return out;
 }
 
 std::vector<Extent> FreeSpaceMap::LargestRuns(uint32_t k) const {
-  FlushPendingResize();
   std::vector<Extent> out;
-  out.reserve(std::min<size_t>(k, by_size_.size()));
-  for (auto it = by_size_.rbegin(); it != by_size_.rend() && out.size() < k;
-       ++it) {
-    out.push_back({it->second, it->first});
-  }
-  // by_size_ descending gives (size desc, start desc); fix ties to
-  // (size desc, start asc).
+  out.reserve(std::min<size_t>(k, runs_.size()));
+  ForEachLargestRun(k, [&out](const Extent& run) {
+    out.push_back(run);
+    return true;
+  });
+  // The walk gives (size desc, start desc); fix ties to (size desc,
+  // start asc).
   std::stable_sort(out.begin(), out.end(),
                    [](const Extent& a, const Extent& b) {
                      if (a.length != b.length) return a.length > b.length;
@@ -384,52 +368,49 @@ std::vector<Extent> FreeSpaceMap::LargestRuns(uint32_t k) const {
 }
 
 Status FreeSpaceMap::CheckConsistency() const {
-  FlushPendingResize();
-  if (runs_.size() != by_size_.size()) {
+  if (!runs_.CheckInvariants() || !by_size_.CheckInvariants()) {
+    return Status::Corruption("index block structure broken");
+  }
+  if (runs_.size() != top_count_ + by_size_.size() ||
+      top_count_ != std::min<uint64_t>(kTopRuns, runs_.size())) {
     return Status::Corruption("index sizes disagree");
   }
+  for (uint32_t i = 1; i < top_count_; ++i) {
+    if (!BySize{}(top_[i], top_[i - 1])) {
+      return Status::Corruption("top runs out of order");
+    }
+  }
+  if (!by_size_.empty() && !BySize{}(by_size_.back(), top_[top_count_ - 1])) {
+    return Status::Corruption("a run outside the top outranks it");
+  }
+  Status status = Status::OK();
   uint64_t total = 0;
   uint64_t prev_end = 0;
-  uint64_t bucketed = 0;
   bool first = true;
-  for (const auto& [start, length] : runs_) {
-    if (length == 0) return Status::Corruption("zero-length run");
-    if (!first && start <= prev_end) {
-      return Status::Corruption(start == prev_end
-                                    ? "uncoalesced adjacent runs"
-                                    : "overlapping runs");
-    }
-    if (by_size_.find({length, start}) == by_size_.end()) {
-      return Status::Corruption("run missing from size index");
-    }
-    if (buckets_enabled_) {
-      const auto& bucket = buckets_[BucketFor(length)];
-      auto it = bucket.find(start);
-      if (it == bucket.end() || it->second != length) {
-        return Status::Corruption("run missing from its size bucket");
+  runs_.ForEach([&](const Extent& run) {
+    if (run.length == 0) {
+      status = Status::Corruption("zero-length run");
+    } else if (!first && run.start <= prev_end) {
+      status = Status::Corruption(run.start == prev_end
+                                      ? "uncoalesced adjacent runs"
+                                      : "overlapping runs");
+    } else {
+      const SizeIndex::Pos sized = by_size_.LowerBound(run);
+      const bool in_rest = sized != by_size_.end() && by_size_[sized] == run;
+      if (!in_rest &&
+          std::find(top_.begin(), top_.begin() + top_count_, run) ==
+              top_.begin() + top_count_) {
+        status = Status::Corruption("run missing from size index");
       }
     }
-    total += length;
-    prev_end = start + length;
+    total += run.length;
+    prev_end = run.end();
     first = false;
-  }
+    return status.ok();
+  });
+  if (!status.ok()) return status;
   if (total != free_clusters_) {
     return Status::Corruption("free cluster count disagrees with runs");
-  }
-  for (int k = 0; k < kBucketCount; ++k) {
-    bucketed += buckets_[k].size();
-    const bool mask_bit = (bucket_mask_ >> k) & 1;
-    if (mask_bit != !buckets_[k].empty()) {
-      return Status::Corruption("bucket occupancy mask disagrees");
-    }
-    for (const auto& [start, length] : buckets_[k]) {
-      if (BucketFor(length) != k) {
-        return Status::Corruption("run filed in the wrong size bucket");
-      }
-    }
-  }
-  if (bucketed != (buckets_enabled_ ? runs_.size() : 0)) {
-    return Status::Corruption("bucket index size disagrees with runs");
   }
   return Status::OK();
 }

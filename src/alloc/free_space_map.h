@@ -7,15 +7,15 @@
 #ifndef LOREPO_ALLOC_FREE_SPACE_MAP_H_
 #define LOREPO_ALLOC_FREE_SPACE_MAP_H_
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "alloc/extent.h"
+#include "alloc/sorted_runs.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -26,7 +26,7 @@ namespace alloc {
 enum class FitPolicy {
   kFirstFit,  ///< Lowest-addressed run that fits.
   kBestFit,   ///< Smallest run that fits (ties to lowest address).
-  kWorstFit,  ///< Largest run (ties to lowest address).
+  kWorstFit,  ///< Largest run (ties to highest address).
   kNextFit,   ///< First fit starting from a roving cursor.
 };
 
@@ -42,22 +42,36 @@ struct FreeSpaceStats {
   double external_fragmentation = 0.0;
 };
 
-/// Address-ordered run map with a size-ordered secondary index and
-/// power-of-two size-bucketed free lists (the bblocks extentfs idiom).
+/// The free runs of a volume, coalesced, in flat indexes that do not
+/// allocate per operation. `runs_` holds every run in address order.
+/// The size order, (length, start), is split at the 32nd largest run:
+/// those runs sit in `top_`, a flat array the run cache scans, and the
+/// rest in `by_size_`. Both `runs_` and `by_size_` are SortedRuns:
+/// sorted 16-byte extents in blocks of at most 64 under a contiguous
+/// array of block heads.
 ///
-/// Complexity: Free/AllocateAt/ExtendAt and best/worst-fit selection are
-/// O(log R) for R runs. First-fit and next-fit select through the size
-/// buckets: every bucket that guarantees a fit contributes its lowest
-/// candidate in O(log R), and only the single boundary bucket (runs
-/// within the same power-of-two band as the request) is scanned, with
-/// early exit once addresses pass the best candidate — O(log buckets +
-/// log R) in practice instead of the former O(R) address-order scans.
-/// Placement decisions are bit-identical to the linear scans.
-///
-/// The bucket index is pay-as-you-go: it is built on the first
-/// first/next-fit query and maintained from then on, so callers that
-/// never issue those queries (the NTFS run-cache path lives on
-/// ExtendAt/AllocateAt/ForEachLargestRun) carry no bucket overhead.
+/// Per-operation cost for R runs:
+///   * Free, AllocateAt, ExtendAt, AllocateFrom and best/worst fit: one
+///     O(log R) descent per index plus a move within one block.
+///     Shrinking a run from its head (every take) rewrites the address
+///     entry in place. Its size entry is rewritten in place while the
+///     run keeps its rank, rotated within its block when it passes a few
+///     neighbours, and moved only when it leaves the block; a top run
+///     shifts within `top_` and trades places with the largest of the
+///     rest when it drops below it.
+///   * ExtendAt from the end of the last take (sequential extension):
+///     no search. The map remembers where it last took from in each
+///     index and checks those positions before descending; a position
+///     is trusted only after its element is compared, so a stale one
+///     costs one compare.
+///   * First and next fit: a scan of the address index from the cursor
+///     that skips every block whose largest run is too short.
+///   * The k largest runs: `top_` in order, then the tail of `by_size_`
+///     read backwards when k > 32.
+///   * FreeAll (a journal commit): one sort of the batch and one
+///     ascending, coalescing pass that merges it into the indexes.
+/// Placement decisions depend only on the set of runs and the next-fit
+/// cursor; AllocatorDecisionsArePinned (allocators_test) pins them.
 class FreeSpaceMap {
  public:
   FreeSpaceMap() = default;
@@ -65,16 +79,16 @@ class FreeSpaceMap {
   /// Map with a single free run [0, clusters).
   explicit FreeSpaceMap(uint64_t clusters);
 
-  // Copies/moves reconcile the deferred by_size_ re-key and drop the
-  // shrink-position cache (its iterator must not cross containers).
-  FreeSpaceMap(const FreeSpaceMap& other);
-  FreeSpaceMap& operator=(const FreeSpaceMap& other);
-  FreeSpaceMap(FreeSpaceMap&& other) noexcept;
-  FreeSpaceMap& operator=(FreeSpaceMap&& other) noexcept;
-
   /// Marks a run free, coalescing with neighbours. Double frees are
   /// rejected with InvalidArgument.
   Status Free(const Extent& extent);
+
+  /// Frees a batch in one ascending pass: the batch is sorted and
+  /// adjacent extents are joined before they merge into the map. The
+  /// resulting map is the one freeing each extent in turn produces. An
+  /// extent that overlaps free space or another extent of the batch is
+  /// skipped and reported as InvalidArgument; the rest are still freed.
+  Status FreeAll(std::span<const Extent> extents);
 
   /// Allocates exactly `length` contiguous clusters per `policy`, or
   /// NoSpace if no single run is large enough.
@@ -124,12 +138,14 @@ class FreeSpaceMap {
   /// note the tie order differs from LargestRuns' sorted output.
   template <typename Fn>
   void ForEachLargestRun(uint32_t k, Fn&& fn) const {
-    FlushPendingResize();
-    uint32_t seen = 0;
-    for (auto it = by_size_.rbegin(); it != by_size_.rend() && seen < k;
-         ++it, ++seen) {
-      if (!fn(Extent{it->second, it->first})) return;
+    const uint32_t top = std::min(k, top_count_);
+    for (uint32_t i = 0; i < top; ++i) {
+      if (!fn(top_[i])) return;
     }
+    uint32_t seen = top;
+    by_size_.ForEachReverse([&](const Extent& run) {
+      return seen++ < k && fn(run);
+    });
   }
 
   /// Checks internal invariants (index agreement, no adjacency); used by
@@ -137,59 +153,67 @@ class FreeSpaceMap {
   Status CheckConsistency() const;
 
  private:
-  using RunMap = std::map<uint64_t, uint64_t>;  // start -> length
+  struct ByStart {
+    bool operator()(const Extent& a, const Extent& b) const {
+      return a.start < b.start;
+    }
+  };
+  struct BySize {
+    bool operator()(const Extent& a, const Extent& b) const {
+      return a.length != b.length ? a.length < b.length : a.start < b.start;
+    }
+  };
+  using AddressIndex = SortedRuns<ByStart>;
+  using SizeIndex = SortedRuns<BySize>;
+  using Pos = AddressIndex::Pos;
 
-  /// One free list per power-of-two size class: bucket k holds runs
-  /// with length in [2^k, 2^(k+1)), address-ordered.
-  static constexpr int kBucketCount = 64;
-  static int BucketFor(uint64_t length) {
-    return std::bit_width(length) - 1;  // length >= 1 always holds.
-  }
+  /// Run containing `cluster`, or runs_.end().
+  Pos Containing(uint64_t cluster) const;
 
-  /// Removes a run from all indexes.
-  void EraseRun(RunMap::iterator it);
-  /// Inserts a run into all indexes (no coalescing).
-  void InsertRun(uint64_t start, uint64_t length);
+  // The size order is split at the kTopRuns-th largest run: top_ holds
+  // the largest runs, by_size_ the rest. These keep the split.
+  /// True when the run `run` (which must be in the map) is a top run.
+  bool InTop(const Extent& run) const;
+  void TopInsert(const Extent& run);  ///< Requires a free top slot.
+  void TopErase(const Extent& run);
+  /// Moves the largest of the rest into the top's last slot.
+  void PromoteRest();
+  /// Position of `run` in by_size_ (checks last_size_ first).
+  SizeIndex::Pos FindRest(const Extent& run) const;
+  void SizeInsert(const Extent& run);
+  void SizeErase(const Extent& run);
+  void SizeRekey(const Extent& old, const Extent& run);
+  /// Adds a run (no coalescing) before address position `at`.
+  void InsertRun(Pos at, const Extent& run);
+  /// Removes the run at `at` from both indexes.
+  void EraseRun(Pos at);
+  /// Replaces the run at `at` with `run`, which must keep its address
+  /// rank; re-keys the size index.
+  void ResizeRun(Pos at, const Extent& run);
   /// Chooses a run with length >= `length`, or runs_.end().
-  RunMap::iterator SelectRun(uint64_t length, FitPolicy policy);
-  /// Largest run in the map, or runs_.end().
-  RunMap::iterator LargestRun();
-  /// Takes `take` clusters from the head of run `it`.
-  Extent TakeFromRun(RunMap::iterator it, uint64_t take);
-  /// Lowest start >= `cursor` among runs with length >= `length`
-  /// (bucketed first-fit query), or kNoRun. Builds the bucket index on
-  /// first use.
-  uint64_t FindFrom(uint64_t length, uint64_t cursor);
-  /// Populates the bucket index from runs_ and starts maintaining it.
-  void BuildBuckets();
-  /// Applies the deferred by_size_ re-key of the run under sequential
-  /// shrinking (see pending_* below). Must run before any by_size_
-  /// read; mutates only mutable state so const readers can call it.
-  void FlushPendingResize() const;
+  Pos SelectRun(uint64_t length, FitPolicy policy) const;
+  /// Address position of the largest run, or runs_.end().
+  Pos LargestRun() const;
+  /// Takes `take` clusters from the head of the run at `at`.
+  Extent TakeFromRun(Pos at, uint64_t take);
+  /// Lowest-addressed run starting at or after `cursor` with length >=
+  /// `length`, or runs_.end().
+  Pos FindFrom(uint64_t length, uint64_t cursor) const;
 
-  static constexpr uint64_t kNoRun = ~0ULL;
+  /// The run-cache allocator's default cache size.
+  static constexpr uint32_t kTopRuns = 32;
 
-  RunMap runs_;
-  /// (length, start). For the single run recorded in pending_*, the
-  /// entry is stale until FlushPendingResize() runs; everything else is
-  /// exact. Mutable so const readers can reconcile.
-  mutable std::set<std::pair<uint64_t, uint64_t>> by_size_;
-  std::array<std::map<uint64_t, uint64_t>, kBucketCount>
-      buckets_;                   // Per size class: start -> length.
-  uint64_t bucket_mask_ = 0;      ///< Bit k set iff buckets_[k] non-empty.
-  bool buckets_enabled_ = false;  ///< Built on first first/next-fit query.
-  /// Sequential extension shrinks one run thousands of times in a row;
-  /// its by_size_ entry is re-keyed lazily (one reconcile per reader
-  /// instead of two tree walks per shrink). `pending_stale_` is the key
-  /// still present in by_size_, `pending_true_` the live (length,
-  /// start) held by runs_.
-  mutable std::pair<uint64_t, uint64_t> pending_stale_{};
-  mutable std::pair<uint64_t, uint64_t> pending_true_{};
-  mutable bool pending_valid_ = false;
-  /// Position of the most recently shrunk run: lets the next ExtendAt
-  /// at its head skip the address lookup entirely.
-  RunMap::iterator shrink_cache_it_{};
-  bool shrink_cache_valid_ = false;
+  AddressIndex runs_;
+  /// The min(kTopRuns, R) largest runs, largest first in (length,
+  /// start) order, in one flat array; every other run is in by_size_.
+  std::array<Extent, kTopRuns> top_{};
+  uint32_t top_count_ = 0;
+  SizeIndex by_size_;
+  /// Where the last take happened in each index: checked before any
+  /// descent, trusted only if the element there matches.
+  Pos last_run_{};
+  SizeIndex::Pos last_size_{};
+  std::vector<Extent> batch_;  ///< FreeAll scratch.
   uint64_t free_clusters_ = 0;
   uint64_t next_fit_cursor_ = 0;
 };

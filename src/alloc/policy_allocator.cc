@@ -27,7 +27,8 @@ Status PolicyAllocator::Allocate(uint64_t length, uint64_t extend_hint,
     }
   }
 
-  ExtentList acquired;
+  ExtentList& acquired = acquired_;
+  acquired.clear();
   uint64_t remaining = length;
 
   if (options_.allow_extension && extend_hint != kNoHint) {

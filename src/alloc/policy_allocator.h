@@ -55,6 +55,7 @@ class PolicyAllocator : public ExtentAllocator {
   PolicyAllocatorOptions options_;
   FreeSpaceMap map_;
   DeferredFreeQueue deferred_;
+  ExtentList acquired_;  ///< Allocate's scratch, reused across calls.
 };
 
 }  // namespace alloc

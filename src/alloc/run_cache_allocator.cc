@@ -32,25 +32,27 @@ Extent RunCacheAllocator::TakeRun(uint64_t length, bool new_stream) {
   uint64_t largest_length = 0;
   uint64_t largest_start = 0;
   uint64_t outer_start = kNone;
-  uint64_t best_length = 0;
+  uint64_t best_length = kNone;
   uint64_t best_start = kNone;
+  // The walk is (length desc, start desc), so the runs that fit form a
+  // prefix and the tie-breaks fall out of the order; the updates are
+  // selects rather than branches.
   map_.ForEachLargestRun(options_.cache_size, [&](const Extent& run) {
     if (!any) {
       any = true;
       largest_length = run.length;
     }
-    if (run.length == largest_length) {
-      largest_start = run.start;  // Walk is start-descending within ties.
-    }
-    if (run.length >= length) {
-      if (run.start < band_limit_ && run.start < outer_start) {
-        outer_start = run.start;
-      }
-      if (best_start == kNone || run.length < best_length) {
-        best_length = run.length;
-        best_start = run.start;  // First of a tie group = highest start.
-      }
-    }
+    // Walk is start-descending within ties.
+    largest_start =
+        run.length == largest_length ? run.start : largest_start;
+    // Nothing further fits; only the head's tie group is still needed.
+    if (run.length < length) return run.length == largest_length;
+    outer_start = std::min(
+        outer_start, run.start < band_limit_ ? run.start : kNone);
+    // First of a tie group = highest start.
+    const bool snugger = run.length < best_length;
+    best_length = snugger ? run.length : best_length;
+    best_start = snugger ? run.start : best_start;
     return true;
   });
   if (!any) return Extent{};
@@ -99,7 +101,8 @@ Status RunCacheAllocator::Allocate(uint64_t length, uint64_t extend_hint,
     }
   }
 
-  ExtentList acquired;
+  ExtentList& acquired = acquired_;
+  acquired.clear();
   uint64_t remaining = length;
   const bool new_stream = extend_hint == kNoHint;
 

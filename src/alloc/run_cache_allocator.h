@@ -115,6 +115,7 @@ class RunCacheAllocator : public ExtentAllocator {
   RunCacheOptions options_;
   FreeSpaceMap map_;
   DeferredFreeQueue deferred_;
+  ExtentList acquired_;  ///< Allocate's scratch, reused across calls.
   uint64_t band_limit_ = 0;  ///< First cluster beyond the outer band.
   uint64_t sweep_cursor_ = 0;
 };

@@ -96,7 +96,12 @@ Status FsRepository::FlushCache() {
 }
 
 std::string FsRepository::NextTempName(const std::string& key) {
-  return key + ".tmp" + std::to_string(temp_counter_++);
+  // One allocation per safe write: size the name, then append.
+  const std::string counter = std::to_string(temp_counter_++);
+  std::string name;
+  name.reserve(key.size() + 4 + counter.size());
+  name.append(key).append(".tmp").append(counter);
+  return name;
 }
 
 // -- Handle surface ----------------------------------------------------

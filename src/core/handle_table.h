@@ -67,33 +67,31 @@ class HandleTable {
 
   /// Releases one slot (free-list push + name-index erase).
   void Release(uint64_t index) {
-    Slot& slot = slots_[index];
-    auto [begin, end] = by_name_.equal_range(slot.name);
+    auto [begin, end] = by_name_.equal_range(slots_[index].name);
     for (auto it = begin; it != end; ++it) {
       if (it->second == index) {
         by_name_.erase(it);
         break;
       }
     }
-    slot.in_use = false;
-    slot.entry = Entry{};
-    slot.name.clear();
-    free_.push_back(index);
-    --open_;
+    Free(index);
   }
 
-  /// Invalidates every open handle on `name`.
-  void InvalidateAll(const std::string& name) {
+  /// Invalidates every open handle on `name` in one pass over its name
+  /// range; `on_release(Entry&)` sees each payload before it is dropped.
+  template <typename Fn>
+  void InvalidateAll(const std::string& name, Fn on_release) {
     auto [begin, end] = by_name_.equal_range(name);
     if (begin == end) return;
-    // Release mutates the name index, so stage the slots first — in a
-    // member scratch, since this runs once per safe write (the temp's
-    // teardown) and must not allocate per operation.
-    invalidate_scratch_.clear();
     for (auto it = begin; it != end; ++it) {
-      invalidate_scratch_.push_back(it->second);
+      on_release(slots_[it->second].entry);
+      Free(it->second);
     }
-    for (uint64_t index : invalidate_scratch_) Release(index);
+    // `name` may be one of the freed slots' names: erase by range only.
+    by_name_.erase(begin, end);
+  }
+  void InvalidateAll(const std::string& name) {
+    InvalidateAll(name, [](Entry&) {});
   }
 
   /// Visits the payload of every open handle on `name` (bind-on-create,
@@ -104,13 +102,30 @@ class HandleTable {
     for (auto it = begin; it != end; ++it) fn(slots_[it->second].entry);
   }
 
+  /// Visits the payload of every open handle, in slot order.
+  template <typename Fn>
+  void ForEachLive(Fn fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.in_use) fn(slot.entry);
+    }
+  }
+
   uint64_t open_count() const { return open_; }
 
  private:
+  /// Returns a slot to the free list (the name index is the caller's).
+  void Free(uint64_t index) {
+    Slot& slot = slots_[index];
+    slot.in_use = false;
+    slot.entry = Entry{};
+    slot.name.clear();
+    free_.push_back(index);
+    --open_;
+  }
+
   std::vector<Slot> slots_;
   std::vector<uint64_t> free_;
   std::unordered_multimap<std::string, uint64_t> by_name_;
-  std::vector<uint64_t> invalidate_scratch_;
   uint64_t next_gen_ = 1;
   uint64_t open_ = 0;
 };

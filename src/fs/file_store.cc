@@ -1,6 +1,7 @@
 #include "fs/file_store.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "sim/fault_injector.h"
 
@@ -38,12 +39,25 @@ const FileInfo* FileStore::Find(const std::string& name) const {
 // -- Handle table ------------------------------------------------------
 
 void FileStore::InvalidateHandles(const std::string& name) {
-  handles_.InvalidateAll(name);
+  handles_.InvalidateAll(name, [this](OpenFilePayload& payload) {
+    if (payload.file == nullptr) --unbound_handles_;
+  });
 }
 
 void FileStore::BindHandles(const std::string& name, FileInfo* file) {
-  handles_.ForEachOpen(name, [file](OpenFilePayload& payload) {
-    if (payload.file == nullptr) payload.file = file;
+#ifndef NDEBUG
+  uint64_t unbound = 0;
+  handles_.ForEachLive([&unbound](const OpenFilePayload& payload) {
+    if (payload.file == nullptr) ++unbound;
+  });
+  assert(unbound == unbound_handles_);
+#endif
+  // Every handle of the aged workloads is bound: skip the name lookup.
+  if (unbound_handles_ == 0) return;
+  handles_.ForEachOpen(name, [this, file](OpenFilePayload& payload) {
+    if (payload.file != nullptr) return;
+    payload.file = file;
+    --unbound_handles_;
   });
 }
 
@@ -74,7 +88,9 @@ Result<FileHandle> FileStore::OpenRead(const std::string& name) {
 }
 
 Result<FileHandle> FileStore::OpenWrite(const std::string& name) {
-  return handles_.Register(name, {Find(name), /*read_session=*/false});
+  FileInfo* file = Find(name);
+  if (file == nullptr) ++unbound_handles_;
+  return handles_.Register(name, {file, /*read_session=*/false});
 }
 
 Result<FileHandle> FileStore::CreateOpen(const std::string& name) {
@@ -91,6 +107,7 @@ Status FileStore::Close(FileHandle handle) {
     // meanwhile are skipped; pins never go below zero).
     if (slot->entry.file != nullptr) UnpinFileFrames(*slot->entry.file);
   }
+  if (slot->entry.file == nullptr) --unbound_handles_;
   handles_.Release(handle.slot);
   return Status::OK();
 }
@@ -168,10 +185,11 @@ Status FileStore::Replace(FileHandle source, FileHandle target) {
   if (src_slot->entry.file == nullptr) {
     return Status::NotFound("no such file: " + src_slot->name);
   }
-  auto src = files_.find(src_slot->name);
-  // ReplaceImpl consumes every handle on the source name (including
-  // `source`) and binds `target` if it was unbound.
-  return ReplaceImpl(src, dst_slot->name);
+  // Both slots already pin their FileInfo (an unbound target has no
+  // file). ReplaceImpl consumes every handle on the source name
+  // (including `source`) and binds `target` if it was unbound.
+  return ReplaceImpl(src_slot->name, src_slot->entry.file, dst_slot->name,
+                     dst_slot->entry.file);
 }
 
 Status FileStore::Delete(FileHandle handle) {
@@ -304,10 +322,9 @@ Status FileStore::Create(const std::string& name) {
 }
 
 Result<FileInfo*> FileStore::CreateImpl(const std::string& name) {
-  if (Find(name) != nullptr) {
-    return Status::AlreadyExists("file exists: " + name);
-  }
-  FileInfo info;
+  auto [it, inserted] = files_.try_emplace(name);
+  if (!inserted) return Status::AlreadyExists("file exists: " + name);
+  FileInfo& info = it->second;
   info.id = TakeRecordId();
   device_->ChargeCpu(options_.costs.fs_open_s);
   ChargeMftAccess(info.id, /*write=*/true);
@@ -319,15 +336,13 @@ Result<FileInfo*> FileStore::CreateImpl(const std::string& name) {
     recovery_log_.push_back(std::move(entry));
   }
   ChargeJournal(/*flush=*/false);
-  auto [it, inserted] = files_.emplace(name, std::move(info));
-  (void)inserted;
   tracker_.Add(0, 0);  // Empty file: no extents, no bytes.
   ++stats_.creates;
   ++stats_.file_count;
   NoteNameInsert();
   allocator_->Tick();
-  BindHandles(name, &it->second);
-  return &it->second;
+  BindHandles(name, &info);
+  return &info;
 }
 
 sim::BufferPool* FileStore::ActivePool() const {
@@ -447,63 +462,62 @@ Status FileStore::Delete(const std::string& name) {
 
 Status FileStore::Replace(const std::string& source,
                           const std::string& target) {
-  auto src = files_.find(source);
-  if (src == files_.end()) {
-    return Status::NotFound("no such file: " + source);
-  }
-  return ReplaceImpl(src, target);
+  FileInfo* src = Find(source);
+  if (src == nullptr) return Status::NotFound("no such file: " + source);
+  return ReplaceImpl(source, src, target, Find(target));
 }
 
-Status FileStore::ReplaceImpl(
-    std::unordered_map<std::string, FileInfo>::iterator src,
-    const std::string& target) {
-  if (src->first == target) {
+Status FileStore::ReplaceImpl(const std::string& source, FileInfo* src,
+                              const std::string& target, FileInfo* dst) {
+  assert(dst == Find(target));
+  if (source == target) {
     // Self-replacement would free the live file and then read the
     // erased node; reject it (also reachable through two handles
     // opened on one name).
     return Status::InvalidArgument("replace onto the same file: " + target);
   }
   device_->ChargeCpu(options_.costs.fs_rename_s);
-  auto dst = files_.find(target);
   if (CrashArmed()) {
     RecoveryLogEntry entry;
     entry.kind = RecoveryLogEntry::Kind::kRename;
     entry.name = target;
-    entry.source = src->first;
-    entry.file_id = src->second.id;
-    if (dst != files_.end()) {
-      entry.prior = dst->second;
+    entry.source = source;
+    entry.file_id = src->id;
+    if (dst != nullptr) {
+      entry.prior = *dst;
       entry.had_prior = true;
     }
     recovery_log_.push_back(std::move(entry));
   }
-  if (dst != files_.end()) {
-    LOR_RETURN_IF_ERROR(FreeFileClusters(dst->second));
-    stats_.live_bytes -= dst->second.size_bytes;
-    tracker_.Remove(dst->second.tracked_fragments,
-                    dst->second.tracked_bytes);
-    ChargeMftAccess(dst->second.id, /*write=*/true);
-    RecycleRecordId(dst->second.id);
+  // `source` may be the name of a handle slot that InvalidateHandles
+  // releases, so the map entry goes first and the name is not used
+  // after the handles.
+  if (dst != nullptr) {
+    LOR_RETURN_IF_ERROR(FreeFileClusters(*dst));
+    stats_.live_bytes -= dst->size_bytes;
+    tracker_.Remove(dst->tracked_fragments, dst->tracked_bytes);
+    ChargeMftAccess(dst->id, /*write=*/true);
+    RecycleRecordId(dst->id);
     // Assign into the target's node instead of erase + re-emplace: the
     // target FileInfo keeps its address, so handles opened on `target`
     // stay valid across the safe write.
-    dst->second = std::move(src->second);
-    InvalidateHandles(src->first);
-    files_.erase(src);
+    *dst = std::move(*src);
+    files_.erase(source);
+    InvalidateHandles(source);
     --stats_.file_count;
-    ChargeMftAccess(dst->second.id, /*write=*/true);
+    ChargeMftAccess(dst->id, /*write=*/true);
     ChargeJournal(/*flush=*/true);
   } else {
-    FileInfo moved = std::move(src->second);
-    InvalidateHandles(src->first);
-    files_.erase(src);
+    FileInfo moved = std::move(*src);
+    files_.erase(source);
+    InvalidateHandles(source);
     ChargeMftAccess(moved.id, /*write=*/true);
     ChargeJournal(/*flush=*/true);
-    dst = files_.emplace(target, std::move(moved)).first;
+    dst = &files_.emplace(target, std::move(moved)).first->second;
   }
   // First write of a key: bind any write handles opened before the file
   // existed (no-op when the target node already carried them).
-  BindHandles(target, &dst->second);
+  BindHandles(target, dst);
   ++stats_.renames;
   // The rename removes one name from the directory index (source) —
   // the target entry is rewritten in place.

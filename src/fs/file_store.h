@@ -436,9 +436,9 @@ class FileStore {
   void BindHandles(const std::string& name, FileInfo* file);
 
   /// Shared core of the name- and handle-based Replace: `src` is the
-  /// source's map iterator, `target` the destination name.
-  Status ReplaceImpl(std::unordered_map<std::string, FileInfo>::iterator src,
-                     const std::string& target);
+  /// live file named `source`, `dst` the file named `target` or null.
+  Status ReplaceImpl(const std::string& source, FileInfo* src,
+                     const std::string& target, FileInfo* dst);
 
   /// Next MFT record id: a recycled one when available, else fresh.
   uint64_t TakeRecordId();
@@ -565,6 +565,9 @@ class FileStore {
   std::vector<sim::CacheSlice> cache_slices_;
   /// Open-handle table (slot/generation tickets + name index).
   core::HandleTable<OpenFilePayload, FileHandle> handles_;
+  /// Open write handles whose file does not exist yet (payload.file is
+  /// null); BindHandles skips its name lookup while this is zero.
+  uint64_t unbound_handles_ = 0;
   /// MFT record ids freed by deletes/replacements, reused by creates.
   std::vector<uint64_t> free_record_ids_;
   std::vector<alloc::Extent> index_buffers_;  ///< Directory index, FIFO.

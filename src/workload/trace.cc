@@ -1,5 +1,6 @@
 #include "workload/trace.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -21,6 +22,14 @@ const char* KindName(TraceOp::Kind kind) {
       return "delete";
   }
   return "?";
+}
+
+/// Parses a decimal object size: digits only (from_chars takes no sign
+/// for an unsigned type), within uint64.
+bool ParseSize(const std::string& token, uint64_t* size) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *size);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -55,8 +64,14 @@ Result<Trace> Trace::Deserialize(std::istream& is) {
     if (verb == "put" || verb == "safewrite") {
       op.kind = verb == "put" ? TraceOp::Kind::kPut
                               : TraceOp::Kind::kSafeWrite;
-      if (!(ss >> op.size)) {
+      std::string size;
+      if (!(ss >> size)) {
         return Status::InvalidArgument("missing size at trace line " +
+                                       std::to_string(line_no));
+      }
+      if (!ParseSize(size, &op.size)) {
+        return Status::InvalidArgument("bad size '" + size +
+                                       "' at trace line " +
                                        std::to_string(line_no));
       }
     } else if (verb == "get") {
@@ -65,6 +80,12 @@ Result<Trace> Trace::Deserialize(std::istream& is) {
       op.kind = TraceOp::Kind::kDelete;
     } else {
       return Status::InvalidArgument("unknown op at trace line " +
+                                     std::to_string(line_no));
+    }
+    std::string extra;
+    if (ss >> extra) {
+      return Status::InvalidArgument("trailing '" + extra +
+                                     "' at trace line " +
                                      std::to_string(line_no));
     }
     trace.Add(std::move(op));

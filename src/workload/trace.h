@@ -39,6 +39,10 @@ class Trace {
 
   /// Line format: "<op> <key> [<size>]", one op per line.
   void Serialize(std::ostream& os) const;
+  /// Parses Serialize's format; blank lines and '#' lines are skipped.
+  /// A size must be an unsigned decimal that fits in 64 bits, and
+  /// nothing may follow the last field: any other line is an
+  /// InvalidArgument naming its line number.
   static Result<Trace> Deserialize(std::istream& is);
 
   /// Applies every op to `repo`, stopping at the first failure.

@@ -464,6 +464,139 @@ TEST(ZonedPlacementTest, ByteBudgetRespected) {
   EXPECT_LE(report->bytes_moved, 5 * kMiB);
 }
 
+// -- Handle fast paths ------------------------------------------------
+//
+// Create and Replace skip the name index when no handle is unbound, and
+// Replace through handles uses the files the handles pin. These pin the
+// binding and invalidation rules those shortcuts must keep.
+
+Status WriteTemp(FileStore* store, const std::string& name,
+                 const std::vector<uint8_t>& data, FileHandle* temp) {
+  LOR_ASSIGN_OR_RETURN(*temp, store->CreateOpen(name));
+  LOR_RETURN_IF_ERROR(store->AppendStream(*temp, data.size(), 64 * kKiB,
+                                          data));
+  return store->Fsync(*temp);
+}
+
+TEST(FileStoreHandleTest, EarlyWriteHandleIsBoundByCreateAndByFirstReplace) {
+  auto dev = MakeDevice(sim::DataMode::kRetain);
+  FileStore store(dev.get());
+
+  // Bound by Create.
+  auto early = store.OpenWrite("a");
+  ASSERT_TRUE(early.ok());
+  EXPECT_FALSE(*store.HandleBound(*early));
+  ASSERT_TRUE(store.Create("a").ok());
+  EXPECT_TRUE(*store.HandleBound(*early));
+  const std::vector<uint8_t> a = Pattern(10000, 1);
+  ASSERT_TRUE(store.AppendStream(*early, a.size(), 64 * kKiB, a).ok());
+  std::vector<uint8_t> got;
+  ASSERT_TRUE(store.ReadAll("a", &got).ok());
+  EXPECT_EQ(got, a);
+
+  // Bound by the first Replace onto the name, both handles on it; a
+  // handle waiting on another name stays unbound.
+  auto first = store.OpenWrite("b");
+  auto second = store.OpenWrite("b");
+  auto other = store.OpenWrite("c");
+  ASSERT_TRUE(first.ok() && second.ok() && other.ok());
+  const std::vector<uint8_t> b = Pattern(70000, 2);
+  FileHandle temp;
+  ASSERT_TRUE(WriteTemp(&store, "b.tmp", b, &temp).ok());
+  ASSERT_TRUE(store.Replace(temp, *first).ok());
+  EXPECT_TRUE(*store.HandleBound(*first));
+  EXPECT_TRUE(*store.HandleBound(*second));
+  EXPECT_FALSE(*store.HandleBound(*other));
+  ASSERT_TRUE(store.ReadAll(*second, &got).ok());
+  EXPECT_EQ(got, b);
+  EXPECT_FALSE(store.Exists("b.tmp"));
+
+  // Closing the unbound handle, then creating its name, binds nothing
+  // stale; a fresh early handle is still bound by the next Create.
+  ASSERT_TRUE(store.Close(*other).ok());
+  auto late = store.OpenWrite("c");
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(store.Create("c").ok());
+  EXPECT_TRUE(*store.HandleBound(*late));
+  EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
+TEST(FileStoreHandleTest, TargetHandleSurvivesThousandSafeWrites) {
+  auto dev = MakeDevice(sim::DataMode::kRetain);
+  FileStore store(dev.get());
+  auto target = store.CreateOpen("obj");
+  ASSERT_TRUE(target.ok());
+  Rng rng(3);
+  for (int i = 0; i < 1000; ++i) {
+    const std::vector<uint8_t> data =
+        Pattern(1 + rng.Uniform(80 * kKiB), 100 + i);
+    FileHandle temp;
+    ASSERT_TRUE(
+        WriteTemp(&store, "obj.tmp" + std::to_string(i), data, &temp).ok());
+    ASSERT_TRUE(store.Replace(temp, *target).ok()) << i;
+    ASSERT_TRUE(*store.HandleBound(*target)) << i;
+    std::vector<uint8_t> got;
+    ASSERT_TRUE(store.ReadAll(*target, &got).ok()) << i;
+    ASSERT_EQ(got, data) << i;
+    // Still the file the name resolves to, and the only open handle.
+    ASSERT_EQ(*store.GetExtents(*target), *store.GetExtents("obj")) << i;
+    ASSERT_EQ(store.open_handle_count(), 1u) << i;
+  }
+  EXPECT_EQ(store.ListFiles().size(), 1u);
+  EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
+TEST(FileStoreHandleTest, DeleteAndReplaceSourceInvalidateEveryHandle) {
+  auto dev = MakeDevice(sim::DataMode::kRetain);
+  FileStore store(dev.get());
+  const std::vector<uint8_t> data = Pattern(20000, 4);
+
+  // Delete through one of three handles.
+  ASSERT_TRUE(store.Create("x").ok());
+  ASSERT_TRUE(store.Append("x", data.size(), data).ok());
+  auto r = store.OpenRead("x");
+  auto w1 = store.OpenWrite("x");
+  auto w2 = store.OpenWrite("x");
+  ASSERT_TRUE(r.ok() && w1.ok() && w2.ok());
+  ASSERT_TRUE(store.Delete(*w1).ok());
+  for (FileHandle h : {*r, *w1, *w2}) {
+    EXPECT_TRUE(store.HandleBound(h).status().IsInvalidArgument());
+    EXPECT_TRUE(store.Close(h).IsInvalidArgument());
+  }
+  EXPECT_EQ(store.open_handle_count(), 0u);
+
+  // Replace through handles: every handle on the source goes stale.
+  FileHandle s1;
+  ASSERT_TRUE(WriteTemp(&store, "s", data, &s1).ok());
+  auto s2 = store.OpenRead("s");
+  auto s3 = store.OpenWrite("s");
+  auto dst = store.OpenWrite("d");
+  ASSERT_TRUE(s2.ok() && s3.ok() && dst.ok());
+  ASSERT_TRUE(store.Replace(*s3, *dst).ok());
+  for (FileHandle h : {s1, *s2, *s3}) {
+    EXPECT_TRUE(store.HandleBound(h).status().IsInvalidArgument());
+  }
+  EXPECT_EQ(store.open_handle_count(), 1u);
+  std::vector<uint8_t> got;
+  ASSERT_TRUE(store.ReadAll(*dst, &got).ok());
+  EXPECT_EQ(got, data);
+  EXPECT_FALSE(store.Exists("s"));
+
+  // And by name: the same rule when the target already exists.
+  FileHandle t1;
+  ASSERT_TRUE(WriteTemp(&store, "t", Pattern(5000, 5), &t1).ok());
+  auto t2 = store.OpenWrite("t");
+  auto t3 = store.OpenRead("t");
+  ASSERT_TRUE(t2.ok() && t3.ok());
+  ASSERT_TRUE(store.Replace("t", "d").ok());
+  for (FileHandle h : {t1, *t2, *t3}) {
+    EXPECT_TRUE(store.HandleBound(h).status().IsInvalidArgument());
+  }
+  EXPECT_TRUE(*store.HandleBound(*dst));
+  EXPECT_EQ(*store.GetSize(*dst), 5000u);
+  EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
 }  // namespace
 }  // namespace fs
 }  // namespace lor

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "alloc/extent.h"
 #include "alloc/free_space_map.h"
 #include "util/random.h"
@@ -239,8 +242,8 @@ TEST(FreeSpaceMapTest, AllocateFromTakesShortRunWhole) {
 }
 
 TEST(FreeSpaceMapTest, PendingResizeVisibleToSizeQueries) {
-  // Sequential ExtendAt takes defer the size-index re-key; every
-  // size-ordered query must still see the true lengths.
+  // Sequential ExtendAt takes re-key the shrinking run in the size
+  // order; every size-ordered query must see the true lengths.
   FreeSpaceMap m(1000);
   EXPECT_EQ(m.ExtendAt(0, 100), 100u);
   EXPECT_EQ(m.largest_run(), 900u);
@@ -254,9 +257,8 @@ TEST(FreeSpaceMapTest, PendingResizeVisibleToSizeQueries) {
 }
 
 TEST(FreeSpaceMapTest, MixedExtendFitAndFreeStaysConsistent) {
-  // Interleaves the sequential-extension fast path with bucketed
-  // first/next-fit selection and coalescing frees; exercises the
-  // shrink-position cache and the lazy bucket index together.
+  // Interleaves the sequential-extension fast path with first/next-fit
+  // selection (the block-maximum skip) and coalescing frees.
   constexpr uint64_t kClusters = 1 << 16;
   FreeSpaceMap m(kClusters);
   Rng rng(31337);
@@ -297,6 +299,69 @@ TEST(FreeSpaceMapTest, MixedExtendFitAndFreeStaysConsistent) {
   for (const Extent& e : live) ASSERT_TRUE(m.Free(e).ok());
   EXPECT_EQ(m.run_count(), 1u);
   EXPECT_TRUE(m.CheckConsistency().ok());
+}
+
+// The size order is split between a flat array of the 32 largest runs
+// and an index of the rest; every size query must match a brute-force
+// answer computed from the address-ordered snapshot, on both sides of
+// the split and across it.
+TEST(FreeSpaceMapTest, SizeQueriesMatchBruteForceAcrossTopSplit) {
+  constexpr uint64_t kClusters = 1 << 14;
+  FreeSpaceMap m(kClusters);
+  Rng rng(77);
+  std::vector<Extent> live;
+  auto by_size_desc = [](const Extent& a, const Extent& b) {
+    return a.length != b.length ? a.length > b.length : a.start > b.start;
+  };
+  for (int op = 0; op < 6000; ++op) {
+    const uint64_t dice = rng.Uniform(10);
+    if (live.empty() || dice < 4) {
+      Extent e = m.AllocateUpTo(1 + rng.Uniform(48), FitPolicy::kBestFit);
+      if (!e.empty()) live.push_back(e);
+    } else if (dice < 6) {
+      const uint64_t at = live[rng.Uniform(live.size())].end();
+      const uint64_t got = m.ExtendAt(at, 1 + rng.Uniform(16));
+      if (got > 0) live.push_back({at, got});
+    } else {
+      const size_t i = rng.Uniform(live.size());
+      ASSERT_TRUE(m.Free(live[i]).ok());
+      live[i] = live.back();
+      live.pop_back();
+    }
+    std::vector<Extent> runs = m.Snapshot();
+    std::sort(runs.begin(), runs.end(), by_size_desc);
+    ASSERT_EQ(m.largest_run(), runs.empty() ? 0 : runs[0].length);
+    for (const uint32_t k : {1u, 31u, 32u, 33u, 100u}) {
+      std::vector<Extent> walk;
+      m.ForEachLargestRun(k, [&walk](const Extent& run) {
+        walk.push_back(run);
+        return true;
+      });
+      const size_t n = std::min<size_t>(k, runs.size());
+      ASSERT_EQ(walk, std::vector<Extent>(runs.begin(), runs.begin() + n))
+          << "op " << op << " k " << k;
+    }
+    if (op % 50 == 0) {
+      ASSERT_TRUE(m.CheckConsistency().ok()) << "op " << op;
+      // Best fit = smallest run that fits, lowest start among equals.
+      const uint64_t want = 1 + rng.Uniform(64);
+      FreeSpaceMap probe = m;
+      Result<Extent> got = probe.AllocateContiguous(want, FitPolicy::kBestFit);
+      const Extent* best = nullptr;
+      for (const Extent& run : runs) {
+        if (run.length >= want &&
+            (best == nullptr || run.length < best->length ||
+             (run.length == best->length && run.start < best->start))) {
+          best = &run;
+        }
+      }
+      ASSERT_EQ(got.ok(), best != nullptr) << "op " << op;
+      if (best != nullptr) {
+        ASSERT_EQ(got->start, best->start) << "op " << op;
+      }
+    }
+  }
+  EXPECT_GT(m.run_count(), 64u);  // The split was exercised.
 }
 
 // Property test: random allocate/free cycles keep the map internally

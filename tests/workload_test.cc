@@ -175,6 +175,57 @@ TEST(TraceTest, DeserializeRejectsGarbage) {
   EXPECT_EQ(ok->size(), 1u);
 }
 
+// Deserialize's error for `text`, which must name `line`.
+void ExpectRejectedAtLine(const std::string& text, int line) {
+  std::stringstream ss(text);
+  const Status s = Trace::Deserialize(ss).status();
+  EXPECT_TRUE(s.IsInvalidArgument()) << text;
+  EXPECT_NE(s.message().find("line " + std::to_string(line)),
+            std::string::npos)
+      << s.ToString();
+}
+
+TEST(TraceTest, DeserializeRejectsNegativeSize) {
+  // Stream extraction would wrap "-1" to 2^64-1.
+  ExpectRejectedAtLine("put a 100\nput a -1\n", 2);
+  ExpectRejectedAtLine("safewrite a +5\n", 1);
+}
+
+TEST(TraceTest, DeserializeRejectsOverflowingSize) {
+  ExpectRejectedAtLine("put a 18446744073709551616\n", 1);
+  ExpectRejectedAtLine("# c\nput a 99999999999999999999999\n", 2);
+  // The largest value still parses.
+  std::stringstream max("put a 18446744073709551615\n");
+  auto ok = Trace::Deserialize(max);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->ops()[0].size, UINT64_MAX);
+}
+
+TEST(TraceTest, DeserializeRejectsTrailingJunk) {
+  ExpectRejectedAtLine("put a 100 200\n", 1);
+  ExpectRejectedAtLine("put a 100x\n", 1);
+  ExpectRejectedAtLine("get a\nget a b\n", 2);
+  ExpectRejectedAtLine("delete a extra\n", 1);
+}
+
+TEST(TraceTest, StrictParserKeepsValidRoundTrip) {
+  Trace trace;
+  trace.Add({TraceOp::Kind::kPut, "obj0", 0});
+  trace.Add({TraceOp::Kind::kSafeWrite, "obj0", UINT64_MAX});
+  trace.Add({TraceOp::Kind::kGet, "obj0", 0});
+  trace.Add({TraceOp::Kind::kDelete, "obj0", 0});
+  std::stringstream ss;
+  trace.Serialize(ss);
+  auto back = Trace::Deserialize(ss);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->ops(), trace.ops());
+  // Surrounding whitespace is not junk.
+  std::stringstream spaced("  put  k  7  \n");
+  auto k = Trace::Deserialize(spaced);
+  ASSERT_TRUE(k.ok()) << k.status().ToString();
+  EXPECT_EQ(k->ops()[0].size, 7u);
+}
+
 TEST(TraceTest, RecordAndReplayProduceSameState) {
   Trace trace;
   {
