@@ -5,14 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "core/db_repository.h"
 #include "core/fs_repository.h"
 #include "core/repository_factory.h"
 #include "sim/block_device.h"
+#include "sim/fault_injector.h"
 #include "sim/io_scheduler.h"
 #include "sim/latency_recorder.h"
+#include "sim/media_fault.h"
+#include "sim/spindle_plane.h"
+#include "util/fnv.h"
+#include "util/random.h"
 #include "workload/getput_runner.h"
 #include "workload/sharded_runner.h"
 
@@ -406,6 +415,322 @@ TEST(IoSchedulerTest, DeterministicAcrossRuns) {
   }
   EXPECT_DOUBLE_EQ(a.histogram(OpClass::kGet).sum(),
                    b.histogram(OpClass::kGet).sum());
+}
+
+// ---------------------------------------------------------------------
+// Device charge decisions, pinned
+
+/// FNV-1a over the bytes of 64-bit values.
+class ChargeHash {
+ public:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= kFnvPrime;
+    }
+  }
+  void MixDouble(double d) { Mix(std::bit_cast<uint64_t>(d)); }
+  void MixStatus(const Status& s) { Mix(s.ok() ? 0 : 1 + s.ToString().size()); }
+
+  void MixStats(const IoStats& io) {
+    for (uint64_t v : {io.reads, io.writes, io.bytes_read, io.bytes_written,
+                       io.seeks, io.sequential_hits, io.vectored_requests,
+                       io.coalesced_runs, io.interference_seeks,
+                       io.media_read_errors, io.degraded_requests}) {
+      Mix(v);
+    }
+    for (double v : {io.seek_time_s, io.rotational_time_s, io.transfer_time_s,
+                     io.busy_time_s, io.interference_seek_time_s,
+                     io.queue_wait_s, io.degraded_time_s}) {
+      MixDouble(v);
+    }
+  }
+
+  void MixScheduler(const IoScheduler& sched, const LatencyRecorder& rec) {
+    for (OpClass cls : {OpClass::kGet, OpClass::kPut, OpClass::kSafeWrite,
+                        OpClass::kDelete}) {
+      Mix(rec.histogram(cls).count());
+      MixDouble(rec.histogram(cls).sum());
+    }
+    Mix(sched.completed_ops());
+    Mix(sched.serviced_requests());
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = kFnvBasis;
+};
+
+/// Seeded churn over every charge entry point of one device: scalar
+/// writes and reads (timing-only and payload), vectored batches with
+/// zero-length runs, flushes, CPU charges and stream windows, mostly
+/// inside op scopes of every class. Offsets continue the previous
+/// request often enough to exercise sequential hits. Statuses (typed
+/// media errors included) and read-back bytes fold into the hash.
+class ChargeChurn {
+ public:
+  ChargeChurn(uint64_t seed, BlockDevice* dev, IoScheduler* sched,
+              bool scoped_only)
+      : rng_(seed),
+        dev_(dev),
+        sched_(sched),
+        scoped_only_(scoped_only),
+        payload_(2 * kMaxLen),
+        scratch_(4 * kMaxLen) {
+    for (uint8_t& b : payload_) b = static_cast<uint8_t>(rng_.Next());
+  }
+
+  /// Runs `ops` op scopes (or unscoped charge groups) and returns the
+  /// hash of everything they returned.
+  uint64_t Run(int ops) {
+    for (int i = 0; i < ops; ++i) Step();
+    return hash_.value();
+  }
+
+ private:
+  static constexpr uint64_t kMaxLen = kMiB;
+
+  void Step() {
+    static constexpr OpClass kClasses[] = {OpClass::kGet, OpClass::kPut,
+                                           OpClass::kSafeWrite,
+                                           OpClass::kDelete, OpClass::kControl};
+    const bool scoped = scoped_only_ || rng_.Bernoulli(0.8);
+    OpScope scope(scoped ? sched_ : nullptr, kClasses[rng_.Uniform(5)]);
+    const bool window = rng_.Bernoulli(0.2);
+    if (window) dev_->BeginStreamWindow();
+    uint64_t bytes = 0;
+    const uint64_t n = 1 + rng_.Uniform(3);
+    for (uint64_t i = 0; i < n; ++i) bytes += Charge();
+    if (window) {
+      static constexpr double kCaps[] = {20e6, 60e6, 400e6};
+      dev_->EndStreamWindow(bytes, kCaps[rng_.Uniform(3)]);
+    }
+  }
+
+  uint64_t Length() {
+    const uint64_t r = rng_.Uniform(100);
+    if (r < 5) return 0;
+    if (r < 90) return rng_.UniformRange(8, 256) * 512;
+    return rng_.UniformRange(257, kMaxLen / 512) * 512;
+  }
+
+  /// Continues the previous request, lands near it, or jumps anywhere.
+  uint64_t Offset(uint64_t len) {
+    const uint64_t cap = dev_->capacity();
+    const uint64_t r = rng_.Uniform(100);
+    uint64_t off;
+    if (r < 30) {
+      off = next_;
+    } else if (r < 50) {
+      off = next_ + rng_.Uniform(2048) * 512;
+    } else {
+      off = rng_.Uniform(cap / 512) * 512;
+    }
+    if (off + len > cap) off = (cap - len) / 512 * 512;
+    next_ = off + len;
+    return off;
+  }
+
+  const uint8_t* Src(uint64_t len) {
+    if (rng_.Bernoulli(0.4)) return nullptr;
+    return payload_.data() + rng_.Uniform(payload_.size() - len + 1);
+  }
+
+  void HashBytes(const uint8_t* p, uint64_t len) {
+    if (len == 0) return;
+    for (uint64_t at : {uint64_t{0}, len / 3, len - 1}) hash_.Mix(p[at]);
+  }
+
+  std::vector<IoSlice> Slices(bool write) {
+    std::vector<IoSlice> slices(1 + rng_.Uniform(4));
+    uint64_t used = 0;
+    for (IoSlice& s : slices) {
+      s.length = rng_.Bernoulli(0.15) ? 0 : Length();
+      s.offset = Offset(s.length);
+      if (write) {
+        s.src = Src(s.length);
+      } else if (rng_.Bernoulli(0.5) && used + s.length <= scratch_.size()) {
+        s.dst = scratch_.data() + used;
+        used += s.length;
+      }
+    }
+    return slices;
+  }
+
+  /// One device call; returns the bytes it asked for.
+  uint64_t Charge() {
+    const uint64_t r = rng_.Uniform(100);
+    if (r < 25) {
+      const uint64_t len = Length();
+      const uint64_t off = Offset(len);
+      const uint8_t* src = Src(len);
+      hash_.MixStatus(
+          src == nullptr
+              ? dev_->Write(off, len)
+              : dev_->Write(off, len, std::span<const uint8_t>(src, len)));
+      return len;
+    }
+    if (r < 45) {
+      const uint64_t len = Length();
+      const uint64_t off = Offset(len);
+      if (rng_.Bernoulli(0.5)) {
+        hash_.MixStatus(dev_->Read(off, len));
+      } else {
+        const Status s = dev_->Read(off, len, &out_);
+        hash_.MixStatus(s);
+        if (s.ok()) HashBytes(out_.data(), out_.size());
+      }
+      return len;
+    }
+    if (r < 75) {
+      const bool write = r >= 60;
+      const std::vector<IoSlice> slices = Slices(write);
+      const Status s = write ? dev_->WriteV(slices) : dev_->ReadV(slices);
+      hash_.MixStatus(s);
+      uint64_t bytes = 0;
+      for (const IoSlice& slice : slices) {
+        bytes += slice.length;
+        if (s.ok() && slice.dst != nullptr) HashBytes(slice.dst, slice.length);
+      }
+      return bytes;
+    }
+    if (r < 85) {
+      dev_->Flush();
+      return 0;
+    }
+    dev_->ChargeCpu(static_cast<double>(rng_.UniformRange(1, 2000)) * 1e-6);
+    return 0;
+  }
+
+  Rng rng_;
+  BlockDevice* dev_;
+  IoScheduler* sched_;
+  bool scoped_only_;
+  std::vector<uint8_t> payload_;
+  std::vector<uint8_t> scratch_;
+  std::vector<uint8_t> out_;
+  uint64_t next_ = 0;
+  ChargeHash hash_;
+};
+
+/// Fault planes that change charges without firing: a power cut that
+/// never trips and a media model with latent-sector-error and degraded
+/// regions (no at-rest corruption).
+struct ArmedFaults {
+  FaultInjector injector;
+  MediaFaultModel media;
+
+  void AttachAndArm(BlockDevice* dev, uint64_t seed) {
+    dev->AttachFaultInjector(&injector);
+    dev->AttachMediaFaults(&media);
+    CrashSpec cut;
+    cut.crash_after_writes = 1ull << 40;
+    injector.Arm(cut);
+    MediaFaultSpec spec;
+    spec.seed = seed;
+    spec.lse_rate = 0.03;
+    spec.degraded_rate = 0.1;
+    media.Arm(spec);
+  }
+};
+
+/// One dedicated device: `depth` 0 leaves the scheduler disengaged (the
+/// synchronous path, with some charges between op scopes).
+uint64_t DedicatedChargeRun(uint64_t seed, uint32_t depth, SchedPolicy policy,
+                            DataMode mode, bool faults) {
+  ArmedFaults armed;  // Outlives the device and its scheduler.
+  BlockDevice dev(DiskParams::St3400832as().WithCapacity(64 * kMiB), mode);
+  LatencyRecorder rec;
+  IoScheduler sched(&dev, &rec);
+  dev.AttachScheduler(&sched);
+  if (faults) armed.AttachAndArm(&dev, seed);
+  if (depth > 0) EXPECT_TRUE(sched.Engage(depth, policy).ok());
+  ChargeChurn churn(seed, &dev, &sched, /*scoped_only=*/depth > 0);
+  ChargeHash hash;
+  hash.Mix(churn.Run(3000));
+  sched.Drain();
+  hash.MixDouble(dev.clock().now());
+  hash.MixStats(dev.stats());
+  hash.MixScheduler(sched, rec);
+  return hash.value();
+}
+
+/// A shared spindle: each owner runs its own churn on its own thread
+/// (the plane needs every owner submitting to form a round). Faults
+/// are armed only for a single owner: the models are not thread-safe.
+uint64_t PlaneChargeRun(uint64_t seed, uint32_t owners, uint32_t depth,
+                        SchedPolicy policy, DataMode mode, bool faults) {
+  SpindlePlane::Params params;
+  params.disk = DiskParams::St3400832as();
+  params.region_bytes = 32 * kMiB;
+  params.owners = owners;
+  params.data_mode = mode;
+  params.policy = policy;
+  params.seed = seed;
+  SpindlePlane plane(params);
+  std::vector<std::unique_ptr<BlockDevice>> views;
+  std::vector<std::unique_ptr<LatencyRecorder>> recs;
+  std::vector<std::unique_ptr<IoScheduler>> scheds;
+  std::vector<std::unique_ptr<ArmedFaults>> armed;
+  for (uint32_t o = 0; o < owners; ++o) {
+    views.push_back(plane.CreateOwnerDevice(o));
+    recs.push_back(std::make_unique<LatencyRecorder>());
+    scheds.push_back(
+        std::make_unique<IoScheduler>(views[o].get(), recs[o].get()));
+    views[o]->AttachScheduler(scheds[o].get());
+    scheds[o]->AttachSpindle(&plane, o);
+    armed.push_back(std::make_unique<ArmedFaults>());
+    if (faults) armed[o]->AttachAndArm(views[o].get(), seed + o);
+  }
+  std::vector<uint64_t> churn_hashes(owners);
+  std::vector<std::thread> threads;
+  for (uint32_t o = 0; o < owners; ++o) {
+    threads.emplace_back([&, o] {
+      EXPECT_TRUE(scheds[o]->Engage(depth, policy).ok());
+      ChargeChurn churn(seed * 31 + o, views[o].get(), scheds[o].get(),
+                        /*scoped_only=*/true);
+      churn_hashes[o] = churn.Run(2000);
+      scheds[o]->Settle();
+      scheds[o]->SettlePhase();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ChargeHash hash;
+  for (uint32_t o = 0; o < owners; ++o) {
+    hash.Mix(churn_hashes[o]);
+    hash.MixStats(views[o]->stats());
+    hash.MixScheduler(*scheds[o], *recs[o]);
+  }
+  hash.MixDouble(plane.hub()->clock().now());
+  hash.Mix(plane.service_hash());
+  hash.Mix(plane.rounds());
+  scheds.clear();
+  views.clear();
+  return hash.value();
+}
+
+TEST(DeviceChargeTest, DeviceChargeDecisionsArePinned) {
+  // Every way a request reaches the clock: the synchronous path, the
+  // dedicated scheduler at depth 1 and 4 under both policies, and the
+  // shared-spindle plane with one and two owners. The pinned value is
+  // what the device produced when each entry point kept its own
+  // sync-or-queue branch; any change to a charge, a counter, a service
+  // order or a latency record changes it.
+  ChargeHash hash;
+  hash.Mix(DedicatedChargeRun(11, 0, SchedPolicy::kFifo,
+                              DataMode::kMetadataOnly, /*faults=*/true));
+  hash.Mix(DedicatedChargeRun(12, 1, SchedPolicy::kFifo, DataMode::kRetain,
+                              /*faults=*/false));
+  hash.Mix(DedicatedChargeRun(13, 4, SchedPolicy::kFifo, DataMode::kRetain,
+                              /*faults=*/false));
+  hash.Mix(DedicatedChargeRun(14, 4, SchedPolicy::kSptf,
+                              DataMode::kMetadataOnly, /*faults=*/true));
+  hash.Mix(PlaneChargeRun(15, 1, 1, SchedPolicy::kFifo,
+                          DataMode::kMetadataOnly, /*faults=*/true));
+  hash.Mix(PlaneChargeRun(16, 2, 2, SchedPolicy::kSptf, DataMode::kRetain,
+                          /*faults=*/false));
+  EXPECT_EQ(hash.value(), 0x0d0699e62d9ffc47ull);
 }
 
 // ---------------------------------------------------------------------
