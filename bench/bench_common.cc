@@ -1,75 +1,129 @@
 #include "bench_common.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
+#include <system_error>
 
 namespace lor {
 namespace bench {
 
+namespace {
+
+constexpr const char* kUsage =
+    "flags: --scale=small|paper|<number in (0, 100]> --seed=<n> --csv\n"
+    "       --shards=<n>|--threads=<n> --name-path --qd=<n> --sync\n"
+    "       --cache-mb=<n> --no-overlap --wall-repeats=<n> --owners=<n>\n"
+    "       --fifo   (env: LOR_BENCH_SCALE, LOR_BENCH_SHARDS)\n";
+
+/// Exits 2 naming the rejected argument: a bench never runs a
+/// configuration other than the one it was asked for.
+[[noreturn]] void Reject(const char* program, const char* what,
+                         std::string_view arg) {
+  std::fprintf(stderr, "%s: %s '%.*s'\n%s", program, what,
+               static_cast<int>(arg.size()), arg.data(), kUsage);
+  std::exit(2);
+}
+
+/// The whole of `text` as an integer in [lo, hi] (no sign, no spaces).
+bool ParseUint(std::string_view text, uint64_t lo, uint64_t hi,
+               uint64_t* out) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || v < lo || v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// small, paper, or the whole of `text` as a number in (0, 100].
+bool ParseScale(std::string_view text, double* out) {
+  if (text == "small") {
+    *out = 0.1;
+    return true;
+  }
+  if (text == "paper") {
+    *out = 1.0;
+    return true;
+  }
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(v) ||
+      v <= 0.0 || v > 100.0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
 Options Options::FromArgs(int argc, char** argv) {
   Options opts;
+  const char* program = argc > 0 ? argv[0] : "bench";
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      const char* value = arg + 8;
-      if (std::strcmp(value, "small") == 0) {
-        opts.scale = 0.1;
-      } else if (std::strcmp(value, "paper") == 0) {
-        opts.scale = 1.0;
-      } else {
-        opts.scale = std::atof(value);
-        if (opts.scale <= 0.0) opts.scale = 0.1;
+    const std::string_view arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string_view flag = arg.substr(0, eq);
+    const bool has_value = eq != std::string_view::npos;
+    const std::string_view value = has_value ? arg.substr(eq + 1) : "";
+    auto count = [&](uint64_t lo, uint64_t hi) {
+      uint64_t n = 0;
+      if (!has_value || !ParseUint(value, lo, hi, &n)) {
+        Reject(program, "invalid value in", arg);
       }
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      opts.csv = true;
-    } else if (std::strcmp(arg, "--name-path") == 0) {
-      opts.name_path = true;
-    } else if (std::strncmp(arg, "--qd=", 5) == 0) {
-      const uint64_t n = std::strtoull(arg + 5, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.queue_depth = static_cast<uint32_t>(n);
+      return n;
+    };
+    if (flag == "--scale") {
+      if (!has_value || !ParseScale(value, &opts.scale)) {
+        Reject(program, "invalid value in", arg);
       }
-    } else if (std::strcmp(arg, "--sync") == 0) {
-      opts.queue_depth = 1;
-    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
-      opts.cache_mb = std::strtoull(arg + 11, nullptr, 10);
-    } else if (std::strcmp(arg, "--no-overlap") == 0) {
-      opts.no_overlap = true;
-    } else if (std::strncmp(arg, "--wall-repeats=", 15) == 0) {
-      const uint64_t n = std::strtoull(arg + 15, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.wall_repeats = static_cast<uint32_t>(n);
-      }
-    } else if (std::strncmp(arg, "--owners=", 9) == 0) {
-      const uint64_t n = std::strtoull(arg + 9, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.owners_per_spindle = static_cast<uint32_t>(n);
-      }
-    } else if (std::strcmp(arg, "--fifo") == 0) {
-      opts.fifo = true;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0 ||
-               std::strncmp(arg, "--threads=", 10) == 0) {
-      const char* value = arg + (arg[2] == 's' ? 9 : 10);
-      const uint64_t n = std::strtoull(value, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.shards = static_cast<uint32_t>(n);
-        opts.shards_set = true;
-      }
-    }
-  }
-  // Environment overrides used by CI sweeps.
-  if (const char* env = std::getenv("LOR_BENCH_SCALE")) {
-    opts.scale = std::atof(env) > 0.0 ? std::atof(env) : opts.scale;
-  }
-  if (const char* env = std::getenv("LOR_BENCH_SHARDS")) {
-    const uint64_t n = std::strtoull(env, nullptr, 10);
-    if (n > 0 && n <= UINT32_MAX) {
-      opts.shards = static_cast<uint32_t>(n);
+    } else if (flag == "--seed") {
+      opts.seed = count(0, UINT64_MAX);
+    } else if (flag == "--qd") {
+      opts.queue_depth = static_cast<uint32_t>(count(1, UINT32_MAX));
+    } else if (flag == "--cache-mb") {
+      opts.cache_mb = count(0, UINT64_MAX / kMiB);
+    } else if (flag == "--wall-repeats") {
+      opts.wall_repeats = static_cast<uint32_t>(count(1, UINT32_MAX));
+    } else if (flag == "--owners") {
+      opts.owners_per_spindle = static_cast<uint32_t>(count(1, UINT32_MAX));
+    } else if (flag == "--shards" || flag == "--threads") {
+      opts.shards = static_cast<uint32_t>(count(1, UINT32_MAX));
       opts.shards_set = true;
+    } else if (arg == "--csv") {
+      opts.csv = true;
+    } else if (arg == "--name-path") {
+      opts.name_path = true;
+    } else if (arg == "--sync") {
+      opts.queue_depth = 1;
+    } else if (arg == "--no-overlap") {
+      opts.no_overlap = true;
+    } else if (arg == "--fifo") {
+      opts.fifo = true;
+    } else {
+      Reject(program, "unknown flag", arg);
     }
+  }
+  // Environment overrides used by CI sweeps; an empty value is unset.
+  const char* env = std::getenv("LOR_BENCH_SCALE");
+  if (env != nullptr && *env != '\0' && !ParseScale(env, &opts.scale)) {
+    Reject(program, "invalid LOR_BENCH_SCALE", env);
+  }
+  env = std::getenv("LOR_BENCH_SHARDS");
+  if (env != nullptr && *env != '\0') {
+    uint64_t n = 0;
+    if (!ParseUint(env, 1, UINT32_MAX, &n)) {
+      Reject(program, "invalid LOR_BENCH_SHARDS", env);
+    }
+    opts.shards = static_cast<uint32_t>(n);
+    opts.shards_set = true;
   }
   return opts;
 }

@@ -365,7 +365,7 @@ Status BlobBtree::ReadAt(PageFile* file, const BlobLayout& layout,
   // without touching media.
   if (out != nullptr && !pooled) {
     for (const PageFile::PageRun& b : batches) {
-      LOR_RETURN_IF_ERROR(file->device()->PreflightMediaRead(
+      LOR_RETURN_IF_ERROR(file->device()->CheckMediaRead(
           file->PageOffset(b.first_page), b.count * page_bytes));
     }
   }

@@ -134,7 +134,7 @@ class PageFile {
     uint8_t* dst = nullptr;        ///< ReadPagesV payload destination.
   };
 
-  /// Submits every run as one vectored device request: the whole batch
+  /// Issues every run as one vectored device request: the whole batch
   /// is validated first, then charged exactly as the equivalent
   /// ReadPages-per-run loop (zero-count runs are skipped).
   Status ReadPagesV(std::span<const PageRun> runs);

@@ -14,6 +14,16 @@ namespace sim {
 
 namespace {
 
+using Request = IoScheduler::Request;
+using Kind = Request::Kind;
+
+/// A request of `kind`, every other field at its default.
+Request OfKind(Kind kind) {
+  Request r;
+  r.kind = kind;
+  return r;
+}
+
 /// Shared all-zeros slab backing ReadView/ReadChunk over unwritten
 /// ranges (and every range in kMetadataOnly mode). Read-only by
 /// contract; allocated once per process.
@@ -249,8 +259,35 @@ bool BlockDevice::AsyncActive() const {
   return scheduler_ != nullptr && scheduler_->ShouldQueue();
 }
 
-void BlockDevice::ChargePositioning(uint64_t offset, uint64_t len) {
-  clock().Advance(ServiceRequest(false, offset, len));
+void BlockDevice::Charge(const Request& r) {
+  if (AsyncActive()) {
+    scheduler_->Enqueue(r);
+  } else {
+    Apply(r, &window_t0_);
+  }
+}
+
+void BlockDevice::Apply(const Request& r, double* window_t0) {
+  SimClock& clk = clock();
+  switch (r.kind) {
+    case Kind::kIo:
+      clk.Advance(ServiceRequest(r.write, r.offset, r.len));
+      break;
+    case Kind::kFlush:
+      clk.Advance(ServiceFlush());
+      break;
+    case Kind::kCpu:
+      clk.Advance(r.cpu_s);
+      break;
+    case Kind::kWinBegin:
+      *window_t0 = clk.now();
+      break;
+    case Kind::kWinEnd:
+      clk.Advance(
+          OpCostModel::StreamPenalty(r.len, r.cap, clk.now() - *window_t0));
+      break;
+  }
+  NoteWriteServiced(r.tag);
 }
 
 void BlockDevice::StoreBytes(uint64_t offset, const uint8_t* src,
@@ -288,6 +325,28 @@ void BlockDevice::LoadBytesInto(uint64_t offset, uint8_t* dst,
   }
 }
 
+void BlockDevice::ChargeRun(bool write, uint64_t offset, uint64_t len,
+                            const uint8_t* src, uint8_t* dst) {
+  Request r;
+  r.write = write;
+  r.offset = offset;
+  r.len = len;
+  if (write) {
+    NoteMediaWrite(offset, len);
+    r.tag = NoteWriteSubmission(offset, len);
+  }
+  Charge(r);
+  if (write) {
+    ++stats_.writes;
+    stats_.bytes_written += len;
+    if (mode_ == DataMode::kRetain) StoreBytes(offset, src, len);
+  } else {
+    ++stats_.reads;
+    stats_.bytes_read += len;
+    if (dst != nullptr) LoadBytesInto(offset, dst, len);
+  }
+}
+
 Status BlockDevice::Write(uint64_t offset, uint64_t len,
                           std::span<const uint8_t> data) {
   LOR_RETURN_IF_ERROR(CheckRange(offset, len));
@@ -295,19 +354,8 @@ Status BlockDevice::Write(uint64_t offset, uint64_t len,
     return Status::InvalidArgument("data size does not match request length");
   }
   if (len == 0) return Status::OK();  // No bytes: no charge, no head move.
-  NoteMediaWrite(offset, len);
-  const uint64_t tag = NoteWriteSubmission(offset, len);
-  if (AsyncActive()) {
-    scheduler_->EnqueueRequest(/*write=*/true, offset, len, nullptr, tag);
-  } else {
-    ChargePositioning(offset, len);
-    NoteWriteServiced(tag);
-  }
-  ++stats_.writes;
-  stats_.bytes_written += len;
-  if (mode_ == DataMode::kRetain) {
-    StoreBytes(offset, data.empty() ? nullptr : data.data(), len);
-  }
+  ChargeRun(/*write=*/true, offset, len, data.empty() ? nullptr : data.data(),
+            nullptr);
   return Status::OK();
 }
 
@@ -318,215 +366,66 @@ Status BlockDevice::Read(uint64_t offset, uint64_t len,
     if (out != nullptr) out->clear();
     return Status::OK();
   }
-  // Media admission: a failed payload read is known before the head
-  // moves — nothing is charged or queued, the caller owns retry cost.
-  if (out != nullptr) LOR_RETURN_IF_ERROR(CheckMediaRead(offset, len));
-  if (AsyncActive()) {
-    scheduler_->EnqueueRequest(/*write=*/false, offset, len, nullptr);
-  } else {
-    ChargePositioning(offset, len);
-  }
-  ++stats_.reads;
-  stats_.bytes_read += len;
   if (out != nullptr) {
+    // Media admission: a failed payload read is known before the head
+    // moves — nothing is charged or queued, the caller owns retry cost.
+    LOR_RETURN_IF_ERROR(CheckMediaRead(offset, len));
     // Reuse the caller's capacity; every byte of the range is then
     // written exactly once (memcpy where backed, memset where not), so
     // no assign()-style zero-fill precedes the copy.
     out->resize(len);
-    LoadBytesInto(offset, out->data(), len);
   }
+  ChargeRun(/*write=*/false, offset, len, nullptr,
+            out == nullptr ? nullptr : out->data());
   return Status::OK();
 }
 
 Status BlockDevice::ReadV(std::span<const IoSlice> slices) {
+  return ChargeBatch(/*write=*/false, slices);
+}
+
+Status BlockDevice::WriteV(std::span<const IoSlice> slices) {
+  return ChargeBatch(/*write=*/true, slices);
+}
+
+Status BlockDevice::ChargeBatch(bool write, std::span<const IoSlice> slices) {
   for (const IoSlice& s : slices) {
     LOR_RETURN_IF_ERROR(CheckRange(s.offset, s.length));
   }
   // Whole-batch media admission before anything is charged: a vectored
   // read fails atomically, like its validation.
   for (const IoSlice& s : slices) {
-    if (s.dst != nullptr && s.length != 0) {
+    if (!write && s.dst != nullptr && s.length != 0) {
       LOR_RETURN_IF_ERROR(CheckMediaRead(s.offset, s.length));
     }
   }
   bool charged = false;
   for (const IoSlice& s : slices) {
     if (s.length == 0) continue;
-    if (AsyncActive()) {
-      scheduler_->EnqueueRequest(/*write=*/false, s.offset, s.length, nullptr);
-    } else {
-      ChargePositioning(s.offset, s.length);
-    }
-    ++stats_.reads;
-    stats_.bytes_read += s.length;
-    ++stats_.coalesced_runs;
-    charged = true;
-    if (s.dst != nullptr) LoadBytesInto(s.offset, s.dst, s.length);
-  }
-  if (charged) ++stats_.vectored_requests;
-  return Status::OK();
-}
-
-Status BlockDevice::WriteV(std::span<const IoSlice> slices) {
-  for (const IoSlice& s : slices) {
-    LOR_RETURN_IF_ERROR(CheckRange(s.offset, s.length));
-  }
-  bool charged = false;
-  for (const IoSlice& s : slices) {
-    if (s.length == 0) continue;
-    NoteMediaWrite(s.offset, s.length);
-    const uint64_t tag = NoteWriteSubmission(s.offset, s.length);
-    if (AsyncActive()) {
-      scheduler_->EnqueueRequest(/*write=*/true, s.offset, s.length, nullptr,
-                                 tag);
-    } else {
-      ChargePositioning(s.offset, s.length);
-      NoteWriteServiced(tag);
-    }
-    ++stats_.writes;
-    stats_.bytes_written += s.length;
-    ++stats_.coalesced_runs;
-    charged = true;
-    if (mode_ == DataMode::kRetain) StoreBytes(s.offset, s.src, s.length);
-  }
-  if (charged) ++stats_.vectored_requests;
-  return Status::OK();
-}
-
-Status BlockDevice::Submit(const IoRequest& req, IoCompletion done) {
-  LOR_RETURN_IF_ERROR(CheckRange(req.offset, req.length));
-  if (req.length == 0) {
-    if (done) done(clock().now(), Status::OK());
-    return Status::OK();
-  }
-  if (!req.write && req.dst != nullptr) {
-    Status media = CheckMediaRead(req.offset, req.length);
-    if (!media.ok()) {
-      // The completion carries the typed error too, so callers driving
-      // everything off callbacks never see a silent drop.
-      if (done) done(clock().now(), media);
-      return media;
-    }
-  }
-  const bool async = AsyncActive();
-  if (req.write) NoteMediaWrite(req.offset, req.length);
-  const uint64_t tag =
-      req.write ? NoteWriteSubmission(req.offset, req.length) : 0;
-  if (async) {
-    scheduler_->EnqueueRequest(req.write, req.offset, req.length,
-                               std::move(done), tag);
-  } else {
-    ChargePositioning(req.offset, req.length);
-    NoteWriteServiced(tag);
-  }
-  if (req.write) {
-    ++stats_.writes;
-    stats_.bytes_written += req.length;
-    if (mode_ == DataMode::kRetain) {
-      StoreBytes(req.offset, req.src, req.length);
-    }
-  } else {
-    ++stats_.reads;
-    stats_.bytes_read += req.length;
-    if (req.dst != nullptr) LoadBytesInto(req.offset, req.dst, req.length);
-  }
-  if (!async && done) done(clock().now(), Status::OK());
-  return Status::OK();
-}
-
-Status BlockDevice::SubmitV(std::span<const IoRequest> reqs,
-                            IoCompletion done) {
-  for (const IoRequest& r : reqs) {
-    LOR_RETURN_IF_ERROR(CheckRange(r.offset, r.length));
-  }
-  // Whole-batch media admission (the ReadV rule): fail atomically with
-  // nothing charged, reporting through the completion as well.
-  for (const IoRequest& r : reqs) {
-    if (r.write || r.dst == nullptr || r.length == 0) continue;
-    Status media = CheckMediaRead(r.offset, r.length);
-    if (!media.ok()) {
-      if (done) done(clock().now(), media);
-      return media;
-    }
-  }
-  const bool async = AsyncActive();
-  // Under the scheduler, the batch callback rides on the last nonzero
-  // run — chains service in order, so its completion is the batch's.
-  size_t last_nonzero = reqs.size();
-  if (async && done) {
-    for (size_t i = reqs.size(); i-- > 0;) {
-      if (reqs[i].length != 0) {
-        last_nonzero = i;
-        break;
-      }
-    }
-  }
-  bool charged = false;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const IoRequest& r = reqs[i];
-    if (r.length == 0) continue;
-    if (r.write) NoteMediaWrite(r.offset, r.length);
-    const uint64_t tag =
-        r.write ? NoteWriteSubmission(r.offset, r.length) : 0;
-    if (async) {
-      scheduler_->EnqueueRequest(
-          r.write, r.offset, r.length,
-          i == last_nonzero ? std::move(done) : IoCompletion(), tag);
-    } else {
-      ChargePositioning(r.offset, r.length);
-      NoteWriteServiced(tag);
-    }
-    if (r.write) {
-      ++stats_.writes;
-      stats_.bytes_written += r.length;
-      if (mode_ == DataMode::kRetain) StoreBytes(r.offset, r.src, r.length);
-    } else {
-      ++stats_.reads;
-      stats_.bytes_read += r.length;
-      if (r.dst != nullptr) LoadBytesInto(r.offset, r.dst, r.length);
-    }
+    ChargeRun(write, s.offset, s.length, s.src, s.dst);
     ++stats_.coalesced_runs;
     charged = true;
   }
   if (charged) ++stats_.vectored_requests;
-  if (done && (!async || last_nonzero == reqs.size())) {
-    done(clock().now(), Status::OK());
-  }
   return Status::OK();
 }
 
-void BlockDevice::Flush() {
-  if (AsyncActive()) {
-    scheduler_->EnqueueFlush();
-    return;
-  }
-  clock().Advance(ServiceFlush());
-}
+void BlockDevice::Flush() { Charge(OfKind(Kind::kFlush)); }
 
 void BlockDevice::ChargeCpu(double seconds) {
-  if (AsyncActive()) {
-    scheduler_->EnqueueCpu(seconds);
-    return;
-  }
-  clock().Advance(seconds);
+  Request r = OfKind(Kind::kCpu);
+  r.cpu_s = seconds;
+  Charge(r);
 }
 
-void BlockDevice::BeginStreamWindow() {
-  if (AsyncActive()) {
-    scheduler_->EnqueueWindowBegin();
-    return;
-  }
-  window_t0_ = clock().now();
-}
+void BlockDevice::BeginStreamWindow() { Charge(OfKind(Kind::kWinBegin)); }
 
 void BlockDevice::EndStreamWindow(uint64_t len,
                                   double bandwidth_cap_bytes_per_s) {
-  if (AsyncActive()) {
-    scheduler_->EnqueueWindowEnd(len, bandwidth_cap_bytes_per_s);
-    return;
-  }
-  ChargeCpu(OpCostModel::StreamPenalty(len, bandwidth_cap_bytes_per_s,
-                                       clock().now() - window_t0_));
+  Request r = OfKind(Kind::kWinEnd);
+  r.len = len;
+  r.cap = bandwidth_cap_bytes_per_s;
+  Charge(r);
 }
 
 }  // namespace sim

@@ -29,20 +29,19 @@
 // `vectored_requests` / `coalesced_runs` counters, which the scalar
 // path never touches.
 //
-// Submission/completion: an IoScheduler can be attached with
-// `AttachScheduler`. While the scheduler is engaged (queue depth > 1)
-// and an op scope is open, every timing charge — positioning, flush,
-// CPU, stream-penalty windows — is queued on the op's request chain and
-// replayed in scheduler-chosen service order instead of advancing the
-// clock inline; payload bytes still move at submission in host program
-// order, and the reads/writes/bytes counters are stamped at submission
+// One charge path: every entry point — each run of Write/Read/ReadV/
+// WriteV, Flush, ChargeCpu and the stream-penalty window markers —
+// builds one IoScheduler::Request and hands it to a single private
+// `Charge`, the device's only sync-or-queue branch. While an attached
+// IoScheduler is engaged (or ported onto a SpindlePlane) and an op
+// scope is open, the request joins the op's chain and is serviced in
+// scheduler-chosen order; otherwise `Apply` charges it at once. `Apply`
+// is also how a SpindlePlane replays a chain, so a single owner on a
+// plane charges through the very arithmetic of the dedicated
+// synchronous path. Payload bytes always move at submission in host
+// program order, and the reads/writes/bytes counters are stamped there
 // (seeks, sequential hits, and the time decomposition are stamped at
-// service, where they are actually decided). With no scheduler attached
-// or the scheduler disengaged, every entry point takes the historical
-// synchronous path unchanged. `Submit`/`SubmitV` are the explicit
-// submit/complete forms: they accept a completion callback that fires
-// with the simulated completion time (immediately, under the sync
-// path).
+// service, where they are actually decided).
 //
 // Zero-copy views: `ReadView`/`WriteView` iterate the arena's
 // contiguous chunks for a byte range so callers can move payload
@@ -123,18 +122,6 @@ struct IoSlice {
   uint8_t* dst = nullptr;        ///< ReadV payload destination.
 };
 
-/// One request for the explicit submit/complete API. Payload pointers
-/// follow the IoSlice rules (null means timing-only) and must stay
-/// valid only for the duration of the Submit call — bytes move at
-/// submission.
-struct IoRequest {
-  bool write = false;
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  const uint8_t* src = nullptr;  ///< Write payload source.
-  uint8_t* dst = nullptr;        ///< Read payload destination.
-};
-
 /// Simulated rotating block device.
 class BlockDevice {
  public:
@@ -174,13 +161,13 @@ class BlockDevice {
   /// Timing-only read.
   Status Read(uint64_t offset, uint64_t len) { return Read(offset, len, nullptr); }
 
-  /// Submits a batch of contiguous runs as reads. Validates the whole
+  /// Issues a batch of contiguous runs as reads. Validates the whole
   /// batch before charging anything, then charges each run exactly as
   /// the equivalent scalar Read sequence would (zero-length runs are
   /// skipped). Runs with a non-null `dst` receive the payload bytes.
   Status ReadV(std::span<const IoSlice> slices);
 
-  /// Submits a batch of contiguous runs as writes; the WriteV twin of
+  /// Issues a batch of contiguous runs as writes; the WriteV twin of
   /// ReadV. Runs with a non-null `src` store the payload bytes (zeros
   /// are stored for timing-only runs in kRetain mode).
   Status WriteV(std::span<const IoSlice> slices);
@@ -215,17 +202,6 @@ class BlockDevice {
       len -= chunk;
     }
   }
-
-  /// Submits one request through the submission/completion path. `done`
-  /// (optional) fires with the simulated completion time: inline under
-  /// the synchronous path, at service completion when queued.
-  Status Submit(const IoRequest& req, IoCompletion done = nullptr);
-
-  /// Vectored Submit: a batch of contiguous runs charged exactly like
-  /// the equivalent scalar sequence (the ReadV/WriteV guarantee), with
-  /// one completion callback firing when the whole batch has been
-  /// serviced. Bumps the vectored counters.
-  Status SubmitV(std::span<const IoRequest> reqs, IoCompletion done = nullptr);
 
   /// Charges a cache-flush barrier: the next request never counts as
   /// sequential, plus a fixed settle cost. Models FUA/flush commands.
@@ -272,15 +248,13 @@ class BlockDevice {
   MediaFaultModel* media_faults() { return media_; }
   const MediaFaultModel* media_faults() const { return media_; }
 
-  /// Explicit media read admission for callers whose charged reads
-  /// carry no destination buffer (the database back end charges page
-  /// batches timing-only and delivers payload through views). Same
-  /// semantics as the implicit check on payload-delivering reads: OK
-  /// when no armed model is attached, typed IoError on a latent sector
-  /// error, nothing charged.
-  Status PreflightMediaRead(uint64_t offset, uint64_t len) {
-    return CheckMediaRead(offset, len);
-  }
+  /// Media read admission: OK when no armed model is attached, typed
+  /// IoError on a latent sector error (bumping media_read_errors),
+  /// nothing charged. Payload-delivering reads run it implicitly;
+  /// callers whose charged reads carry no destination buffer (the
+  /// database back end charges page batches timing-only and delivers
+  /// payload through views) call it explicitly.
+  Status CheckMediaRead(uint64_t offset, uint64_t len);
 
   /// Wires up (or detaches, with null) the buffer pool fronting this
   /// device. The device never calls into the pool — the pointer is a
@@ -344,14 +318,11 @@ class BlockDevice {
   friend class IoScheduler;     // Drives ServiceRequest / ServiceFlush.
   friend class FaultInjector;   // Reads/writes arena bytes at the cut.
   friend class ArenaSnapshot;   // Its Rep holds copied SlabGroups.
-  friend class SpindlePlane;    // Services owner views, stamps queue waits.
+  friend class SpindlePlane;    // Applies owner chains, stamps queue waits.
   friend class MediaFaultModel; // Flips at-rest arena bytes at Arm.
 
   struct SlabGroup;
 
-  /// Media-fault read admission for a payload-delivering read; OK when
-  /// no armed model is attached. A failure bumps media_read_errors.
-  Status CheckMediaRead(uint64_t offset, uint64_t len);
   /// Media-fault write intake (heals overlapped bad regions).
   void NoteMediaWrite(uint64_t offset, uint64_t len);
 
@@ -373,8 +344,22 @@ class BlockDevice {
   double ServiceFlush();
   /// True when an engaged scheduler should absorb timing charges.
   bool AsyncActive() const;
-  /// Advances the clock for a request at [offset, offset+len).
-  void ChargePositioning(uint64_t offset, uint64_t len);
+  /// Validates, admits (reads) and charges a vectored batch: the shared
+  /// body of ReadV and WriteV.
+  Status ChargeBatch(bool write, std::span<const IoSlice> slices);
+  /// The per-run core of Write/Read/ReadV/WriteV, in this order: media
+  /// note and injector tag (writes), charge, counters, payload bytes.
+  void ChargeRun(bool write, uint64_t offset, uint64_t len,
+                 const uint8_t* src, uint8_t* dst);
+  /// The one sync-or-queue branch: queues `r` on the open op's chain
+  /// while an engaged scheduler absorbs charges, else applies it.
+  void Charge(const IoScheduler::Request& r);
+  /// Applies `r` on the synchronous timeline: advances the clock by its
+  /// service time (ServiceRequest / ServiceFlush), its CPU seconds, or
+  /// its stream penalty over the window opened at `*window_t0`, then
+  /// reports a tagged write serviced. The dedicated synchronous path
+  /// and SpindlePlane chain replay both charge through it.
+  void Apply(const IoScheduler::Request& r, double* window_t0);
   void StoreBytes(uint64_t offset, const uint8_t* src, uint64_t len);
   void LoadBytesInto(uint64_t offset, uint8_t* dst, uint64_t len) const;
   /// Largest contiguous readable chunk at `offset`, capped at `len`;

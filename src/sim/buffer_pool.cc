@@ -227,6 +227,8 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
   frame.lru_seq = ++lru_clock_;
   frame.dirty = false;
   frame.referenced = true;
+  frame.held = false;
+  frame.filling = false;
   if (RetainData()) frame.data = TakeBuffer(len);
   index_.Insert(offset, slot);
   Shard& sh = shards_[shard];
@@ -263,7 +265,7 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   if (options_.strict_lru) {
     for (const auto& [seq, slot] : sh.lru_index) {
       Frame& f = slots_[slot];
-      if (f.pin > 0) continue;
+      if (f.pinned()) continue;
       if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
       DropFrame(slot);
       ++stats_.evictions;
@@ -287,7 +289,7 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
       sh.clock_ring.pop_back();
       continue;
     }
-    if (f.pin > 0) {
+    if (f.pinned()) {
       ++sh.hand;
       ++scanned;
       continue;
@@ -324,12 +326,8 @@ void BufferPool::DropFrame(uint32_t slot) {
 }
 
 Status BufferPool::WriteBackFrame(Frame* frame) {
-  IoRequest req;
-  req.write = true;
-  req.offset = frame->offset;
-  req.length = frame->length;
-  req.src = frame->data.empty() ? nullptr : frame->data.data();
-  LOR_RETURN_IF_ERROR(device_->Submit(req));
+  LOR_RETURN_IF_ERROR(
+      device_->Write(frame->offset, frame->length, frame->data));
   frame->dirty = false;
   dirty_bytes_ -= frame->length;
   ++stats_.writebacks;
@@ -339,25 +337,22 @@ Status BufferPool::WriteBackFrame(Frame* frame) {
 
 Status BufferPool::FlushSlots(std::span<const uint32_t> slots) {
   if (dirty_bytes_ == 0) return Status::OK();
-  flush_requests_.clear();
+  flush_slices_.clear();
   flush_frames_.clear();
   for (uint32_t slot : slots) {
     Frame& f = slots_[slot];
     if (!f.dirty) continue;
-    IoRequest req;
-    req.write = true;
-    req.offset = f.offset;
-    req.length = f.length;
-    req.src = f.data.empty() ? nullptr : f.data.data();
-    flush_requests_.push_back(req);
+    flush_slices_.push_back(
+        {f.offset, f.length, f.data.empty() ? nullptr : f.data.data(),
+         nullptr});
     flush_frames_.push_back(&f);
   }
-  if (flush_requests_.empty()) return Status::OK();
-  // One offset-ordered vectored submission (index order is offset
-  // order): the batch rides the IoScheduler and charges like the
-  // equivalent scalar sequence, so a big flush pays one positioning per
-  // contiguous dirty range.
-  LOR_RETURN_IF_ERROR(device_->SubmitV(flush_requests_));
+  if (flush_slices_.empty()) return Status::OK();
+  // One offset-ordered vectored write (index order is offset order):
+  // the batch rides the IoScheduler and charges like the equivalent
+  // scalar sequence, so a big flush pays one positioning per contiguous
+  // dirty range.
+  LOR_RETURN_IF_ERROR(device_->WriteV(flush_slices_));
   for (Frame* f : flush_frames_) {
     f->dirty = false;
     dirty_bytes_ -= f->length;
@@ -429,6 +424,7 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
   }
   fill_slices_.clear();
   copy_jobs_.clear();
+  held_.clear();
   fill_offsets_.clear();
   uint64_t filled = 0;
   for (const CacheSlice& s : slices) {
@@ -445,16 +441,21 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
       const uint64_t end = s.offset + s.length;
       while (pos < end) {
         Frame* f = FrameAt(pos);
-        if (f->pin > 0) pinned_before = true;
+        if (f->pinned()) pinned_before = true;
         Touch(f);
         const uint64_t chunk = std::min(f->end(), end) - pos;
-        CopyJob job;
-        job.frame = f;
-        job.offset_in_frame = pos - f->offset;
-        job.dst = s.dst == nullptr ? nullptr : s.dst + (pos - s.offset);
-        job.length = chunk;
-        copy_jobs_.push_back(job);
-        ++f->pin;  // Transient: protects the frame until the copy runs.
+        uint8_t* dst = s.dst == nullptr ? nullptr : s.dst + (pos - s.offset);
+        if (f->filling) {
+          copy_jobs_.push_back({pos, dst, chunk});
+        } else if (dst != nullptr && f->data.empty()) {
+          std::memset(dst, 0, chunk);
+        } else if (dst != nullptr) {
+          // The frame predates the call, so its bytes are valid now —
+          // and a later slice's install may drop it before the fill.
+          std::memcpy(dst, f->data.data() + (pos - f->offset), chunk);
+        }
+        f->held = true;  // Protects the frame for the rest of the call.
+        held_.push_back(f);
         pos += chunk;
       }
       if (pinned_before) ++stats_.pinned_hits;
@@ -482,38 +483,40 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
     }
     Frame* frame = nullptr;
     LOR_RETURN_IF_ERROR(InstallFrame(fo, fl, &frame));
+    frame->held = true;
+    frame->filling = true;
+    held_.push_back(frame);
     fill_offsets_.push_back(fo);
     ++stats_.fills;
     stats_.fill_bytes += fl;
     filled += fl;
-    fill_slices_.push_back(
-        {fo, fl, nullptr,
-         frame->data.empty() ? nullptr : frame->data.data()});
-    CopyJob job;
-    job.frame = frame;
-    job.offset_in_frame = s.offset - fo;
-    job.dst = s.dst;
-    job.length = s.length;
-    copy_jobs_.push_back(job);
-    ++frame->pin;
+    fill_slices_.push_back({fo, fl, nullptr, nullptr});
+    copy_jobs_.push_back({s.offset, s.dst, s.length});
+  }
+  // Fill destinations are resolved only now: when a later slice's
+  // install replaced an earlier slice's frame, that run is charged
+  // timing-only and its bytes arrive through the replacement's fill.
+  for (IoSlice& fill : fill_slices_) {
+    Frame* f = FrameAt(fill.offset);
+    if (f != nullptr && f->offset == fill.offset &&
+        f->length == fill.length && !f->data.empty()) {
+      fill.dst = f->data.data();
+    }
   }
   // One vectored device read fills every missed range (charged exactly
   // like the scalar sequence in this order), then the deferred copies
-  // run — hit copies included, so a slice served by an earlier slice's
-  // fill never reads an unfilled frame.
+  // run through the cache-coherent view.
   Status fill_status;
   if (!fill_slices_.empty()) fill_status = device_->ReadV(fill_slices_);
   for (const CopyJob& job : copy_jobs_) {
-    if (fill_status.ok() && job.dst != nullptr) {
-      if (job.frame->data.empty()) {
-        std::memset(job.dst, 0, job.length);
-      } else {
-        std::memcpy(job.dst, job.frame->data.data() + job.offset_in_frame,
-                    job.length);
-      }
-    }
-    if (job.frame->pin > 0) --job.frame->pin;
+    if (!fill_status.ok() || job.dst == nullptr) continue;
+    uint8_t* dst = job.dst;
+    View(job.offset, job.length, [&dst](std::span<const uint8_t> chunk) {
+      std::memcpy(dst, chunk.data(), chunk.size());
+      dst += chunk.size();
+    });
   }
+  for (Frame* f : held_) f->held = f->filling = false;
   if (!fill_status.ok()) {
     // The fill never happened: drop (do not park) every frame this call
     // installed, or a stale-zero frame would sit in the index as a valid

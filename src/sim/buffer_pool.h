@@ -24,7 +24,7 @@
 //     non-empty buckets for predecessor/successor lookups by word
 //     scan. Invariant: every walk over the index (flush batches,
 //     invalidations, pins) visits frames in ascending offset order, so
-//     a flush is one offset-ordered SubmitV. The index is built only
+//     a flush is one offset-ordered WriteV. The index is built only
 //     when the pool is enabled.
 //   * Misses fill through one vectored ReadV per call, at extent-run
 //     granularity (optionally extended to the caller's fill range —
@@ -35,7 +35,7 @@
 //     (host copy cost only) and reaches the platter lazily — when the
 //     dirty ratio trips, on FlushRange/FlushAll (fs fsync), at
 //     eviction, or at DrainIo — batched in offset order through one
-//     vectored SubmitV, so flushes ride the PR 6 IoScheduler.
+//     vectored WriteV, so flushes ride the PR 6 IoScheduler.
 //     write_back=false charges every write through immediately
 //     (install + device WriteV).
 //   * While an armed sim::FaultInjector is attached to the device the
@@ -224,7 +224,7 @@ class BufferPool {
   void Invalidate(uint64_t offset, uint64_t len);
 
   /// Writes back dirty frames overlapping [offset, offset+len) in one
-  /// offset-ordered vectored SubmitV (fs fsync durability).
+  /// offset-ordered vectored WriteV (fs fsync durability).
   Status FlushRange(uint64_t offset, uint64_t len);
 
   /// Writes back every dirty frame (lazy-writer / DrainIo / pre-arm).
@@ -233,8 +233,8 @@ class BufferPool {
   /// Pins every frame resident in the range (eviction refuses pinned
   /// frames); returns how many frames were pinned. Frames installed
   /// *after* the pin are not covered — pin windows protect what the
-  /// opener found cached, the hot-loop reads pin transiently inside
-  /// ReadThrough.
+  /// opener found cached, the hot-loop reads hold frames transiently
+  /// inside ReadThrough.
   uint64_t PinRange(uint64_t offset, uint64_t len);
 
   /// Unpins resident frames in the range (frames dropped or installed
@@ -268,7 +268,15 @@ class BufferPool {
     uint64_t lru_seq = 0;
     bool dirty = false;
     bool referenced = false;  ///< CLOCK second-chance bit.
+    /// Hit or installed by the in-progress ReadThrough: eviction skips
+    /// it like a pinned frame. Cleared when the call returns; never
+    /// inherited by a frame installed over it.
+    bool held = false;
+    /// Installed by the in-progress ReadThrough; its bytes arrive with
+    /// the call's batched fill.
+    bool filling = false;
     uint64_t end() const { return offset + length; }
+    bool pinned() const { return pin > 0 || held; }
   };
 
   /// Resident frames ordered by start offset: a sorted (start, slot)
@@ -308,12 +316,12 @@ class BufferPool {
     uint64_t size_ = 0;
   };
 
-  /// One deferred payload move of a ReadThrough call (hit copies and
-  /// miss copy-outs both run after the batched fill ReadV, so a frame
-  /// installed by an earlier slice is never read before it is filled).
+  /// One deferred payload move of a ReadThrough call: a miss copy-out,
+  /// or a hit on a frame an earlier slice of the call installed. It
+  /// runs after the batched fill ReadV and is resolved by offset then,
+  /// because a later slice's install may have replaced the frame.
   struct CopyJob {
-    Frame* frame = nullptr;
-    uint64_t offset_in_frame = 0;
+    uint64_t offset = 0;
     uint8_t* dst = nullptr;
     uint64_t length = 0;
   };
@@ -376,11 +384,11 @@ class BufferPool {
   /// callers flush or discard dirty content first.
   void DropFrame(uint32_t slot);
 
-  /// Writes one dirty frame back (scalar submit) and marks it clean.
+  /// Writes one dirty frame back (scalar Write) and marks it clean.
   Status WriteBackFrame(Frame* frame);
 
   /// Flushes the dirty frames among `slots` (offset order) as one
-  /// SubmitV batch — the shared core of FlushRange/FlushAll/install.
+  /// WriteV batch — the shared core of FlushRange/FlushAll/install.
   Status FlushSlots(std::span<const uint32_t> slots);
   /// Flushes the dirty frames overlapping [offset, offset+len).
   Status FlushOverlapping(uint64_t offset, uint64_t len);
@@ -420,9 +428,10 @@ class BufferPool {
   /// and overlap walks — reused across calls so the hit path never
   /// allocates.
   std::vector<IoSlice> fill_slices_;
-  std::vector<IoRequest> flush_requests_;
+  std::vector<IoSlice> flush_slices_;
   std::vector<Frame*> flush_frames_;
   std::vector<CopyJob> copy_jobs_;
+  std::vector<Frame*> held_;  ///< Frames the in-progress call holds.
   std::vector<uint32_t> overlaps_;
   /// Start offsets of frames installed by the in-progress ReadThrough;
   /// a failed fill drops exactly these (never parks them as valid).

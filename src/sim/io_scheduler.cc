@@ -221,53 +221,10 @@ void IoScheduler::SealCurrentOp() {
   building_ = Op{};
 }
 
-void IoScheduler::EnqueueRequest(bool write, uint64_t offset, uint64_t len,
-                                 IoCompletion done, uint64_t tag) {
+void IoScheduler::Enqueue(Request r) {
   assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kIo;
-  r.write = write;
-  r.offset = offset;
-  r.len = len;
   r.seq = next_seq_++;
-  r.tag = tag;
-  r.done = std::move(done);
-  building_.chain.push_back(std::move(r));
-}
-
-void IoScheduler::EnqueueFlush() {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kFlush;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
-}
-
-void IoScheduler::EnqueueCpu(double seconds) {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kCpu;
-  r.cpu_s = seconds;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
-}
-
-void IoScheduler::EnqueueWindowBegin() {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kWinBegin;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
-}
-
-void IoScheduler::EnqueueWindowEnd(uint64_t len, double bandwidth_cap) {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kWinEnd;
-  r.len = len;
-  r.cap = bandwidth_cap;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
+  building_.chain.push_back(r);
 }
 
 void IoScheduler::SettleFront(Op* op) {
@@ -355,7 +312,7 @@ bool IoScheduler::ServiceOne() {
   }
   assert(pick != pending_.end());
 
-  Request front = std::move(pick->chain.front());
+  const Request front = pick->chain.front();
   pick->chain.pop_front();
   const double start = std::max(device_free_, pick->ready);
   const double service =
@@ -367,8 +324,7 @@ bool IoScheduler::ServiceOne() {
   pick->ready = completion;
   pick->busy += service;
   ++serviced_requests_;
-  if (front.tag != 0) device_->NoteWriteServiced(front.tag);
-  if (front.done) front.done(completion, Status::OK());
+  device_->NoteWriteServiced(front.tag);
 
   SettleFront(&*pick);
   if (pick->chain.empty()) {

@@ -1,16 +1,13 @@
-// IoScheduler: asynchronous submission/completion front end for one
-// BlockDevice — the refactor from call-returns-when-charged to
-// submit/complete.
+// IoScheduler: the queued-service front end for one BlockDevice.
 //
 // Model. Repository operations are bracketed by OpScope markers. In
 // synchronous mode (the default; never engaged, or engaged at nothing)
 // the scope just stamps the device clock at the boundaries and records
-// the op's latency — the historical charging path is untouched and
-// every figure stays bit-identical. When the scheduler is *engaged* at
-// queue depth N, the device routes charges made inside an op scope into
-// the op's request chain instead of advancing the clock, and the
-// scheduler replays chains against the device on a separate event
-// timeline:
+// the op's latency while the device applies every charge at once. When
+// the scheduler is *engaged* at queue depth N, the device's one charge
+// branch (BlockDevice::Charge) hands each Request made inside an op
+// scope to `Enqueue` instead, and the scheduler replays the op chains
+// against the device on a separate event timeline:
 //
 //   * Closed loop: N logical clients. An op's arrival time is the
 //     completion time of the slot it reuses (the earliest-freeing
@@ -52,16 +49,16 @@
 // owner's thread; servicing happens under the plane's lock on whichever
 // owner thread drives it. `Settle`/`SettlePhase` are the port-mode
 // drain: deliver the partial batch, fence, and wait until the plane has
-// serviced everything this owner submitted. Single-owner planes replay
-// chains with the synchronous charging arithmetic in submission order,
-// so a dedicated spindle at depth 1 is bit-identical through a plane.
+// serviced everything this owner submitted. The plane replays each
+// chain through BlockDevice::Apply — the synchronous path's own
+// charging function — so a single owner at depth 1 is bit-identical to
+// a dedicated spindle by construction.
 
 #ifndef LOREPO_SIM_IO_SCHEDULER_H_
 #define LOREPO_SIM_IO_SCHEDULER_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <queue>
 #include <vector>
@@ -74,13 +71,6 @@ namespace sim {
 
 class BlockDevice;
 class SpindlePlane;
-
-/// Completion callback for the Submit/SubmitV device API: receives the
-/// simulated time at which the submission completed and its typed
-/// status. Requests that reach the device (or a queue) always complete
-/// OK; a submission refused by the media-fault model fires the
-/// completion once, immediately, with the typed error it also returns.
-using IoCompletion = std::function<void(double completion_s, const Status& status)>;
 
 /// Per-device submission queue and service-order scheduler.
 class IoScheduler {
@@ -136,9 +126,9 @@ class IoScheduler {
   void Drain();
 
   /// Discards every queued request without servicing or charging it and
-  /// returns to the synchronous path — the power just died. Queued
-  /// completions never fire and tagged writes are never reported
-  /// serviced (the FaultInjector classifies them as lost). Callable
+  /// returns to the synchronous path — the power just died. Tagged
+  /// writes are never reported serviced (the FaultInjector classifies
+  /// them as lost). Callable
   /// only between ops; the crash harness invokes it after
   /// FaultInjector::MaterializeCrash and before mount-time recovery.
   void Abandon();
@@ -165,17 +155,6 @@ class IoScheduler {
     return (engaged_ || plane_ != nullptr) && op_depth_ > 0;
   }
 
-  // -- Charge intake from the device (async mode only) -----------------
-
-  /// `tag` is the FaultInjector completion tag (0 = untracked); it is
-  /// reported back to the device when the request is serviced.
-  void EnqueueRequest(bool write, uint64_t offset, uint64_t len,
-                      IoCompletion done, uint64_t tag = 0);
-  void EnqueueFlush();
-  void EnqueueCpu(double seconds);
-  void EnqueueWindowBegin();
-  void EnqueueWindowEnd(uint64_t len, double bandwidth_cap);
-
   // -- Introspection (tests) -------------------------------------------
 
   uint64_t completed_ops() const { return completed_ops_; }
@@ -183,8 +162,11 @@ class IoScheduler {
   /// Ops admitted and not yet completed.
   uint32_t inflight_ops() const;
 
-  // -- Wire types (shared with SpindlePlane) ---------------------------
+  // -- Wire types (shared with BlockDevice and SpindlePlane) ----------
 
+  /// One device charge: an I/O run, a flush barrier, CPU seconds or a
+  /// stream-window marker. The device builds it; this scheduler queues
+  /// it, and the device (or the plane) applies it.
   struct Request {
     enum class Kind : uint8_t { kIo, kFlush, kCpu, kWinBegin, kWinEnd };
     Kind kind = Kind::kIo;
@@ -195,7 +177,6 @@ class IoScheduler {
     double cap = 0.0;     // kWinEnd: bandwidth cap (bytes/s)
     uint64_t seq = 0;     // global submission order (FIFO + tie-break)
     uint64_t tag = 0;     // fault-injector tag (0 = untracked)
-    IoCompletion done;    // fires at service completion
   };
 
   /// One in-flight operation and its request chain.
@@ -207,6 +188,12 @@ class IoScheduler {
     double window_base = 0.0;  // `busy` at the open stream window's start
     std::deque<Request> chain;
   };
+
+  // -- Charge intake from the device (async mode only) -----------------
+
+  /// Appends `r` to the open op's chain, stamping its submission order.
+  /// A nonzero `r.tag` is reported back to the device when serviced.
+  void Enqueue(Request r);
 
  private:
   friend class SpindlePlane;  // Publishes completion counters at service.

@@ -6,8 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "sim/op_cost_model.h"
-
 namespace lor {
 namespace sim {
 namespace {
@@ -353,35 +351,13 @@ void SpindlePlane::ServiceChain(RoundOp* rop) {
   BlockDevice* view = states_[rop->owner].view;
   SimClock& clk = hub_->clock();
   rop->start = clk.now();
-  // Exactly the synchronous charging sequence, chain-contiguous: this
-  // is what makes a single owner at depth 1 bit-identical to the
-  // dedicated path.
+  // The synchronous path's own Apply, chain-contiguous: a single owner
+  // at depth 1 is therefore bit-identical to the dedicated path.
   double win_t0 = 0.0;
-  for (IoScheduler::Request& r : rop->op.chain) {
+  for (const IoScheduler::Request& r : rop->op.chain) {
+    view->Apply(r, &win_t0);
     using Kind = IoScheduler::Request::Kind;
-    switch (r.kind) {
-      case Kind::kIo:
-        clk.Advance(view->ServiceRequest(r.write, r.offset, r.len));
-        ++rop->device_reqs;
-        if (r.tag != 0) view->NoteWriteServiced(r.tag);
-        if (r.done) r.done(clk.now(), Status::OK());
-        break;
-      case Kind::kFlush:
-        clk.Advance(view->ServiceFlush());
-        ++rop->device_reqs;
-        if (r.done) r.done(clk.now(), Status::OK());
-        break;
-      case Kind::kCpu:
-        clk.Advance(r.cpu_s);
-        break;
-      case Kind::kWinBegin:
-        win_t0 = clk.now();
-        break;
-      case Kind::kWinEnd:
-        clk.Advance(
-            OpCostModel::StreamPenalty(r.len, r.cap, clk.now() - win_t0));
-        break;
-    }
+    if (r.kind == Kind::kIo || r.kind == Kind::kFlush) ++rop->device_reqs;
   }
   rop->completion = clk.now();
   rop->op.chain.clear();

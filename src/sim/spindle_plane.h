@@ -31,12 +31,13 @@
 //     round begins.
 //
 // Charging — exact synchronous replay. An op's chain is serviced
-// *contiguously*: every entry advances the hub clock through the same
-// arithmetic the synchronous path uses (ServiceRequest / ServiceFlush /
-// CPU seconds / stream-window penalty over the op's own span). One
-// owner alone on a spindle at queue depth 1 therefore reproduces the
-// dedicated synchronous timeline bit for bit — clock, stats, and
-// latency records. With several owners, consecutive chains from
+// *contiguously*: every entry goes through BlockDevice::Apply on the
+// owner's view, the very function the dedicated synchronous path
+// charges with (ServiceRequest / ServiceFlush / CPU seconds /
+// stream-window penalty over the op's own span). One owner alone on a
+// spindle at queue depth 1 therefore reproduces the dedicated
+// synchronous timeline bit for bit — clock, stats, and latency
+// records. With several owners, consecutive chains from
 // different owners pay the head movement between their regions; the
 // hub attributes those as interference seeks on the owners' views.
 //

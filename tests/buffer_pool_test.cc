@@ -421,6 +421,87 @@ TEST(BufferPoolTest, FailedFillDropsFrameInsteadOfServingZeros) {
   EXPECT_GT(dev.stats().reads, reads_before);
 }
 
+TEST(BufferPoolTest, LaterSliceInstallNeverCorruptsEarlierSliceCopies) {
+  // One ReadThrough call whose later slice installs a fill range over a
+  // frame an earlier slice is served from. The install drops that
+  // frame and often reuses its slot at once; the earlier slice must
+  // still receive its own bytes, and no frame may keep a pin.
+  constexpr uint64_t kSeg = 64 * kKiB;
+  // Random bytes: Pattern() repeats every 256 bytes, and every misplaced
+  // copy here lands a multiple of that away.
+  std::vector<uint8_t> data(16 * kSeg);
+  Rng rng(5);
+  for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng.Next());
+  auto expect_bytes = [&](const std::vector<uint8_t>& got, uint64_t offset,
+                          const char* what) {
+    const std::vector<uint8_t> want(data.begin() + offset,
+                                    data.begin() + offset + got.size());
+    EXPECT_EQ(got, want) << what;
+  };
+  // Every frame evicts again once 8 MiB of misses stream through a
+  // 4 MiB single-domain pool: none was left pinned.
+  auto expect_unpinned = [](BufferPool* pool) {
+    for (uint64_t off = kMiB; off < 9 * kMiB; off += kMiB) {
+      std::vector<CacheSlice> flood = {Slice(off, kMiB, nullptr, nullptr)};
+      ASSERT_TRUE(pool->ReadThrough(flood).ok());
+    }
+    EXPECT_EQ(pool->stats().eviction_refusals, 0u);
+    const uint64_t misses = pool->stats().misses;
+    std::vector<CacheSlice> probe = {Slice(0, 8 * kSeg, nullptr, nullptr)};
+    ASSERT_TRUE(pool->ReadThrough(probe).ok());
+    EXPECT_EQ(pool->stats().misses, misses + 1) << "a frame kept a pin";
+  };
+  BufferPoolOptions options;
+  options.capacity_bytes = 4 * kMiB;
+  options.shards = 1;
+
+  for (const bool user_pin : {false, true}) {
+    // A hit on a frame that predates the call, then a miss whose fill
+    // range [0, 512K) covers it (and, with `partial`, one that covers
+    // only part of it: [160K, 256K)).
+    for (const bool partial : {false, true}) {
+      BlockDevice dev(SmallDisk(16 * kMiB), DataMode::kRetain);
+      ASSERT_TRUE(dev.Write(0, data.size(), data).ok());
+      BufferPool pool(&dev, options);
+      std::vector<CacheSlice> warm = {Slice(2 * kSeg, kSeg, nullptr, nullptr)};
+      ASSERT_TRUE(pool.ReadThrough(warm).ok());
+      if (user_pin) {
+        EXPECT_EQ(pool.PinRange(2 * kSeg, kSeg), 1u);
+      }
+
+      std::vector<uint8_t> a(kSeg), b(kSeg);
+      CacheSlice miss = Slice(3 * kSeg, kSeg, nullptr, b.data());
+      miss.fill_offset = partial ? 5 * kSeg / 2 : 0;
+      miss.fill_length = (partial ? 4 * kSeg : 8 * kSeg) - miss.fill_offset;
+      std::vector<CacheSlice> call = {Slice(2 * kSeg, kSeg, nullptr, a.data()),
+                                      miss};
+      ASSERT_TRUE(pool.ReadThrough(call).ok());
+      EXPECT_EQ(pool.stats().hits, 1u);
+      expect_bytes(a, 2 * kSeg, "hit slice");
+      expect_bytes(b, 3 * kSeg, "miss slice");
+      if (user_pin) pool.UnpinRange(0, 8 * kSeg);
+      expect_unpinned(&pool);
+    }
+  }
+
+  // A frame installed earlier in the same call (its fill still
+  // pending) replaced by a later slice's install: [0, 64K) fills
+  // [0, 128K), then [96K, 160K) is only partly covered and installs
+  // over it.
+  BlockDevice dev(SmallDisk(16 * kMiB), DataMode::kRetain);
+  ASSERT_TRUE(dev.Write(0, data.size(), data).ok());
+  BufferPool pool(&dev, options);
+  std::vector<uint8_t> a(kSeg), b(kSeg);
+  CacheSlice first = Slice(0, kSeg, nullptr, a.data());
+  first.fill_length = 2 * kSeg;
+  std::vector<CacheSlice> call = {first,
+                                  Slice(3 * kSeg / 2, kSeg, nullptr, b.data())};
+  ASSERT_TRUE(pool.ReadThrough(call).ok());
+  expect_bytes(a, 0, "replaced fill frame");
+  expect_bytes(b, 3 * kSeg / 2, "replacing fill frame");
+  expect_unpinned(&pool);
+}
+
 // Pins every decision the pool makes (hits, fills, evictions, flush
 // batches, pins, device charges) under a seeded op stream, so that an
 // index or eviction-bookkeeping rewrite can prove it changed nothing.

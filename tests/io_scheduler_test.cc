@@ -1,10 +1,12 @@
-// Tests for the submission/completion pipeline: IoScheduler service
-// order and closed-loop admission, LatencyRecorder accounting, the
-// Submit/SubmitV device API, and queue-depth windows driven through the
-// repositories and the workload runners.
+// Tests for the queued charge pipeline: IoScheduler service order and
+// closed-loop admission, LatencyRecorder accounting, the pinned charge
+// decisions of every device entry point across the synchronous path,
+// the dedicated scheduler and the spindle plane, and queue-depth
+// windows driven through the repositories and the workload runners.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <span>
@@ -127,66 +129,6 @@ TEST(IoSchedulerTest, EngageValidation) {
   EXPECT_FALSE(sched.engaged());
 }
 
-TEST(IoSchedulerTest, SubmitCallbackFiresInlineWhenSync) {
-  BlockDevice dev(SmallDisk());
-  double completion = -1.0;
-  IoRequest req;
-  req.write = true;
-  req.offset = kMiB;
-  req.length = 64 * kKiB;
-  ASSERT_TRUE(dev.Submit(req, [&](double t, const Status&) { completion = t; }).ok());
-  EXPECT_DOUBLE_EQ(completion, dev.clock().now());
-  // Zero-length submissions complete immediately without charges.
-  req.length = 0;
-  completion = -1.0;
-  const double before = dev.clock().now();
-  ASSERT_TRUE(dev.Submit(req, [&](double t, const Status&) { completion = t; }).ok());
-  EXPECT_DOUBLE_EQ(completion, before);
-  EXPECT_DOUBLE_EQ(dev.clock().now(), before);
-}
-
-TEST(IoSchedulerTest, SubmitVFiresOneCallbackForTheBatch) {
-  BlockDevice dev(SmallDisk());
-  std::vector<IoRequest> reqs(3);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    reqs[i].write = true;
-    reqs[i].offset = 100 * kMiB + i * 64 * kKiB;  // Sequential runs.
-    reqs[i].length = 64 * kKiB;
-  }
-  int fired = 0;
-  double completion = -1.0;
-  ASSERT_TRUE(dev.SubmitV(reqs, [&](double t, const Status&) {
-                   ++fired;
-                   completion = t;
-                 }).ok());
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(completion, dev.clock().now());
-  EXPECT_EQ(dev.stats().vectored_requests, 1u);
-  EXPECT_EQ(dev.stats().coalesced_runs, 3u);
-}
-
-TEST(IoSchedulerTest, SubmitVEmptyBatchCompletesImmediately) {
-  BlockDevice dev(SmallDisk());
-  LatencyRecorder rec;
-  IoScheduler sched(&dev, &rec);
-  dev.AttachScheduler(&sched);
-  for (bool engaged : {false, true}) {
-    if (engaged) ASSERT_TRUE(sched.Engage(4, SchedPolicy::kSptf).ok());
-    const double before = dev.clock().now();
-    int fired = 0;
-    ASSERT_TRUE(dev.SubmitV({}, [&](double t, const Status&) {
-                     ++fired;
-                     EXPECT_DOUBLE_EQ(t, before);
-                   }).ok());
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(dev.clock().now(), before);  // No charges.
-    EXPECT_EQ(dev.stats().vectored_requests, 0u);
-    // Null-callback form is legal too.
-    ASSERT_TRUE(dev.SubmitV({}).ok());
-    if (engaged) ASSERT_TRUE(sched.Disengage().ok());
-  }
-}
-
 TEST(IoSchedulerTest, DrainOnIdleSchedulerIsFree) {
   BlockDevice dev(SmallDisk());
   LatencyRecorder rec;
@@ -202,39 +144,6 @@ TEST(IoSchedulerTest, DrainOnIdleSchedulerIsFree) {
   sched.Drain();
   EXPECT_DOUBLE_EQ(dev.clock().now(), t0);
   EXPECT_EQ(dev.stats().writes, 0u);
-  ASSERT_TRUE(sched.Disengage().ok());
-}
-
-TEST(IoSchedulerTest, CompletionCallbackMaySubmitMoreWork) {
-  // A completion that itself submits (the journal-flush-chains-next-
-  // entry shape) must not corrupt the queue or lose either completion.
-  BlockDevice dev(SmallDisk());
-  LatencyRecorder rec;
-  IoScheduler sched(&dev, &rec);
-  dev.AttachScheduler(&sched);
-  ASSERT_TRUE(sched.Engage(2, SchedPolicy::kFifo).ok());
-
-  IoRequest first;
-  first.write = true;
-  first.offset = 10 * kMiB;
-  first.length = 64 * kKiB;
-  IoRequest chained;
-  chained.write = true;
-  chained.offset = 400 * kMiB;
-  chained.length = 64 * kKiB;
-
-  double first_done = -1.0;
-  double chained_done = -1.0;
-  ASSERT_TRUE(dev.Submit(first, [&](double t, const Status&) {
-                   first_done = t;
-                   ASSERT_TRUE(dev.Submit(chained, [&](double t2, const Status&) {
-                                    chained_done = t2;
-                                  }).ok());
-                 }).ok());
-  sched.Drain();
-  EXPECT_GT(first_done, 0.0);
-  EXPECT_GT(chained_done, first_done);
-  EXPECT_EQ(dev.stats().writes, 2u);
   ASSERT_TRUE(sched.Disengage().ok());
 }
 
@@ -301,61 +210,59 @@ TEST(IoSchedulerTest, AsyncQd1FifoMatchesSyncExactly) {
   EXPECT_EQ(sync_rec.total_count(), async_rec.total_count());
 }
 
-TEST(IoSchedulerTest, SptfServicesShortestPositioningFirst) {
+constexpr uint64_t kOrderReadBytes = 4 * kKiB;
+
+/// Issues one single-read op per offset (in submission order) through
+/// a scheduler engaged at depth 4, drains, and returns the submission
+/// indices in the order the device serviced them. The order is read
+/// off the charged seek total: each permutation moves the head through
+/// different seeks from the initial head at 0, and exactly one sums to
+/// what the device charged.
+std::vector<int> ServiceOrder(SchedPolicy policy,
+                              const std::vector<uint64_t>& offsets) {
   BlockDevice dev(SmallDisk());
   IoScheduler sched(&dev, nullptr);
   dev.AttachScheduler(&sched);
-  ASSERT_TRUE(sched.Engage(4, SchedPolicy::kSptf).ok());
-
-  // Submission order: far, near, mid from the initial head at 0. All
-  // three are admitted (depth 4), so the drain chooses service order.
-  const uint64_t offsets[] = {300 * kMiB, 10 * kMiB, 100 * kMiB};
-  std::vector<int> completion_order;
-  std::vector<double> completion_times;
-  for (int i = 0; i < 3; ++i) {
+  EXPECT_TRUE(sched.Engage(4, policy).ok());
+  for (uint64_t offset : offsets) {
     OpScope scope(&sched, OpClass::kGet);
-    IoRequest req;
-    req.offset = offsets[i];
-    req.length = 4 * kKiB;
-    ASSERT_TRUE(dev.Submit(req, [&, i](double t, const Status&) {
-                     completion_order.push_back(i);
-                     completion_times.push_back(t);
-                   }).ok());
+    EXPECT_TRUE(dev.Read(offset, kOrderReadBytes).ok());
   }
   sched.Drain();
-  ASSERT_EQ(completion_order.size(), 3u);
-  // Nearest-first: 10 MB, then 100 MB (head now at ~10 MB), then 300.
-  EXPECT_EQ(completion_order[0], 1);
-  EXPECT_EQ(completion_order[1], 2);
-  EXPECT_EQ(completion_order[2], 0);
-  EXPECT_LT(completion_times[0], completion_times[1]);
-  EXPECT_LT(completion_times[1], completion_times[2]);
-  EXPECT_EQ(sched.completed_ops(), 3u);
-  EXPECT_EQ(sched.serviced_requests(), 3u);
+  EXPECT_EQ(sched.completed_ops(), offsets.size());
+  EXPECT_EQ(sched.serviced_requests(), offsets.size());
+
+  std::vector<int> perm(offsets.size());
+  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
+  std::vector<int> order;
+  do {
+    double seek = 0.0;
+    uint64_t head = 0;
+    for (int i : perm) {
+      seek += dev.model().SeekTime(head, offsets[i]);
+      head = offsets[i] + kOrderReadBytes;
+    }
+    if (seek == dev.stats().seek_time_s) {
+      EXPECT_TRUE(order.empty()) << "two service orders charge alike";
+      order = perm;
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  return order;
+}
+
+TEST(IoSchedulerTest, SptfServicesShortestPositioningFirst) {
+  // Submission order: far, near, mid from the initial head at 0. All
+  // three are admitted (depth 4), so the drain chooses service order:
+  // nearest first — 10 MB, then 100 MB (head now at ~10 MB), then 300.
+  EXPECT_EQ(ServiceOrder(SchedPolicy::kSptf,
+                         {300 * kMiB, 10 * kMiB, 100 * kMiB}),
+            (std::vector<int>{1, 2, 0}));
 }
 
 TEST(IoSchedulerTest, FifoServicesSubmissionOrder) {
-  BlockDevice dev(SmallDisk());
-  IoScheduler sched(&dev, nullptr);
-  dev.AttachScheduler(&sched);
-  ASSERT_TRUE(sched.Engage(4, SchedPolicy::kFifo).ok());
-  const uint64_t offsets[] = {300 * kMiB, 10 * kMiB, 100 * kMiB};
-  std::vector<int> completion_order;
-  for (int i = 0; i < 3; ++i) {
-    OpScope scope(&sched, OpClass::kGet);
-    IoRequest req;
-    req.offset = offsets[i];
-    req.length = 4 * kKiB;
-    ASSERT_TRUE(
-        dev.Submit(req,
-                   [&, i](double, const Status&) { completion_order.push_back(i); })
-            .ok());
-  }
-  sched.Drain();
-  ASSERT_EQ(completion_order.size(), 3u);
-  EXPECT_EQ(completion_order[0], 0);
-  EXPECT_EQ(completion_order[1], 1);
-  EXPECT_EQ(completion_order[2], 2);
+  EXPECT_EQ(ServiceOrder(SchedPolicy::kFifo,
+                         {300 * kMiB, 10 * kMiB, 100 * kMiB}),
+            (std::vector<int>{0, 1, 2}));
 }
 
 TEST(IoSchedulerTest, InflightNeverExceedsQueueDepth) {
@@ -645,7 +552,9 @@ uint64_t DedicatedChargeRun(uint64_t seed, uint32_t depth, SchedPolicy policy,
   IoScheduler sched(&dev, &rec);
   dev.AttachScheduler(&sched);
   if (faults) armed.AttachAndArm(&dev, seed);
-  if (depth > 0) EXPECT_TRUE(sched.Engage(depth, policy).ok());
+  if (depth > 0) {
+    EXPECT_TRUE(sched.Engage(depth, policy).ok());
+  }
   ChargeChurn churn(seed, &dev, &sched, /*scoped_only=*/depth > 0);
   ChargeHash hash;
   hash.Mix(churn.Run(3000));

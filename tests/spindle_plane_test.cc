@@ -94,8 +94,11 @@ PlaneRun DrivePlane(SchedPolicy policy, uint64_t seed, uint32_t owners,
       std::mt19937 jitter(seed ^ (o + 1));
       for (uint32_t i = 0; i < batches * depth; ++i) {
         scheds[o]->BeginOp(OpClass::kPut);
-        scheds[o]->EnqueueRequest(/*write=*/true, offset_of(o, i), kBlock,
-                                  /*done=*/{});
+        IoScheduler::Request write;
+        write.write = true;
+        write.offset = offset_of(o, i);
+        write.len = kBlock;
+        scheds[o]->Enqueue(write);
         scheds[o]->EndOp();
         if (stagger && (jitter() & 3u) == 0) {
           std::this_thread::sleep_for(
