@@ -15,8 +15,8 @@ namespace {
 constexpr const char* kUsage =
     "flags: --scale=small|paper|<number in (0, 100]> --seed=<n> --csv\n"
     "       --shards=<n>|--threads=<n> --name-path --qd=<n> --sync\n"
-    "       --cache-mb=<n> --no-overlap --wall-repeats=<n> --owners=<n>\n"
-    "       --fifo   (env: LOR_BENCH_SCALE, LOR_BENCH_SHARDS)\n";
+    "       --cache-mb=<n> --owners=<n> --fifo\n"
+    "       (env: LOR_BENCH_SCALE, LOR_BENCH_SHARDS)\n";
 
 /// Exits 2 naming the rejected argument: a bench never runs a
 /// configuration other than the one it was asked for.
@@ -89,8 +89,6 @@ Options Options::FromArgs(int argc, char** argv) {
       opts.queue_depth = static_cast<uint32_t>(count(1, UINT32_MAX));
     } else if (flag == "--cache-mb") {
       opts.cache_mb = count(0, UINT64_MAX / kMiB);
-    } else if (flag == "--wall-repeats") {
-      opts.wall_repeats = static_cast<uint32_t>(count(1, UINT32_MAX));
     } else if (flag == "--owners") {
       opts.owners_per_spindle = static_cast<uint32_t>(count(1, UINT32_MAX));
     } else if (flag == "--shards" || flag == "--threads") {
@@ -102,8 +100,6 @@ Options Options::FromArgs(int argc, char** argv) {
       opts.name_path = true;
     } else if (arg == "--sync") {
       opts.queue_depth = 1;
-    } else if (arg == "--no-overlap") {
-      opts.no_overlap = true;
     } else if (arg == "--fifo") {
       opts.fifo = true;
     } else {
@@ -165,23 +161,8 @@ namespace {
 /// GetPutRunner or ShardedRunner (identical phase interface).
 template <typename Runner>
 Result<std::vector<AgingCheckpoint>> CollectCheckpoints(
-    Runner* runner, const std::vector<double>& ages, bool probe_reads,
-    uint32_t wall_repeats) {
+    Runner* runner, const std::vector<double>& ages, bool probe_reads) {
   std::vector<AgingCheckpoint> checkpoints;
-
-  // Extra timed probe passes purely to steady the host wall clock: keep
-  // the min wall, discard the simulated samples (the first pass's stay
-  // authoritative). Opt-in because the extra passes draw extra victims
-  // from the workload stream.
-  auto repeat_probe = [&](AgingCheckpoint* cp) -> Status {
-    for (uint32_t r = 1; r < wall_repeats; ++r) {
-      LOR_ASSIGN_OR_RETURN(workload::ThroughputSample again,
-                           runner->MeasureReadThroughput());
-      cp->read.host_seconds = std::min(cp->read.host_seconds,
-                                       again.host_seconds);
-    }
-    return Status::OK();
-  };
 
   auto snapshot = [&](AgingCheckpoint* cp) {
     cp->measured_age = runner->storage_age();
@@ -210,7 +191,6 @@ Result<std::vector<AgingCheckpoint>> CollectCheckpoints(
   LOR_ASSIGN_OR_RETURN(zero.write, runner->BulkLoad());
   if (probe_reads) {
     LOR_ASSIGN_OR_RETURN(zero.read, runner->MeasureReadThroughput());
-    LOR_RETURN_IF_ERROR(repeat_probe(&zero));
   }
   snapshot(&zero);
   checkpoints.push_back(std::move(zero));
@@ -226,7 +206,6 @@ Result<std::vector<AgingCheckpoint>> CollectCheckpoints(
                            runner->AgeAndMeasure(age));
       cp.write = fused.aged;
       cp.read = fused.read;
-      LOR_RETURN_IF_ERROR(repeat_probe(&cp));
     } else {
       LOR_ASSIGN_OR_RETURN(cp.write, runner->AgeTo(age));
     }
@@ -240,18 +219,17 @@ Result<std::vector<AgingCheckpoint>> CollectCheckpoints(
 
 Result<std::vector<AgingCheckpoint>> RunAging(
     core::ObjectRepository* repo, const workload::WorkloadConfig& config,
-    const std::vector<double>& ages, bool probe_reads,
-    uint32_t wall_repeats) {
+    const std::vector<double>& ages, bool probe_reads) {
   workload::GetPutRunner runner(repo, config);
-  return CollectCheckpoints(&runner, ages, probe_reads, wall_repeats);
+  return CollectCheckpoints(&runner, ages, probe_reads);
 }
 
 Result<std::vector<AgingCheckpoint>> RunShardedAging(
     const core::RepositoryFactory& factory, uint32_t shards,
     const workload::WorkloadConfig& config, const std::vector<double>& ages,
-    bool probe_reads, uint32_t wall_repeats) {
+    bool probe_reads) {
   workload::ShardedRunner runner(factory, config, shards);
-  return CollectCheckpoints(&runner, ages, probe_reads, wall_repeats);
+  return CollectCheckpoints(&runner, ages, probe_reads);
 }
 
 void PrintBanner(const std::string& title, const std::string& paper_ref,

@@ -51,19 +51,6 @@ struct Options {
   /// entirely — the paper's cold-cache regime, bit-identical to the
   /// pre-cache figures.
   uint64_t cache_mb = 0;
-  /// Disables cross-shard overlap (`--no-overlap`): checkpoints age
-  /// and measure as separate barrier-synchronized dispatches, and
-  /// shared-spindle shards drain after every operation. The A/B
-  /// baseline for the host-wall overlap win; simulated results are
-  /// unchanged either way.
-  bool no_overlap = false;
-  /// Extra timed read passes per checkpoint (`--wall-repeats=N`): the
-  /// reported read wall seconds is the min over the N passes (the
-  /// noise-robust estimator), the simulated sample comes from the
-  /// first. N > 1 draws extra probe victims from the workload stream,
-  /// so it is opt-in — the default 1 reproduces historical streams
-  /// exactly.
-  uint32_t wall_repeats = 1;
   /// Shards per shared spindle for contention benches (`--owners=N`);
   /// 0 (default) lets the bench run its own 1/2/4 sweep.
   uint32_t owners_per_spindle = 0;
@@ -72,23 +59,22 @@ struct Options {
 
   /// Parses --scale=small|paper|<float>, --seed=N, --csv,
   /// --shards=N/--threads=N, --name-path, --qd=N, --sync, --cache-mb=N,
-  /// --no-overlap, --wall-repeats=N, --owners=N, --fifo, then the
-  /// LOR_BENCH_SCALE / LOR_BENCH_SHARDS overrides. Strict: an unknown
-  /// flag or a malformed or out-of-range value (scale outside (0, 100],
-  /// a zero count, a negative or overflowing number) prints the
-  /// argument with the flag list to stderr and exits 2.
+  /// --owners=N, --fifo, then the LOR_BENCH_SCALE / LOR_BENCH_SHARDS
+  /// overrides. Strict: an unknown flag or a malformed or out-of-range
+  /// value (scale outside (0, 100], a zero count, a negative or
+  /// overflowing number) prints the argument with the flag list to
+  /// stderr and exits 2.
   static Options FromArgs(int argc, char** argv);
 
   uint64_t ScaleBytes(uint64_t paper_bytes) const;
 
   /// Workload config seeded from these options (seed + access path +
-  /// queue depth + overlap).
+  /// queue depth).
   workload::WorkloadConfig MakeWorkloadConfig() const {
     workload::WorkloadConfig config;
     config.seed = seed;
     config.use_handles = !name_path;
     config.queue_depth = queue_depth;
-    config.overlap = !no_overlap;
     return config;
   }
 };
@@ -142,12 +128,10 @@ struct AgingCheckpoint {
 /// throughput per interval and probing reads + fragmentation at each
 /// checkpoint. `ages` must be increasing and start implicitly at 0.
 /// Each aged checkpoint runs age-then-probe as one fused dispatch
-/// (identical simulated results, overlapped host work); `wall_repeats`
-/// > 1 re-runs the timed probe and keeps the min host wall.
+/// (identical simulated results, overlapped host work).
 Result<std::vector<AgingCheckpoint>> RunAging(
     core::ObjectRepository* repo, const workload::WorkloadConfig& config,
-    const std::vector<double>& ages, bool probe_reads = true,
-    uint32_t wall_repeats = 1);
+    const std::vector<double>& ages, bool probe_reads = true);
 
 /// Sharded variant of RunAging: drives `shards` per-shard repositories
 /// concurrently (workload::ShardedRunner) and records merged samples
@@ -156,7 +140,7 @@ Result<std::vector<AgingCheckpoint>> RunAging(
 Result<std::vector<AgingCheckpoint>> RunShardedAging(
     const core::RepositoryFactory& factory, uint32_t shards,
     const workload::WorkloadConfig& config, const std::vector<double>& ages,
-    bool probe_reads = true, uint32_t wall_repeats = 1);
+    bool probe_reads = true);
 
 /// Prints the standard bench banner with the paper reference.
 void PrintBanner(const std::string& title, const std::string& paper_ref,

@@ -17,8 +17,7 @@
 //   - queue wait s: simulated seconds operations sat in the plane's
 //     round queues before the head reached them;
 //   - the wall columns: real host seconds per phase (shards submit
-//     concurrently and overlap host work with peers' service rounds;
-//     --no-overlap serializes them as the A/B baseline).
+//     concurrently and overlap host work with peers' service rounds).
 //
 // Expected shape: aggregate MB/s is sublinear in the shard count once
 // owners/spindle > 1 (and degrades as owners grow), interference seeks
@@ -77,9 +76,7 @@ void Run(const Options& options) {
         workload::WorkloadConfig config = options.MakeWorkloadConfig();
         config.sizes = workload::SizeDistribution::Constant(512 * kKiB);
 
-        auto checkpoints = RunShardedAging(*factory, shards, config, ages,
-                                           /*probe_reads=*/true,
-                                           options.wall_repeats);
+        auto checkpoints = RunShardedAging(*factory, shards, config, ages);
         if (!checkpoints.ok()) {
           std::fprintf(stderr, "%s x%u owners=%u failed: %s\n",
                        factory->name().c_str(), shards, owners,
@@ -118,7 +115,7 @@ void Run(const Options& options) {
       "boundary, and queue wait grows as each owner's round share\n"
       "shrinks. Wall columns are real host seconds (not simulated):\n"
       "shards submit concurrently and overlap host work with peers'\n"
-      "service; rerun with --no-overlap for the serialized baseline.\n");
+      "service.\n");
 }
 
 }  // namespace

@@ -52,9 +52,7 @@ void Run(const Options& options) {
       workload::WorkloadConfig config = options.MakeWorkloadConfig();
       config.sizes = workload::SizeDistribution::Constant(512 * kKiB);
 
-      auto checkpoints = RunShardedAging(*factory, shards, config, ages,
-                                         /*probe_reads=*/true,
-                                         options.wall_repeats);
+      auto checkpoints = RunShardedAging(*factory, shards, config, ages);
       if (!checkpoints.ok()) {
         std::fprintf(stderr, "%s x%u failed: %s\n", factory->name().c_str(),
                      shards, checkpoints.status().ToString().c_str());
@@ -102,8 +100,8 @@ void Run(const Options& options) {
       "stays roughly flat - fragmentation is per-volume churn, not a\n"
       "scale effect. The database still loads fast and ages badly at\n"
       "every shard count. The wall columns are host seconds per phase\n"
-      "(min over --wall-repeats for the read probe) - real time, not\n"
-      "simulated, so compare them only across runs on one machine.\n"
+      "- real time, not simulated, so compare them only across runs on\n"
+      "one machine.\n"
       "--cache-mb=N splits one buffer-pool budget across shards; the\n"
       "hit-rate min/max spread shows how fairly it serves the clients.\n"
       "For shards contending for one physical spindle, see\n"

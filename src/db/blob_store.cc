@@ -18,7 +18,7 @@ BlobStore::BlobStore(sim::BlockDevice* data_device,
       log_device_(log_device),
       options_(options),
       page_file_(data_device, options.page_file),
-      lob_unit_(&page_file_, options.page_scan) {
+      lob_unit_(&page_file_) {
   metadata_ = std::make_unique<MetadataTable>(&page_file_, &options_.costs,
                                               options_.ops_per_checkpoint);
 }

@@ -9,8 +9,8 @@
 //     Server a dedicated log drive),
 //   * replacement = insert new BLOB + repoint row + free old BLOB,
 //   * freed extents are reusable immediately after commit, via the
-//     lowest-first GAM scan — the behaviour behind SQL Server's linear
-//     fragmentation growth.
+//     wrapping from-hint GAM scan — the behaviour behind SQL Server's
+//     linear fragmentation growth.
 //
 // Two access surfaces: the historical per-key operations (each pays the
 // query CPU + metadata-row lookup), and a handle table — OpenRead /
@@ -53,8 +53,6 @@ struct BlobStoreOptions {
   sim::OpCostModel costs;
   /// Client write-request size; allocation happens per request (§5.4).
   uint64_t write_request_bytes = 64 * kKiB;
-  /// How the LOB allocation unit scans owned extents for free pages.
-  PageScanPolicy page_scan = PageScanPolicy::kFromHint;
   /// Bulk-logged mode (the paper's setting). When false the engine is
   /// fully logged: blob bytes are also written to the log device —
   /// slower, but the BLOB survives media failure. Kept as an ablation.

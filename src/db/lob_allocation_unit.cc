@@ -11,9 +11,6 @@ uint64_t LobAllocationUnit::PickExtent() {
     return with_free_.IsFree(hint_extent_) ? hint_extent_ : kNoExtent;
   }
   if (with_free_.free_count() == 0) return kNoExtent;
-  if (policy_ == PageScanPolicy::kLowestFirst) {
-    return with_free_.FindLowestFree(0);
-  }
   const uint64_t extent = with_free_.FindLowestFree(hint_extent_);
   return extent != kNoExtent ? extent : with_free_.FindLowestFree(0);
 }

@@ -4,11 +4,13 @@
 // Extents are acquired from the GAM (lowest-first from a scan hint) and
 // *shared between blobs*: a blob's tail pages and the next blob's head
 // pages can occupy the same extent. Pages freed by deletions leave
-// partially-used extents whose free pages are reused by later writes,
-// so after churn a new blob's pages scatter across many partially-free
-// extents — the sub-extent mixing that drives the paper's near-linear
-// database fragmentation growth. A fully-freed extent is returned to
-// the GAM (subject to the PageFile's deferred-release discipline).
+// partially-used extents whose free pages are reused by later writes
+// (the page scan, too, resumes at the extent of the last allocation
+// and wraps), so after churn a new blob's pages scatter across many
+// partially-free extents — the sub-extent mixing that drives the
+// paper's near-linear database fragmentation growth. A fully-freed
+// extent is returned to the GAM (subject to the PageFile's
+// deferred-release discipline).
 
 #ifndef LOREPO_DB_LOB_ALLOCATION_UNIT_H_
 #define LOREPO_DB_LOB_ALLOCATION_UNIT_H_
@@ -26,31 +28,18 @@
 namespace lor {
 namespace db {
 
-/// Page-allocation policy within the unit.
-enum class PageScanPolicy {
-  /// Scan owned extents from the lowest page id (PFS order). Strongest
-  /// reuse of low holes; scatters aggressively under churn.
-  kLowestFirst,
-  /// Scan from the extent of the most recent allocation, wrapping —
-  /// SQL Server caches allocation hints per unit rather than
-  /// re-scanning from the front each time.
-  kFromHint,
-};
-
 /// One table's LOB allocation unit.
 ///
 /// Bookkeeping is flat and O(1) per page operation: a per-extent free-
 /// page bitmap indexed directly by extent id, plus a two-level bitmap
 /// (GamBitmap reused as a membership index) over extents with free
-/// pages so the PFS-order / from-hint scans are summary-level word
-/// scans instead of ordered-set walks. This is the engine's hottest
-/// path — every blob write and free goes through it page by page.
+/// pages so the from-hint scan is a summary-level word scan instead of
+/// an ordered-set walk. This is the engine's hottest path — every blob
+/// write and free goes through it page by page.
 class LobAllocationUnit {
  public:
-  LobAllocationUnit(PageFile* file,
-                    PageScanPolicy policy = PageScanPolicy::kFromHint)
+  explicit LobAllocationUnit(PageFile* file)
       : file_(file),
-        policy_(policy),
         bitmaps_(file->capacity_extents(), kUnowned),
         with_free_(file->capacity_extents()),
         pages_per_extent_(file->pages_per_extent()),
@@ -117,11 +106,12 @@ class LobAllocationUnit {
   static constexpr uint16_t kUnowned = 0xFFFF;
 
   /// Picks an owned extent with at least one free page, or returns
-  /// kNoExtent.
+  /// kNoExtent: the first at or after the extent of the most recent
+  /// allocation, wrapping — SQL Server caches allocation hints per unit
+  /// rather than re-scanning from the front each time.
   uint64_t PickExtent();
 
   PageFile* file_;
-  PageScanPolicy policy_;
   /// Free-page bitmap per extent id, kUnowned where not owned. Only
   /// extents with used pages are owned; an extent whose pages are all
   /// free is released back to the GAM.

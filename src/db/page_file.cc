@@ -103,7 +103,7 @@ Result<uint64_t> PageFile::AllocateExtent() {
 Result<std::pair<uint64_t, uint64_t>> PageFile::AllocateExtentRun(
     uint64_t count) {
   LOR_RETURN_IF_ERROR(ReleaseDue());
-  const uint64_t from = options_.scan_from_hint ? scan_cursor_ : 0;
+  const uint64_t from = scan_cursor_;
   auto run = gam_.AllocateRun(count, from);
   if (run.first == kNoExtent && from != 0) {
     run = gam_.AllocateRun(count, 0);  // Wrap the scan.

@@ -5,7 +5,9 @@
 // file starts small and grows by a fixed fraction whenever the GAM has
 // no free extent, up to the device capacity. During bulk load this
 // yields purely sequential allocation at the tail; after deletions the
-// GAM hands back the lowest free extents first.
+// GAM scan resumes from the last allocated extent and wraps (SQL Server
+// caches per-allocation-unit hints rather than rescanning from extent 0
+// every time), handing back the first free extents past the hint.
 
 #ifndef LOREPO_DB_PAGE_FILE_H_
 #define LOREPO_DB_PAGE_FILE_H_
@@ -40,11 +42,6 @@ struct PageFileOptions {
   /// open up in the middle of another object's streamed write). 0 =
   /// immediate release.
   uint32_t deferred_free_allocations = 16;
-  /// When true, the GAM scan starts from the last allocated extent and
-  /// wraps (SQL Server caches per-allocation-unit hints rather than
-  /// rescanning from extent 0 every time). When false, every
-  /// allocation scans from the start of the file.
-  bool scan_from_hint = true;
 };
 
 /// Counters for file maintenance activity.
@@ -79,11 +76,13 @@ class PageFile {
     return extent_id * options_.pages_per_extent;
   }
 
-  /// Allocates the lowest free extent, growing the file if necessary.
+  /// Allocates the first free extent at or after the scan hint
+  /// (wrapping), growing the file if necessary.
   Result<uint64_t> AllocateExtent();
 
-  /// Allocates up to `count` consecutive extents (lowest-first), growing
-  /// the file if nothing is free. The run may be shorter than requested.
+  /// Allocates up to `count` consecutive extents (the first free run at
+  /// or after the scan hint, wrapping), growing the file if nothing is
+  /// free. The run may be shorter than requested.
   Result<std::pair<uint64_t, uint64_t>> AllocateExtentRun(uint64_t count);
 
   /// Returns `count` extents starting at `first` to the free pool.

@@ -11,6 +11,7 @@ namespace fs {
 namespace {
 constexpr uint64_t kMftRecordBytes = 1024;
 constexpr uint64_t kJournalRecordBytes = 4096;
+constexpr uint64_t kNamesPerIndexBuffer = 16;
 }  // namespace
 
 FileStore::FileStore(sim::BlockDevice* device, FileStoreOptions options,
@@ -62,7 +63,7 @@ void FileStore::BindHandles(const std::string& name, FileInfo* file) {
 }
 
 uint64_t FileStore::TakeRecordId() {
-  if (options_.recycle_mft_records && !free_record_ids_.empty()) {
+  if (!free_record_ids_.empty()) {
     const uint64_t id = free_record_ids_.back();
     free_record_ids_.pop_back();
     return id;
@@ -71,7 +72,7 @@ uint64_t FileStore::TakeRecordId() {
 }
 
 void FileStore::RecycleRecordId(uint64_t id) {
-  if (options_.recycle_mft_records) free_record_ids_.push_back(id);
+  free_record_ids_.push_back(id);
 }
 
 Result<FileHandle> FileStore::OpenRead(const std::string& name) {
@@ -229,7 +230,6 @@ void FileStore::SyncTracker(FileInfo* file) {
 }
 
 void FileStore::ChargeMftAccess(uint64_t file_id, bool write) {
-  if (!options_.charge_metadata_io) return;
   // MFT records live in the first half of the reserved zone.
   const uint64_t zone_bytes = mft_clusters_ * options_.cluster_bytes / 2;
   const uint64_t slot =
@@ -240,7 +240,6 @@ void FileStore::ChargeMftAccess(uint64_t file_id, bool write) {
 }
 
 void FileStore::ChargeJournal(bool flush) {
-  if (!options_.charge_metadata_io) return;
   if (journal_batch_open_) {
     ++batched_journal_records_;
     batched_journal_flush_ |= flush;
@@ -293,23 +292,19 @@ void FileStore::EndJournalBatch() {
 }
 
 void FileStore::NoteNameInsert() {
-  if (options_.names_per_index_buffer == 0) return;
-  if (++name_inserts_ % options_.names_per_index_buffer != 0) return;
+  if (++name_inserts_ % kNamesPerIndexBuffer != 0) return;
   // An index buffer splits: allocate one cluster for the new buffer.
   alloc::ExtentList buffer;
   if (allocator_->Allocate(1, alloc::kNoHint, &buffer).ok()) {
     index_buffers_.push_back(buffer.front());
-    if (options_.charge_metadata_io) {
-      Status s = device_->Write(buffer.front().start * options_.cluster_bytes,
-                                options_.cluster_bytes);
-      (void)s;
-    }
+    Status s = device_->Write(buffer.front().start * options_.cluster_bytes,
+                              options_.cluster_bytes);
+    (void)s;
   }
 }
 
 void FileStore::NoteNameRemove() {
-  if (options_.names_per_index_buffer == 0) return;
-  if (++name_removes_ % options_.names_per_index_buffer != 0) return;
+  if (++name_removes_ % kNamesPerIndexBuffer != 0) return;
   if (index_buffers_.empty()) return;
   // Buffers merge as the directory shrinks: free the oldest.
   Status s = FreeExtent(index_buffers_.front());
@@ -1139,16 +1134,14 @@ Result<RecoveryStats> FileStore::Recover(
   // Journal scan: one sequential read over the region the live records
   // occupy — the first thing a mounting filesystem does.
   const uint64_t zone_bytes = mft_clusters_ * options_.cluster_bytes;
-  if (options_.charge_metadata_io) {
-    const uint64_t journal_base = zone_bytes / 2;
-    const uint64_t journal_size = std::max<uint64_t>(
-        2 * kJournalRecordBytes, zone_bytes - journal_base);
-    const uint64_t scan = std::min<uint64_t>(
-        std::max<uint64_t>(recovery_log_.size(), 1) * kJournalRecordBytes,
-        journal_size);
-    Status s = device_->Read(journal_base, scan);
-    (void)s;
-  }
+  const uint64_t journal_base = zone_bytes / 2;
+  const uint64_t journal_size = std::max<uint64_t>(
+      2 * kJournalRecordBytes, zone_bytes - journal_base);
+  const uint64_t scan = std::min<uint64_t>(
+      std::max<uint64_t>(recovery_log_.size(), 1) * kJournalRecordBytes,
+      journal_size);
+  Status s = device_->Read(journal_base, scan);
+  (void)s;
 
   auto durable = [injector](uint64_t seq) {
     return injector == nullptr || injector->IsDurable(seq);

@@ -68,8 +68,6 @@ struct FileStoreOptions {
   alloc::RunCacheOptions alloc;
   /// Software-stack costs.
   sim::OpCostModel costs;
-  /// Charge MFT/journal metadata I/O (disable to isolate data traffic).
-  bool charge_metadata_io = true;
   /// Coalesce the journal records of one application-level batch (the
   /// repository's safe write: create temp file, stream appends, fsync,
   /// replace) into a single lazy-writer record and at most one flush,
@@ -78,18 +76,6 @@ struct FileStoreOptions {
   /// that complete within one flush interval. Off = the historical
   /// per-operation charging.
   bool batch_journal_charges = true;
-  /// Reuse MFT record ids freed by deletes/replacements for new files
-  /// (NTFS behaviour). Bounds the record slots the safe-write temp
-  /// cycle touches; affects metadata seek timing only, never layout.
-  bool recycle_mft_records = true;
-  /// Directory-index modelling: one 4 KB INDEX_ALLOCATION buffer is
-  /// allocated from the data zone per this many name insertions, and
-  /// the oldest buffer is released per the same number of removals.
-  /// The paper's setup keeps tens of thousands of files in a single
-  /// directory, so its index buffers share the free-space pool with
-  /// file data — a small but steady source of allocation interleaving.
-  /// 0 disables the model.
-  uint32_t names_per_index_buffer = 16;
   /// Retry/backoff policy for reads that fail with a typed media error
   /// (transient latent sector errors clear after a bounded number of
   /// attempts; persistent ones surface after max_attempts).
@@ -482,8 +468,13 @@ class FileStore {
                       std::span<const uint8_t> data,
                       bool sync_tracker = true);
 
-  /// Directory-index maintenance on a name insertion/removal: splits
-  /// allocate an index buffer, merges free the oldest one.
+  /// Directory-index maintenance on a name insertion/removal: one 4 KB
+  /// INDEX_ALLOCATION buffer is allocated from the data zone per
+  /// kNamesPerIndexBuffer insertions, and the oldest is released per
+  /// as many removals. The paper's setup keeps tens of thousands of
+  /// files in a single directory, so its index buffers share the
+  /// free-space pool with file data — a small but steady source of
+  /// allocation interleaving.
   void NoteNameInsert();
   void NoteNameRemove();
 

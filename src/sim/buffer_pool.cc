@@ -143,7 +143,6 @@ BufferPool::BufferPool(BlockDevice* device, BufferPoolOptions options)
 }
 
 bool BufferPool::WriteBackActive() const {
-  if (!options_.write_back) return false;
   const FaultInjector* injector = device_->fault_injector();
   return injector == nullptr || !injector->armed();
 }
@@ -184,16 +183,6 @@ bool BufferPool::Covered(uint64_t offset, uint64_t len) const {
   return true;
 }
 
-void BufferPool::Touch(Frame* frame) {
-  frame->referenced = true;
-  if (!options_.strict_lru) return;
-  Shard& sh = shards_[frame->shard];
-  auto node = sh.lru_index.extract(frame->lru_seq);
-  frame->lru_seq = ++lru_clock_;
-  node.key() = frame->lru_seq;
-  sh.lru_index.insert(sh.lru_index.end(), std::move(node));
-}
-
 Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
   uint32_t inherited_pin = 0;
   if (CollectOverlaps(offset, len)) {
@@ -224,7 +213,7 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
   // the protection window did not); UnpinRange guards at zero.
   frame.pin = inherited_pin;
   frame.shard = shard;
-  frame.lru_seq = ++lru_clock_;
+  frame.seq = ++install_seq_;
   frame.dirty = false;
   frame.referenced = true;
   frame.held = false;
@@ -234,11 +223,7 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
   Shard& sh = shards_[shard];
   sh.used_bytes += len;
   cached_bytes_ += len;
-  if (options_.strict_lru) {
-    sh.lru_index.emplace_hint(sh.lru_index.end(), frame.lru_seq, slot);
-  } else {
-    sh.clock_ring.push_back({slot, frame.lru_seq});
-  }
+  sh.clock_ring.push_back({slot, frame.seq});
   *out = &frame;
   return Status::OK();
 }
@@ -262,19 +247,7 @@ Status BufferPool::EvictFor(uint32_t shard, uint64_t incoming) {
 Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   *evicted = false;
   Shard& sh = shards_[shard];
-  if (options_.strict_lru) {
-    for (const auto& [seq, slot] : sh.lru_index) {
-      Frame& f = slots_[slot];
-      if (f.pinned()) continue;
-      if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
-      DropFrame(slot);
-      ++stats_.evictions;
-      *evicted = true;
-      return Status::OK();
-    }
-    return Status::OK();
-  }
-  // CLOCK: sweep the ring, clearing reference bits; pinned frames are
+  // Sweep the ring, clearing reference bits; pinned frames are
   // skipped, stale entries (seq mismatch: the frame was dropped and
   // its slot freed or reused) removed in passing. Two full sweeps
   // bound the scan when every frame is referenced.
@@ -284,7 +257,7 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
     if (sh.hand >= sh.clock_ring.size()) sh.hand = 0;
     const RingEntry entry = sh.clock_ring[sh.hand];
     Frame& f = slots_[entry.slot];
-    if (f.lru_seq != entry.seq) {
+    if (f.seq != entry.seq) {
       sh.clock_ring[sh.hand] = sh.clock_ring.back();
       sh.clock_ring.pop_back();
       continue;
@@ -317,11 +290,10 @@ void BufferPool::DropFrame(uint32_t slot) {
   sh.used_bytes -= f.length;
   cached_bytes_ -= f.length;
   if (f.dirty) dirty_bytes_ -= f.length;
-  if (options_.strict_lru) sh.lru_index.erase(f.lru_seq);
   if (!f.data.empty()) RecycleBuffer(std::move(f.data));
   f.data = {};
   index_.Erase(f.offset);
-  f.lru_seq = 0;  // Any ring entry for this slot is now stale.
+  f.seq = 0;  // Any ring entry for this slot is now stale.
   free_slots_.push_back(slot);
 }
 
@@ -442,7 +414,7 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
       while (pos < end) {
         Frame* f = FrameAt(pos);
         if (f->pinned()) pinned_before = true;
-        Touch(f);
+        f->referenced = true;
         const uint64_t chunk = std::min(f->end(), end) - pos;
         uint8_t* dst = s.dst == nullptr ? nullptr : s.dst + (pos - s.offset);
         if (f->filling) {
@@ -469,11 +441,11 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
     }
     ++stats_.misses;
     stats_.miss_bytes += s.length;
-    // Fill range: the caller's extent-run read-ahead range when
-    // enabled, otherwise exactly the request.
+    // Fill range: the caller's extent-run read-ahead range when it
+    // gives one, otherwise exactly the request.
     uint64_t fo = s.offset;
     uint64_t fl = s.length;
-    if (options_.read_ahead && s.fill_length > 0) {
+    if (s.fill_length > 0) {
       fo = s.fill_offset;
       fl = s.fill_length;
       if (fo > s.offset || fo + fl < s.offset + s.length ||
@@ -564,7 +536,7 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
           std::memset(p, 0, s.length);
         }
       }
-      Touch(f);
+      f->referenced = true;
     } else {
       LOR_RETURN_IF_ERROR(InstallFrame(s.offset, s.length, &f));
       if (!f->data.empty() && s.src != nullptr) {
@@ -590,7 +562,7 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
   }
   if (through && !fill_slices_.empty()) {
     LOR_RETURN_IF_ERROR(device_->WriteV(fill_slices_));
-    if (options_.write_back) stats_.forced_write_through += through_count;
+    stats_.forced_write_through += through_count;
   }
   if (device_bytes != nullptr) *device_bytes = through_bytes;
   if (!through &&

@@ -27,32 +27,28 @@
 //     a flush is one offset-ordered WriteV. The index is built only
 //     when the pool is enabled.
 //   * Misses fill through one vectored ReadV per call, at extent-run
-//     granularity (optionally extended to the caller's fill range —
-//     read-ahead), into frames recycled from per-size free lists (the
-//     nanos-TFS buffer-recycling pattern: no per-fill allocation once
-//     the pool is warm).
-//   * Writes are write-back by default: payload lands in dirty frames
-//     (host copy cost only) and reaches the platter lazily — when the
-//     dirty ratio trips, on FlushRange/FlushAll (fs fsync), at
-//     eviction, or at DrainIo — batched in offset order through one
-//     vectored WriteV, so flushes ride the PR 6 IoScheduler.
-//     write_back=false charges every write through immediately
-//     (install + device WriteV).
+//     granularity (extended to the caller's fill range when it gives
+//     one — read-ahead), into frames recycled from per-size free lists
+//     (the nanos-TFS buffer-recycling pattern: no per-fill allocation
+//     once the pool is warm).
+//   * Writes are write-back: payload lands in dirty frames (host copy
+//     cost only) and reaches the platter lazily — when the dirty ratio
+//     trips, on FlushRange/FlushAll (fs fsync), at eviction, or at
+//     DrainIo — batched in offset order through one vectored WriteV, so
+//     flushes ride the PR 6 IoScheduler.
 //   * While an armed sim::FaultInjector is attached to the device the
 //     pool *forces write-through* (counted in forced_write_through),
 //     so the PR 7 crash-consistency oracle stays honest: an acked op's
 //     bytes are on the device before its commit record, never parked
 //     in DRAM. Reset() drops everything (mount-time recovery).
-//   * Eviction is CLOCK by default (strict LRU behind strict_lru),
-//     sharded: frames hash to `shards` independent eviction domains,
-//     each with its own capacity slice, clock hand, and recency index.
-//     Every install stamps the frame with a fresh sequence number;
-//     CLOCK ring entries are (slot, install seq) pairs, so an entry
-//     whose frame was dropped (its slot freed or reused) is recognised
-//     as stale by one compare and removed as the hand passes it. Strict
-//     LRU keeps seq -> slot in recency order. Pinned frames are never
-//     evicted — when a domain is entirely pinned the pool grows past
-//     its slice and counts the refusal.
+//   * Eviction is CLOCK (second chance), sharded: frames hash to
+//     `shards` independent eviction domains, each with its own capacity
+//     slice and clock hand. Every install stamps the frame with a fresh
+//     sequence number; ring entries are (slot, install seq) pairs, so an
+//     entry whose frame was dropped (its slot freed or reused) is
+//     recognised as stale by one compare and removed as the hand passes
+//     it. Pinned frames are never evicted — when a domain is entirely
+//     pinned the pool grows past its slice and counts the refusal.
 //   * Pin/Unpin operate on the frames resident in a byte range; the
 //     handle layer pins an object's cached frames for the open window.
 //
@@ -69,7 +65,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -85,16 +80,9 @@ struct BufferPoolOptions {
   uint64_t capacity_bytes = 0;
   /// Independent eviction domains (capacity slice + CLOCK hand each).
   uint32_t shards = 4;
-  /// Strict LRU eviction instead of CLOCK.
-  bool strict_lru = false;
-  /// Write-back with lazy flush; false = write-through.
-  bool write_back = true;
   /// Flush all dirty frames when dirty bytes exceed this fraction of
   /// capacity (the lazy-writer threshold).
   double dirty_ratio = 0.25;
-  /// Extend miss fills to the caller's fill range (extent-run
-  /// read-ahead). Off = fill exactly what was requested.
-  bool read_ahead = true;
   /// Host CPU per clean-hit request (lookup + bookkeeping).
   double hit_cpu_s = 2e-6;
   /// Host memcpy bandwidth for hit copies and cache installs.
@@ -160,8 +148,8 @@ class BufferPool {
                      uint64_t* device_bytes = nullptr);
 
   /// Writes every slice through the cache: payload is installed into
-  /// frames and either marked dirty (write-back) or written through in
-  /// one vectored WriteV (write-through / armed injector).
+  /// frames and either marked dirty (write-back) or, while an armed
+  /// fault injector is attached, written through in one vectored WriteV.
   /// `device_bytes` receives the bytes written through immediately
   /// (excluding any lazy-writer flush this call happens to trigger).
   Status WriteThrough(std::span<const CacheSlice> slices,
@@ -263,9 +251,8 @@ class BufferPool {
     std::vector<uint8_t> data;
     uint32_t pin = 0;
     uint32_t shard = 0;
-    /// Install seq under CLOCK, last-touch seq under strict LRU; 0 marks
-    /// a free arena slot (seqs start at 1).
-    uint64_t lru_seq = 0;
+    /// Install seq; 0 marks a free arena slot (seqs start at 1).
+    uint64_t seq = 0;
     bool dirty = false;
     bool referenced = false;  ///< CLOCK second-chance bit.
     /// Hit or installed by the in-progress ReadThrough: eviction skips
@@ -337,7 +324,6 @@ class BufferPool {
     uint64_t used_bytes = 0;
     std::vector<RingEntry> clock_ring;
     size_t hand = 0;
-    std::map<uint64_t, uint32_t> lru_index;  ///< seq -> slot.
   };
 
   uint32_t ShardOf(uint64_t offset) const {
@@ -349,8 +335,8 @@ class BufferPool {
   bool RetainData() const {
     return device_->data_mode() == DataMode::kRetain;
   }
-  /// True when writes may park in dirty frames right now (write-back
-  /// configured and no armed fault injector on the device).
+  /// True when writes may park in dirty frames right now (no armed
+  /// fault injector on the device).
   bool WriteBackActive() const;
 
   /// Fills overlaps_ with the slots of the frames intersecting
@@ -363,9 +349,6 @@ class BufferPool {
   /// True when [offset, offset+len) is fully covered by (contiguous)
   /// resident frames.
   bool Covered(uint64_t offset, uint64_t len) const;
-
-  /// Marks a frame recently used (CLOCK ref bit / LRU re-stamp).
-  void Touch(Frame* frame);
 
   /// Installs a frame for [offset, len): flushes dirty partial
   /// overlaps, drops full overlaps, evicts for space, takes a recycled
@@ -420,7 +403,7 @@ class BufferPool {
   std::vector<Shard> shards_;
   uint64_t cached_bytes_ = 0;
   uint64_t dirty_bytes_ = 0;
-  uint64_t lru_clock_ = 0;
+  uint64_t install_seq_ = 0;
   /// Recycled buffers by floor-log2 capacity class.
   std::vector<std::vector<std::vector<uint8_t>>> free_lists_;
   uint64_t free_list_bytes_ = 0;

@@ -131,7 +131,6 @@ Result<ThroughputSample> ShardEngine::BulkLoad() {
   ThroughputSample sample;
   const auto host_t0 = std::chrono::steady_clock::now();
   PhaseSettle settle(repo_);
-  const bool lockstep = !config_.overlap && repo_->shared_spindle();
   const double t0 = repo_->now();
   uint64_t live = 0;
   while (true) {
@@ -152,7 +151,6 @@ Result<ThroughputSample> ShardEngine::BulkLoad() {
     } else {
       LOR_RETURN_IF_ERROR(repo_->Put(key, size));
     }
-    if (lockstep) LOR_RETURN_IF_ERROR(repo_->DrainIo());
     keys_.push_back(key);
     sizes_.push_back(size);
     live += size;
@@ -179,7 +177,6 @@ Result<ThroughputSample> ShardEngine::AgeTo(double target_age) {
   // Declared before the window so an error path exits the window
   // (draining queued work) before parking at the phase fence.
   PhaseSettle settle(repo_);
-  const bool lockstep = !config_.overlap && repo_->shared_spindle();
   const double t0 = repo_->now();
   QueueDepthWindow window(repo_);
   LOR_RETURN_IF_ERROR(window.Enter(config_.queue_depth, config_.queue_policy));
@@ -192,7 +189,6 @@ Result<ThroughputSample> ShardEngine::AgeTo(double target_age) {
     } else {
       LOR_RETURN_IF_ERROR(repo_->SafeWrite(keys_[victim], new_size));
     }
-    if (lockstep) LOR_RETURN_IF_ERROR(repo_->DrainIo());
     sizes_[victim] = new_size;
     age_.RecordReplacement(old_size, new_size);
     sample.bytes += new_size;
@@ -210,43 +206,22 @@ Result<ThroughputSample> ShardEngine::MeasureReadThroughput() {
   ThroughputSample sample;
   const auto host_t0 = std::chrono::steady_clock::now();
   PhaseSettle settle(repo_);
-  const bool lockstep = !config_.overlap && repo_->shared_spindle();
   const uint64_t probes =
       std::min<uint64_t>(config_.read_probe_samples, keys_.size());
   // One scratch buffer for the whole phase (when payloads are wanted
   // at all) — never a per-operation allocation.
   std::vector<uint8_t>* out =
       config_.materialize_reads ? &read_scratch_ : nullptr;
-  // Victims are drawn up front — same stream, same order as the
-  // historical draw-inside-the-loop — so a warm pass touches exactly
-  // the objects the timed pass will read.
-  probe_victims_.clear();
-  probe_victims_.reserve(probes);
-  for (uint64_t i = 0; i < probes; ++i) {
-    probe_victims_.push_back(rng_.Uniform(keys_.size()));
-  }
-  auto read_victims = [&]() -> Status {
-    for (const uint64_t victim : probe_victims_) {
-      if (config_.use_handles) {
-        LOR_RETURN_IF_ERROR(repo_->Get(handles_[victim], out));
-      } else {
-        LOR_RETURN_IF_ERROR(repo_->Get(keys_[victim], out));
-      }
-      if (lockstep) LOR_RETURN_IF_ERROR(repo_->DrainIo());
-    }
-    return Status::OK();
-  };
-  if (config_.warm_reads) {
-    // Untimed warm pass, then a flush+drain so the timed pass starts
-    // against a quiet device with clean frames.
-    LOR_RETURN_IF_ERROR(read_victims());
-    LOR_RETURN_IF_ERROR(repo_->DrainIo());
-  }
   const double t0 = repo_->now();
   QueueDepthWindow window(repo_);
   LOR_RETURN_IF_ERROR(window.Enter(config_.queue_depth, config_.queue_policy));
-  LOR_RETURN_IF_ERROR(read_victims());
-  for (const uint64_t victim : probe_victims_) {
+  for (uint64_t i = 0; i < probes; ++i) {
+    const uint64_t victim = rng_.Uniform(keys_.size());
+    if (config_.use_handles) {
+      LOR_RETURN_IF_ERROR(repo_->Get(handles_[victim], out));
+    } else {
+      LOR_RETURN_IF_ERROR(repo_->Get(keys_[victim], out));
+    }
     sample.bytes += sizes_[victim];
     ++sample.operations;
   }

@@ -10,6 +10,11 @@
 // single-threaded GetPutRunner operation-for-operation. GetPutRunner is
 // now a thin wrapper over this class; ShardedRunner drives one engine
 // per shard on a dedicated thread.
+//
+// On a shared spindle the engine never drains after an operation: it
+// leaves submitted work outstanding on the plane, so this shard's host
+// work (key selection, payload staging) overlaps other shards' service
+// rounds, and each phase ends at one fence (ObjectRepository::SettleIo).
 
 #ifndef LOREPO_WORKLOAD_SHARD_ENGINE_H_
 #define LOREPO_WORKLOAD_SHARD_ENGINE_H_
@@ -58,25 +63,6 @@ struct WorkloadConfig {
   uint32_t queue_depth = 1;
   /// Service order when queue_depth > 1.
   sim::SchedPolicy queue_policy = sim::SchedPolicy::kSptf;
-  /// Run one untimed pass over the read-probe set (then drain) before
-  /// the timed pass, so a sized buffer pool serves the measurement from
-  /// cache — the warm-cache regime of the cache ablation. Off (the
-  /// default) keeps the paper's cold-probe regime, operation-for-
-  /// operation identical to the historical path.
-  bool warm_reads = false;
-  /// Shared-spindle submission style. On (the default) the engine
-  /// leaves submitted operations outstanding on the plane, so this
-  /// shard's host-side work (key selection, payload staging) overlaps
-  /// other shards' service rounds. Off forces a drain after every
-  /// operation — the lockstep A/B baseline that makes the overlap win
-  /// measurable in host wall seconds. Ignored on dedicated spindles,
-  /// where the synchronous path never waits on a peer. The total work
-  /// (operations, bytes) is identical either way, but the per-op
-  /// drains fence the plane after every operation, so the simulated
-  /// interleave (and with it queue waits and seek interference)
-  /// differs from the batched run-ahead submission — compare wall
-  /// columns across the A/B, not simulated ones.
-  bool overlap = true;
 };
 
 /// Throughput measured over an interval of simulated time.
@@ -181,9 +167,6 @@ class ShardEngine {
   /// Read-probe payload scratch, reused across every Get of a measure
   /// phase (materialize_reads) instead of a per-op allocation.
   std::vector<uint8_t> read_scratch_;
-  /// Victim indices of the current probe phase (drawn up front so a
-  /// warm pass touches exactly the objects the timed pass reads).
-  std::vector<uint64_t> probe_victims_;
   /// Next unconsidered index in the global key namespace.
   uint64_t next_index_ = 0;
   bool loaded_ = false;

@@ -7,7 +7,7 @@ namespace workload {
 
 ShardedRunner::ShardedRunner(const core::RepositoryFactory& factory,
                              WorkloadConfig config, uint32_t shards)
-    : router_(shards == 0 ? 1 : shards), config_(config) {
+    : router_(shards == 0 ? 1 : shards) {
   const uint32_t n = router_.shard_count();
   // A single shard skips routing entirely (null router): the engine
   // then owns every key without hashing, reproducing GetPutRunner.
@@ -115,14 +115,6 @@ Result<ThroughputSample> ShardedRunner::MeasureReadThroughput() {
 }
 
 Result<AgeMeasureSample> ShardedRunner::AgeAndMeasure(double target_age) {
-  if (!config_.overlap) {
-    // A/B baseline: two barrier-separated dispatches, so no shard's
-    // host work runs ahead of the slowest ager.
-    AgeMeasureSample out;
-    LOR_ASSIGN_OR_RETURN(out.aged, AgeTo(target_age));
-    LOR_ASSIGN_OR_RETURN(out.read, MeasureReadThroughput());
-    return out;
-  }
   return RunPhase([target_age](ShardEngine* engine) {
     return engine->AgeAndMeasure(target_age);
   });

@@ -65,9 +65,7 @@ class ShardedRunner {
   /// at a host-side barrier until the slowest shard has aged, so the
   /// checkpoint's host wall time is max(age_i + measure_i) rather than
   /// max(age_i) + max(measure_i). Simulated results are identical to
-  /// the separate calls. When the workload config disables overlap,
-  /// falls back to exactly those two barrier-separated dispatches (the
-  /// A/B baseline).
+  /// the separate calls.
   Result<AgeMeasureSample> AgeAndMeasure(double target_age);
 
   /// Volume-wide fragmentation: per-shard trackers merged exactly
@@ -122,7 +120,6 @@ class ShardedRunner {
   void WorkerLoop(uint32_t shard);
 
   core::ShardRouter router_;
-  WorkloadConfig config_;
   std::vector<Shard> shards_;
 
   // Worker-pool state. `mu_` guards everything below; phase_fn_ is

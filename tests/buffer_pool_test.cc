@@ -156,7 +156,6 @@ TEST(BufferPoolTest, SpanningReadHitsAcrossAdjacentFrames) {
   BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
   BufferPoolOptions options;
   options.capacity_bytes = 1 * kMiB;
-  options.read_ahead = false;
   BufferPool pool(&dev, options);
   const std::vector<uint8_t> data = Pattern(2 * kFrame, 4);
   ASSERT_TRUE(dev.Write(0, 2 * kFrame, data).ok());
@@ -210,19 +209,6 @@ TEST(BufferPoolTest, WriteBackParksDirtyThenFlushes) {
       << "flushed bytes differ from the written payload";
 }
 
-TEST(BufferPoolTest, WriteThroughModeWritesImmediately) {
-  BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
-  BufferPoolOptions options;
-  options.capacity_bytes = 1 * kMiB;
-  options.write_back = false;
-  BufferPool pool(&dev, options);
-  const std::vector<uint8_t> data = Pattern(kFrame, 6);
-  std::vector<CacheSlice> w = {Slice(0, kFrame, data.data(), nullptr)};
-  ASSERT_TRUE(pool.WriteThrough(w).ok());
-  EXPECT_EQ(dev.stats().writes, 1u);
-  EXPECT_EQ(pool.dirty_bytes(), 0u);
-}
-
 TEST(BufferPoolTest, EvictionRecyclesFrameBuffers) {
   BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
   BufferPoolOptions options;
@@ -241,32 +227,6 @@ TEST(BufferPoolTest, EvictionRecyclesFrameBuffers) {
   EXPECT_GT(pool.stats().frame_recycles, 0u)
       << "steady-state fills must reuse evicted buffers";
   EXPECT_LE(pool.cached_bytes(), options.capacity_bytes);
-}
-
-TEST(BufferPoolTest, StrictLruEvictsColdestFrame) {
-  BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
-  BufferPoolOptions options;
-  options.capacity_bytes = 2 * kFrame;
-  options.shards = 1;
-  options.strict_lru = true;
-  BufferPool pool(&dev, options);
-  ASSERT_TRUE(dev.Write(0, 8 * kFrame).ok());
-
-  std::vector<uint8_t> back(kFrame);
-  auto read = [&](uint64_t frame) {
-    std::vector<CacheSlice> r = {
-        Slice(frame * kFrame, kFrame, nullptr, back.data())};
-    ASSERT_TRUE(pool.ReadThrough(r).ok());
-  };
-  read(0);
-  read(1);
-  read(0);  // 0 is now the most recent; 1 is the LRU victim.
-  read(2);  // Evicts 1.
-  const uint64_t misses = pool.stats().misses;
-  read(0);
-  EXPECT_EQ(pool.stats().misses, misses) << "frame 0 should have survived";
-  read(1);
-  EXPECT_EQ(pool.stats().misses, misses + 1) << "frame 1 should be gone";
 }
 
 TEST(BufferPoolTest, PinnedFramesRefuseEviction) {

@@ -83,7 +83,9 @@ TEST(PageFileTest, FreeAndReuseLowest) {
   auto dev = MakeDevice();
   PageFileOptions opts;
   opts.deferred_free_allocations = 0;  // Immediate release.
-  opts.scan_from_hint = false;         // Pure lowest-first scan.
+  // Eight extents and no autogrow: the hint scan wraps onto the holes.
+  opts.initial_bytes = 8 * 64 * kKiB;
+  opts.max_bytes = opts.initial_bytes;
   PageFile file(dev.get(), opts);
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(file.AllocateExtent().ok());
   ASSERT_TRUE(file.FreeExtents(2, 1).ok());
@@ -97,7 +99,10 @@ TEST(PageFileTest, DeferredFreeDelaysReuse) {
   auto dev = MakeDevice();
   PageFileOptions opts;
   opts.deferred_free_allocations = 4;
-  opts.scan_from_hint = false;
+  // Twelve extents and no autogrow: four stay free for the delay, then
+  // the hint scan wraps onto the released hole.
+  opts.initial_bytes = 12 * 64 * kKiB;
+  opts.max_bytes = opts.initial_bytes;
   PageFile file(dev.get(), opts);
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(file.AllocateExtent().ok());
   ASSERT_TRUE(file.FreeExtents(2, 1).ok());
@@ -218,7 +223,6 @@ TEST(BlobBtreeTest, FragmentedFreeSpaceFragmentsBlob) {
   opts.initial_bytes = 8 * kMiB;
   opts.max_bytes = 8 * kMiB;  // No autogrow: force reuse of holes.
   opts.deferred_free_allocations = 0;
-  opts.scan_from_hint = false;
   BlobRig rig(dev.get(), opts);
   // Allocate every extent, then free every other one.
   std::vector<uint64_t> all;
@@ -272,7 +276,7 @@ TEST(LobAllocationUnitTest, SharesExtentsBetweenAllocations) {
 TEST(LobAllocationUnitTest, FreedPagesReusedBeforeNewExtents) {
   auto dev = MakeDevice();
   PageFile file(dev.get());
-  LobAllocationUnit unit(&file, PageScanPolicy::kLowestFirst);
+  LobAllocationUnit unit(&file);
   std::vector<uint64_t> pages;
   for (int i = 0; i < 16; ++i) {
     auto p = unit.AllocatePage();

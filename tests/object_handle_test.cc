@@ -261,21 +261,6 @@ TEST(ObjectHandleFsTest, SafeWriteTempsRecycleMftRecords) {
   // Every replacement freed the displaced record; the pool is primed
   // and creates drain it, so the id space stays bounded.
   EXPECT_GT(repo->store()->recycled_record_ids(), 0u);
-
-  // Recycling changes record placement (timing) only, never layout.
-  FsRepositoryConfig no_recycle = config;
-  no_recycle.store.recycle_mft_records = false;
-  auto baseline = std::make_unique<FsRepository>(no_recycle);
-  ASSERT_TRUE(baseline->Put("k", 512 * kKiB).ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(baseline->SafeWrite("k", 512 * kKiB).ok());
-  }
-  EXPECT_EQ(baseline->store()->recycled_record_ids(), 0u);
-  auto a = repo->GetLayout("k");
-  auto b = baseline->GetLayout("k");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
 }
 
 TEST(ObjectHandleFsTest, SelfReplaceIsRejectedNotCorrupting) {

@@ -14,10 +14,8 @@
 //     for bit (samples, device stats, latency histograms);
 //   * interference attribution — cross-owner seeks are charged only
 //     when spindles are actually shared;
-//   * phase fusion / overlap A/B — AgeAndMeasure equals the
-//     barrier-separated AgeTo + MeasureReadThroughput, and
-//     WorkloadConfig::overlap changes host scheduling only, never the
-//     simulated results.
+//   * phase fusion — AgeAndMeasure equals the barrier-separated
+//     AgeTo + MeasureReadThroughput.
 
 #include <gtest/gtest.h>
 
@@ -384,37 +382,6 @@ TEST_P(SpindlePlaneBackendTest, FusedAgeAndMeasureMatchesSeparatePhases) {
     ExpectSameSample(both->read, *read);
     sim::ExpectSameStats(fused.device_stats(), separate.device_stats());
   }
-}
-
-TEST_P(SpindlePlaneBackendTest, OverlapModeLeavesWorkIdentical) {
-  // --no-overlap (the lockstep A/B baseline) drains after every op on
-  // shared spindles. The per-op fences change the simulated interleave
-  // (queue waits, seek interference) — that is the point of the A/B —
-  // but the work itself must be identical: same operations, same
-  // bytes, same surviving objects, and both runs individually
-  // deterministic.
-  auto run_with_overlap = [&](bool overlap) {
-    auto factory = MakeFactory(GetParam());
-    factory->set_spindle_topology(SharedTopology(2));
-    WorkloadConfig config = SmallWorkload(/*queue_depth=*/4);
-    config.overlap = overlap;
-    return RunAging(*factory, config, 2);
-  };
-  const RunOutcome overlapped = run_with_overlap(true);
-  const RunOutcome lockstep = run_with_overlap(false);
-  EXPECT_EQ(overlapped.load.bytes, lockstep.load.bytes);
-  EXPECT_EQ(overlapped.load.operations, lockstep.load.operations);
-  EXPECT_EQ(overlapped.aged.bytes, lockstep.aged.bytes);
-  EXPECT_EQ(overlapped.aged.operations, lockstep.aged.operations);
-  EXPECT_EQ(overlapped.read.bytes, lockstep.read.bytes);
-  EXPECT_EQ(overlapped.read.operations, lockstep.read.operations);
-  EXPECT_EQ(overlapped.objects, lockstep.objects);
-  EXPECT_GT(overlapped.device.interference_seeks, 0u);
-  EXPECT_GT(lockstep.device.interference_seeks, 0u);
-  // Lockstep is deterministic too, like the overlapped runs checked in
-  // SharedSpindleDeterministicAcrossRuns.
-  const RunOutcome lockstep_again = run_with_overlap(false);
-  ExpectSameOutcome(lockstep, lockstep_again);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SpindlePlaneBackendTest,
