@@ -35,7 +35,7 @@
 //     cost only) and reaches the platter lazily — when the dirty ratio
 //     trips, on FlushRange/FlushAll (fs fsync), at eviction, or at
 //     DrainIo — batched in offset order through one vectored WriteV, so
-//     flushes ride the PR 6 IoScheduler.
+//     flushes ride the IoScheduler.
 //   * While an armed sim::FaultInjector is attached to the device the
 //     pool *forces write-through* (counted in forced_write_through),
 //     so the PR 7 crash-consistency oracle stays honest: an acked op's

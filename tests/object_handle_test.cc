@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,6 +59,11 @@ struct BackendCase {
   std::string label;
   RepoFactory make;
 };
+
+/// Names the case by its label, so test names stay stable across runs
+/// (gtest would otherwise print the struct's raw bytes, pointers
+/// included).
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.label; }
 
 /// Full observable state of a repository, keyed by object.
 std::map<std::string, std::pair<alloc::ExtentList, uint64_t>> Snapshot(

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "core/db_repository.h"
 #include "core/fragmentation.h"
@@ -46,6 +47,11 @@ struct BackendCase {
   std::string label;
   RepoFactory make;
 };
+
+/// Names the case by its label, so test names stay stable across runs
+/// (gtest would otherwise print the struct's raw bytes, pointers
+/// included).
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.label; }
 
 class RepositoryContractTest : public ::testing::TestWithParam<BackendCase> {
  protected:
