@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -12,7 +13,10 @@
 #include "core/db_repository.h"
 #include "core/fragmentation.h"
 #include "core/fs_repository.h"
+#include "core/repository_factory.h"
 #include "core/storage_age.h"
+#include "sim/fault_injector.h"
+#include "sim/media_fault.h"
 #include "util/random.h"
 
 namespace lor {
@@ -295,6 +299,282 @@ TEST(FsRepositoryTest, PreallocationReducesFragmentsUnderChurn) {
   const double hinted_frags =
       AnalyzeFragmentation(hinted).fragments_per_object;
   EXPECT_LE(hinted_frags, plain_frags);
+}
+
+
+// -- Decision pin --------------------------------------------------------
+
+/// FNV-1a fold of everything a repository decides and reports.
+class RepoHash {
+ public:
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xff;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void MixDouble(double d) { Mix(std::bit_cast<uint64_t>(d)); }
+  void MixString(const std::string& s) {
+    Mix(s.size());
+    for (char c : s) Mix(static_cast<uint8_t>(c));
+  }
+  void MixStatus(const Status& s) {
+    Mix(s.ok() ? 0 : 1 + static_cast<uint64_t>(s.code()));
+  }
+
+  void MixRepository(const ObjectRepository& repo) {
+    MixDouble(repo.now());
+    const sim::IoStats io = repo.device_stats();
+    for (uint64_t v : {io.reads, io.writes, io.bytes_read, io.bytes_written,
+                       io.seeks, io.sequential_hits, io.vectored_requests,
+                       io.coalesced_runs, io.interference_seeks,
+                       io.media_read_errors, io.degraded_requests}) {
+      Mix(v);
+    }
+    for (double v : {io.seek_time_s, io.rotational_time_s, io.transfer_time_s,
+                     io.busy_time_s, io.interference_seek_time_s,
+                     io.queue_wait_s, io.degraded_time_s}) {
+      MixDouble(v);
+    }
+    const sim::BufferPoolStats c = repo.cache_stats();
+    for (uint64_t v : {c.hits, c.misses, c.fills, c.evictions, c.writebacks,
+                       c.invalidations, c.hit_bytes, c.miss_bytes,
+                       c.fill_bytes, c.writeback_bytes, c.frame_allocs,
+                       c.frame_recycles, c.pinned_hits, c.eviction_refusals,
+                       c.write_installs, c.forced_write_through}) {
+      Mix(v);
+    }
+    MixString(repo.latency_recorder()->ToString());
+  }
+
+  void MixScrub(const ScrubReport& r) {
+    for (uint64_t v : {r.objects_scanned, r.bytes_scanned, r.read_errors,
+                       r.corruptions_detected, r.repaired, r.unrecoverable,
+                       r.quarantined_units}) {
+      Mix(v);
+    }
+  }
+
+  void MixFsck(const FsckReport& r) {
+    Mix(r.issues.size());
+    for (const FsckIssue& issue : r.issues) {
+      Mix(static_cast<uint64_t>(issue.kind));
+    }
+    Mix(r.objects_checked);
+    Mix(r.payloads_hashed);
+    Mix(r.quarantined_units);
+  }
+
+  void MixMount(const MountReport& r) {
+    for (uint64_t v : {r.entries_scanned, r.ops_redone, r.ops_rolled_back,
+                       r.orphan_temps_discarded, r.lost_objects,
+                       r.data_loss_bytes}) {
+      Mix(v);
+    }
+    MixDouble(r.recovery_seconds);
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+struct PinCase {
+  bool db = false;
+  uint32_t queue_depth = 1;
+  sim::SchedPolicy policy = sim::SchedPolicy::kSptf;
+  bool shared_plane = false;
+  uint64_t cache_bytes = 0;
+};
+
+std::unique_ptr<ObjectRepository> MakePinned(const PinCase& c) {
+  FsRepositoryConfig fs;
+  DbRepositoryConfig db;
+  fs.volume_bytes = db.volume_bytes = 64 * kMiB;
+  db.log_volume_bytes = 8 * kMiB;
+  fs.data_mode = db.data_mode = sim::DataMode::kRetain;
+  fs.cache.capacity_bytes = db.cache.capacity_bytes = c.cache_bytes;
+  if (!c.shared_plane) {
+    if (c.db) return std::make_unique<DbRepository>(db);
+    return std::make_unique<FsRepository>(fs);
+  }
+  // One shard on a two-owner topology: a real plane whose spindle holds
+  // a single owner, so the whole port path runs on this thread.
+  SpindleTopology topology;
+  topology.owners_per_spindle = 2;
+  std::unique_ptr<RepositoryFactory> factory;
+  if (c.db) {
+    factory = std::make_unique<DbRepositoryFactory>(db);
+  } else {
+    factory = std::make_unique<FsRepositoryFactory>(fs);
+  }
+  factory->set_spindle_topology(topology);
+  return factory->Create(0, 1);
+}
+
+sim::BlockDevice* PinnedDevice(ObjectRepository* repo, bool db) {
+  if (db) return static_cast<DbRepository*>(repo)->data_device();
+  return static_cast<FsRepository*>(repo)->device();
+}
+
+uint64_t RunPinned(const PinCase& c, uint64_t seed) {
+  // Fault planes first: they must outlive the devices they attach to.
+  sim::FaultInjector injector;
+  sim::MediaFaultModel media;
+  std::unique_ptr<ObjectRepository> repo = MakePinned(c);
+  EXPECT_EQ(repo->shared_spindle(), c.shared_plane);
+  sim::BlockDevice* device = PinnedDevice(repo.get(), c.db);
+  device->AttachMediaFaults(&media);
+  RepoHash hash;
+  Rng rng(seed);
+  auto key = [](uint64_t i) { return "obj" + std::to_string(i); };
+  auto payload = [&rng](uint64_t bytes) {
+    std::vector<uint8_t> data(bytes);
+    for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+    return data;
+  };
+
+  // Seeded op mix over both access surfaces.
+  constexpr uint64_t kKeys = 24;
+  const uint32_t alt_depth = c.queue_depth > 1 ? 1 : 2;
+  uint32_t depth = c.queue_depth;
+  hash.MixStatus(repo->SetQueueDepth(depth, c.policy));
+  for (int op = 0; op < 240; ++op) {
+    const std::string k = key(rng.Uniform(kKeys));
+    const uint64_t bytes = rng.UniformRange(1, 12) * 16 * kKiB;
+    const uint64_t pick = rng.Uniform(100);
+    Status s;
+    if (pick < 20) {
+      const std::vector<uint8_t> data = payload(bytes);
+      s = repo->Put(k, bytes, data);
+    } else if (pick < 35) {
+      const std::vector<uint8_t> data = payload(bytes);
+      s = repo->SafeWrite(k, bytes, data);
+    } else if (pick < 45) {
+      const std::vector<uint8_t> data = payload(bytes);
+      auto h = repo->OpenForWrite(k);
+      s = h.status();
+      if (h.ok()) {
+        s = repo->SafeWrite(*h, bytes, data);
+        hash.MixStatus(repo->Release(&*h));
+      }
+    } else if (pick < 60) {
+      std::vector<uint8_t> out;
+      s = repo->Get(k, &out);
+      hash.Mix(out.size());
+    } else if (pick < 70) {
+      auto h = repo->Open(k);
+      s = h.status();
+      if (h.ok()) {
+        std::vector<uint8_t> out;
+        s = repo->Get(*h, &out);
+        hash.Mix(out.size());
+        hash.MixStatus(repo->Release(&*h));
+      }
+    } else if (pick < 78) {
+      s = repo->Delete(k);
+    } else if (pick < 84) {
+      auto h = repo->OpenForWrite(k);
+      s = h.status();
+      if (h.ok()) {
+        s = repo->Delete(&*h);
+        if (!s.ok()) hash.MixStatus(repo->Release(&*h));
+      }
+    } else if (pick < 88) {
+      depth = depth == c.queue_depth ? alt_depth : c.queue_depth;
+      s = repo->SetQueueDepth(depth, c.policy);
+    } else if (pick < 92) {
+      s = repo->DrainIo();
+    } else if (pick < 96) {
+      s = repo->SettleIo();
+    } else {
+      s = repo->FlushCache();
+    }
+    hash.MixStatus(s);
+  }
+  hash.MixStatus(repo->DrainIo());
+  hash.MixRepository(*repo);
+
+  // Transient and persistent latent sector errors plus rot, then
+  // bounded scrub passes that lap the cursor, then the verifier.
+  sim::MediaFaultSpec spec;
+  spec.seed = seed;
+  spec.lse_rate = 0.25;
+  spec.transient_fraction = 0.75;
+  spec.transient_failures = 1;
+  spec.corruption_rate = 0.05;
+  media.Arm(spec);
+  ScrubOptions options;
+  options.max_objects = 7;
+  for (int pass = 0; pass < 4; ++pass) {
+    auto scrub = repo->Scrub(options);
+    hash.MixStatus(scrub.status());
+    if (scrub.ok()) hash.MixScrub(*scrub);
+  }
+  media.Disarm();
+  auto fsck = repo->Fsck();
+  hash.MixStatus(fsck.status());
+  if (fsck.ok()) hash.MixFsck(*fsck);
+  hash.MixStatus(repo->DrainIo());
+  hash.MixRepository(*repo);
+
+  if (c.shared_plane) {
+    EXPECT_TRUE(repo->Mount().status().IsNotSupported());
+    hash.MixStatus(repo->Mount().status());
+    return hash.value();
+  }
+
+  // Power cut a few writes into a safe-write burst, then recovery.
+  device->AttachFaultInjector(&injector);
+  if (c.db) {
+    sim::BlockDevice* log = static_cast<DbRepository*>(repo.get())->log_device();
+    if (log != nullptr) log->AttachFaultInjector(&injector);
+  }
+  sim::CrashSpec cut;
+  cut.crash_after_writes = 9;
+  cut.seed = seed;
+  injector.Arm(cut);
+  for (int i = 0; i < 32 && !injector.tripped(); ++i) {
+    const uint64_t bytes = rng.UniformRange(1, 8) * 16 * kKiB;
+    const std::vector<uint8_t> data = payload(bytes);
+    hash.MixStatus(repo->SafeWrite(key(rng.Uniform(kKeys)), bytes, data));
+  }
+  EXPECT_TRUE(injector.tripped());
+  injector.MaterializeCrash();
+  auto mount = repo->Mount();
+  hash.MixStatus(mount.status());
+  if (mount.ok()) hash.MixMount(*mount);
+  auto after = repo->Fsck();
+  hash.MixStatus(after.status());
+  if (after.ok()) hash.MixFsck(*after);
+  hash.MixRepository(*repo);
+  return hash.value();
+}
+
+TEST(RepositoryPinTest, RepositoryDecisionsArePinned) {
+  // Both back ends through every data-volume path the repositories
+  // share: the queue depth and its policy, drains, settles and cache
+  // flushes, the scrub cursor and repair, the verifier, and mount after
+  // a power cut. Any change to a charge, a counter, a latency record or
+  // a report changes the fold.
+  RepoHash hash;
+  uint64_t seed = 100;
+  for (bool db : {false, true}) {
+    PinCase dedicated_qd1;
+    dedicated_qd1.db = db;
+    PinCase dedicated_qd8 = dedicated_qd1;
+    dedicated_qd8.queue_depth = 8;
+    PinCase plane = dedicated_qd1;
+    plane.shared_plane = true;
+    PinCase cached = dedicated_qd1;
+    cached.cache_bytes = 2 * kMiB;
+    for (const PinCase& c : {dedicated_qd1, dedicated_qd8, plane, cached}) {
+      const uint64_t value = RunPinned(c, ++seed);
+      hash.Mix(value);
+    }
+  }
+  EXPECT_EQ(hash.value(), 0xb6c04d1bc313b215ull);
 }
 
 }  // namespace
