@@ -9,6 +9,14 @@
 // mutations are thin open–op–release wrappers over the same code (the
 // name-based Get is the store's own per-call query + lookup + read),
 // charging exactly what the historical per-operation path charged.
+//
+// The data volume, its queue, cache and Mount preamble are the shared
+// VolumeRepository; this class adds the log volume, the BLOB engine,
+// its log-replay recovery step and its scrub repair step. The scheduler
+// fronts the data volume only: the log stays a strictly-ordered
+// synchronous append stream (bulk-logged commits are tiny and
+// serialized by the engine), with commit waits charged to the op's
+// chain as CPU.
 
 #ifndef LOREPO_CORE_DB_REPOSITORY_H_
 #define LOREPO_CORE_DB_REPOSITORY_H_
@@ -17,42 +25,29 @@
 #include <string>
 #include <vector>
 
-#include "core/object_repository.h"
+#include "core/volume_repository.h"
 #include "db/blob_store.h"
-#include "sim/block_device.h"
-#include "sim/buffer_pool.h"
-#include "sim/spindle_plane.h"
 
 namespace lor {
 namespace core {
 
-/// Configuration of the database-backed repository.
-struct DbRepositoryConfig {
-  /// Data volume size.
-  uint64_t volume_bytes = 40 * kGiB;
+/// Configuration of the database-backed repository: the data volume
+/// (VolumeConfig; the buffer pool fronts it alone — a strictly-ordered
+/// log append stream gains nothing from one) plus the log volume and the
+/// engine. The shared-spindle binding covers the data volume only: the
+/// dedicated log device, when enabled, stays private to this shard —
+/// its own spindle, its own clock — matching the paper's
+/// log-on-a-separate-drive setup.
+struct DbRepositoryConfig : VolumeConfig {
   /// Dedicated log volume size (0 disables the log device and charges
   /// commits as CPU only).
   uint64_t log_volume_bytes = 4 * kGiB;
-  /// Drive model; capacity is overridden per volume.
-  sim::DiskParams disk = sim::DiskParams::St3400832as();
-  sim::DataMode data_mode = sim::DataMode::kMetadataOnly;
-  /// Buffer pool fronting the data volume (the log stays uncached — a
-  /// strictly-ordered append stream gains nothing from one). Capacity 0
-  /// (the default) disables the pool — the paper's cold-cache regime.
-  sim::BufferPoolOptions cache;
   /// Engine tuning (write request size, bulk-logged mode, costs...).
   db::BlobStoreOptions store;
-  /// Shared-spindle binding for the *data* volume (see
-  /// FsRepositoryConfig::spindle). The dedicated log device, when
-  /// enabled, stays private to this shard — its own spindle, its own
-  /// clock — matching the paper's log-on-a-separate-drive setup. Crash
-  /// simulation is unavailable in shared mode.
-  std::shared_ptr<sim::SpindlePlane> spindle;
-  uint32_t spindle_owner = 0;
 };
 
 /// Database-backed ObjectRepository.
-class DbRepository : public ObjectRepository {
+class DbRepository : public VolumeRepository {
  public:
   explicit DbRepository(DbRepositoryConfig config = {});
 
@@ -89,23 +84,9 @@ class DbRepository : public ObjectRepository {
   const FragmentationTracker* fragmentation_tracker() const override;
   uint64_t object_count() const override;
   uint64_t live_bytes() const override;
-  uint64_t volume_bytes() const override;
   uint64_t free_bytes() const override;
-  double now() const override;
-  sim::IoStats device_stats() const override;
-  sim::BufferPoolStats cache_stats() const override {
-    return pool_->stats();
-  }
-  Status FlushCache() override;
   Status CheckConsistency() const override;
   std::string name() const override { return "database"; }
-
-  /// Checkpoint + log-tail replay against the attached
-  /// sim::FaultInjector's durability verdicts (db::BlobStore::Recover).
-  /// When the injector tripped, the data scheduler's dead queue is
-  /// abandoned and both volumes' head positions invalidated first, so
-  /// calling Mount right after MaterializeCrash is the whole restart.
-  Result<MountReport> Mount() override;
 
   /// Adds to the base verifier: payload FNV-1a checks under
   /// DataMode::kRetain (kTornPayload / kLostObject), and exact page
@@ -114,52 +95,30 @@ class DbRepository : public ObjectRepository {
   /// window is armed — held pre-images look like leaks.
   Result<FsckReport> Fsck() override;
 
-  /// Background scrubber pass with repair: walks objects from the
-  /// persistent cursor re-reading payloads with charged I/O. A read
-  /// that only succeeded through media retries marks the blob's pages
-  /// pending-bad and supersedes it with a safe write (the old pages
-  /// divert to the allocation unit's quarantine list when freed);
-  /// reads that stay broken after retry count as unrecoverable (a
-  /// client rewrite heals them).
-  Result<ScrubReport> Scrub(const ScrubOptions& options = {}) override;
-
-  // Submission/completion pipeline. The scheduler fronts the data
-  // volume only: the log stays a strictly-ordered synchronous append
-  // stream (bulk-logged commits are tiny and serialized by the engine),
-  // with commit waits charged to the op's chain as CPU.
-  Status SetQueueDepth(
-      uint32_t depth,
-      sim::SchedPolicy policy = sim::SchedPolicy::kSptf) override;
-  Status DrainIo() override;
-  Status SettleIo() override;
-  bool shared_spindle() const override;
-  const sim::LatencyRecorder* latency_recorder() const override {
-    return &latency_;
-  }
-
   db::BlobStore* blob_store() { return store_.get(); }
-  sim::BlockDevice* data_device() { return data_device_.get(); }
   /// Null when the configuration disables the dedicated log volume.
   sim::BlockDevice* log_device() { return log_device_.get(); }
-  sim::IoScheduler* io_scheduler() { return scheduler_.get(); }
-  sim::BufferPool* buffer_pool() { return pool_.get(); }
   const DbRepositoryConfig& config() const { return config_; }
+
+ protected:
+  /// Checkpoint + log-tail replay (db::BlobStore::Recover). After a
+  /// power cut the log spindle restarts cold too.
+  Status RecoverStore(bool power_cycled, MountReport* report) override;
+
+  /// Scrub's repair: marks the blob's pages pending-bad and supersedes
+  /// it with a safe write of the scrubbed payload (the old pages divert
+  /// to the allocation unit's quarantine list when freed).
+  void RepairScrubbed(const std::string& key,
+                      const std::vector<uint8_t>& payload,
+                      ScrubReport* report) override;
 
  private:
   /// Converts a page-run layout into byte extents.
   Result<alloc::ExtentList> ScaleLayout(Result<db::BlobLayout> layout) const;
 
   DbRepositoryConfig config_;
-  std::unique_ptr<sim::BlockDevice> data_device_;
-  /// Cache tier fronting data_device_ only. Always constructed
-  /// (possibly disabled).
-  std::unique_ptr<sim::BufferPool> pool_;
   std::unique_ptr<sim::BlockDevice> log_device_;
   std::unique_ptr<db::BlobStore> store_;
-  sim::LatencyRecorder latency_;
-  /// Fronts data_device_ for the repository's whole lifetime
-  /// (disengaged = synchronous).
-  std::unique_ptr<sim::IoScheduler> scheduler_;
 };
 
 }  // namespace core

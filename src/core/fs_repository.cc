@@ -1,11 +1,5 @@
 #include "core/fs_repository.h"
 
-#include <algorithm>
-#include <cassert>
-
-#include "sim/fault_injector.h"
-#include "util/fnv.h"
-
 namespace lor {
 namespace core {
 
@@ -29,70 +23,10 @@ FsRepository::FsRepository(FsRepositoryConfig config)
 
 FsRepository::FsRepository(FsRepositoryConfig config,
                            std::unique_ptr<alloc::ExtentAllocator> allocator)
-    : config_(std::move(config)) {
-  if (config_.spindle != nullptr) {
-    // Shared spindle: the data volume is this owner's region of the
-    // plane's hub disk. Format below still charges synchronously on
-    // the hub clock — repositories construct serially, before any
-    // plane traffic — and the scheduler is ported only afterwards.
-    device_ = config_.spindle->CreateOwnerDevice(config_.spindle_owner);
-    assert(device_->capacity() == config_.volume_bytes &&
-           "plane region must match volume_bytes");
-  } else {
-    device_ = std::make_unique<sim::BlockDevice>(
-        config_.disk.WithCapacity(config_.volume_bytes), config_.data_mode);
-  }
-  pool_ = std::make_unique<sim::BufferPool>(device_.get(), config_.cache);
-  device_->AttachBufferPool(pool_.get());
+    : VolumeRepository(config), config_(std::move(config)) {
   store_ = std::make_unique<fs::FileStore>(device_.get(), config_.store,
                                            std::move(allocator));
-  scheduler_ = std::make_unique<sim::IoScheduler>(device_.get(), &latency_);
-  device_->AttachScheduler(scheduler_.get());
-  if (config_.spindle != nullptr) {
-    scheduler_->AttachSpindle(config_.spindle.get(), config_.spindle_owner);
-  }
-}
-
-Status FsRepository::SetQueueDepth(uint32_t depth, sim::SchedPolicy policy) {
-  if (depth == 0) {
-    return Status::InvalidArgument("queue depth must be at least 1");
-  }
-  if (depth == 1) return scheduler_->Disengage();
-  return scheduler_->Engage(depth, policy);
-}
-
-Status FsRepository::DrainIo() {
-  // Dirty cached frames are in-flight work too: push them onto the
-  // queue, then drain it. CrashTortureRunner drains before arming the
-  // injector, so the loss window never silently includes lazy
-  // write-back state. In shared-spindle mode the flush must ride an op
-  // scope so its charges queue on the plane instead of racing the hub
-  // clock (Drain itself fences outside the scope).
-  {
-    sim::OpScope scope(scheduler_->port_mode() ? scheduler_.get() : nullptr,
-                       sim::OpClass::kControl);
-    LOR_RETURN_IF_ERROR(pool_->FlushAll());
-  }
-  scheduler_->Drain();
-  return Status::OK();
-}
-
-Status FsRepository::SettleIo() {
-  // Dedicated spindle: a phase that engaged the queue already drained
-  // through SetQueueDepth(1), and a synchronous phase has nothing
-  // outstanding — nothing to settle, and deliberately no cache flush
-  // (phase boundaries never flushed historically).
-  if (!scheduler_->port_mode()) return Status::OK();
-  scheduler_->SettlePhase();
-  return Status::OK();
-}
-
-bool FsRepository::shared_spindle() const { return scheduler_->port_mode(); }
-
-Status FsRepository::FlushCache() {
-  sim::OpScope scope(scheduler_->port_mode() ? scheduler_.get() : nullptr,
-                     sim::OpClass::kControl);
-  return pool_->FlushAll();
+  AttachScheduler();
 }
 
 std::string FsRepository::NextTempName(const std::string& key) {
@@ -104,6 +38,18 @@ std::string FsRepository::NextTempName(const std::string& key) {
   return name;
 }
 
+bool FsRepository::IsTempName(const std::string& name) {
+  const size_t tmp = name.rfind(".tmp");
+  return tmp != std::string::npos && tmp + 4 < name.size() &&
+         name.find_first_not_of("0123456789", tmp + 4) == std::string::npos;
+}
+
+Status FsRepository::CheckUserKey(const std::string& key) {
+  if (!IsTempName(key)) return Status::OK();
+  return Status::InvalidArgument(
+      "key has the safe-write temp form <name>.tmp<digits>: " + key);
+}
+
 // -- Handle surface ----------------------------------------------------
 
 Result<ObjectHandle> FsRepository::Open(const std::string& key) {
@@ -113,6 +59,7 @@ Result<ObjectHandle> FsRepository::Open(const std::string& key) {
 }
 
 Result<ObjectHandle> FsRepository::OpenForWrite(const std::string& key) {
+  LOR_RETURN_IF_ERROR(CheckUserKey(key));
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
   LOR_ASSIGN_OR_RETURN(fs::FileHandle fh, store_->OpenWrite(key));
   return MakeHandle(key, /*writable=*/true, fh.slot, fh.gen);
@@ -211,6 +158,7 @@ Result<uint64_t> FsRepository::GetSize(const ObjectHandle& handle) const {
 
 Status FsRepository::Put(const std::string& key, uint64_t size,
                          std::span<const uint8_t> data) {
+  LOR_RETURN_IF_ERROR(CheckUserKey(key));
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kPut);
   LOR_ASSIGN_OR_RETURN(fs::FileHandle h, store_->OpenWrite(key));
   auto bound = store_->HandleBound(h);
@@ -227,6 +175,7 @@ Status FsRepository::Put(const std::string& key, uint64_t size,
 
 Status FsRepository::SafeWrite(const std::string& key, uint64_t size,
                                std::span<const uint8_t> data) {
+  LOR_RETURN_IF_ERROR(CheckUserKey(key));
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kSafeWrite);
   LOR_ASSIGN_OR_RETURN(fs::FileHandle h, store_->OpenWrite(key));
   Status s = SafeWriteThrough(h, key, size, data);
@@ -289,47 +238,21 @@ uint64_t FsRepository::live_bytes() const {
   return store_->stats().live_bytes;
 }
 
-uint64_t FsRepository::volume_bytes() const { return device_->capacity(); }
-
 uint64_t FsRepository::free_bytes() const { return store_->FreeBytes(); }
-
-double FsRepository::now() const { return scheduler_->Now(); }
-
-sim::IoStats FsRepository::device_stats() const { return device_->stats(); }
 
 Status FsRepository::CheckConsistency() const {
   return store_->CheckConsistency();
 }
 
-Result<MountReport> FsRepository::Mount() {
-  if (scheduler_->port_mode()) {
-    return Status::NotSupported(
-        "crash simulation is per-spindle: Mount is unavailable in "
-        "shared-spindle mode");
-  }
-  const double t0 = device_->clock().now();
-  const sim::FaultInjector* injector = device_->fault_injector();
-  if (injector != nullptr && injector->tripped()) {
-    // The submission queue died with the power: its uncharged work
-    // never happened, and the head position is unknown after restart.
-    scheduler_->Abandon();
-    device_->NotePowerCycle();
-  } else {
-    // Clean remount: dirty frames reach the platter before the cache
-    // forgets them. After a crash they are (correctly) just lost.
-    LOR_RETURN_IF_ERROR(pool_->FlushAll());
-  }
-  // DRAM died with the power too: mount starts cold.
-  pool_->Reset();
+Status FsRepository::RecoverStore(bool /*power_cycled*/,
+                                  MountReport* report) {
   LOR_ASSIGN_OR_RETURN(fs::RecoveryStats rs, store_->Recover(IsTempName));
-  MountReport report;
-  report.entries_scanned = rs.entries_scanned;
-  report.ops_redone = rs.ops_redone;
-  report.ops_rolled_back = rs.ops_rolled_back;
-  report.orphan_temps_discarded = rs.orphan_temps_discarded;
-  report.data_loss_bytes = rs.data_loss_bytes;
-  report.recovery_seconds = device_->clock().now() - t0;
-  return report;
+  report->entries_scanned = rs.entries_scanned;
+  report->ops_redone = rs.ops_redone;
+  report->ops_rolled_back = rs.ops_rolled_back;
+  report->orphan_temps_discarded = rs.orphan_temps_discarded;
+  report->data_loss_bytes = rs.data_loss_bytes;
+  return Status::OK();
 }
 
 Result<FsckReport> FsRepository::Fsck() {
@@ -371,82 +294,28 @@ Result<FsckReport> FsRepository::Fsck() {
       hashed.emplace_back(name, info.payload_hash);
     }
   });
-  std::vector<uint8_t> payload;
-  for (const auto& [name, expected] : hashed) {
-    payload.clear();
-    const Status s = store_->ReadAll(name, &payload);
-    if (!s.ok()) {
-      report.issues.push_back(
-          {FsckIssue::Kind::kLostObject, name + ": " + s.ToString()});
-      continue;
-    }
-    ++report.payloads_hashed;
-    if (Fnv(payload) != expected) {
-      report.issues.push_back(
-          {FsckIssue::Kind::kTornPayload, "payload hash mismatch: " + name});
-    }
-  }
+  VerifyPayloads(
+      hashed,
+      [&](const std::string& name, std::vector<uint8_t>* out) {
+        return store_->ReadAll(name, out);
+      },
+      &report);
   return report;
 }
 
-Result<ScrubReport> FsRepository::Scrub(const ScrubOptions& options) {
-  ScrubReport report;
-  std::vector<std::string> keys = store_->ListFiles();
-  std::sort(keys.begin(), keys.end());
-  if (keys.empty()) {
-    scrub_cursor_.clear();
-    return report;
+void FsRepository::RepairScrubbed(const std::string& key,
+                                  const std::vector<uint8_t>& /*payload*/,
+                                  ScrubReport* report) {
+  // Repair by relocation: move the file onto fresh clusters and retire
+  // the suspect ones.
+  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
+  const uint64_t quarantined_before = store_->quarantined_cluster_count();
+  if (store_->MarkFilePendingBad(key).ok()) {
+    auto moved = store_->RelocateFile(key);
+    if (moved.ok() && *moved) ++report->repaired;
   }
-  size_t start = 0;
-  if (!scrub_cursor_.empty()) {
-    const auto it =
-        std::upper_bound(keys.begin(), keys.end(), scrub_cursor_);
-    start = static_cast<size_t>(it - keys.begin()) % keys.size();
-  }
-  const uint64_t budget =
-      options.max_objects == 0 ? keys.size() : options.max_objects;
-  const sim::MediaFaultModel* media = device_->media_faults();
-  std::vector<uint8_t> payload;
-  for (uint64_t i = 0; i < budget && i < keys.size(); ++i) {
-    const std::string& key = keys[(start + i) % keys.size()];
-    scrub_cursor_ = key;
-    const uint64_t errors_before =
-        media != nullptr ? media->stats().read_errors : 0;
-    const Status read = Get(key, &payload);  // Charged like a client read.
-    ++report.objects_scanned;
-    if (read.ok()) {
-      report.bytes_scanned += payload.size();
-      // The read succeeded but needed media retries: a transient latent
-      // sector error lives under this file. Repair by rewrite — move
-      // the payload onto fresh clusters and retire the suspect ones.
-      if (options.repair && media != nullptr &&
-          media->stats().read_errors > errors_before) {
-        sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-        const uint64_t quarantined_before =
-            store_->quarantined_cluster_count();
-        if (store_->MarkFilePendingBad(key).ok()) {
-          auto moved = store_->RelocateFile(key);
-          if (moved.ok() && *moved) ++report.repaired;
-        }
-        report.quarantined_units +=
-            store_->quarantined_cluster_count() - quarantined_before;
-      }
-    } else if (read.IsNotFound()) {
-      continue;  // Deleted since the listing: not a media problem.
-    } else if (read.IsCorruption()) {
-      ++report.corruptions_detected;
-      ++report.unrecoverable;
-    } else if (read.IsIoError()) {
-      ++report.read_errors;
-      ++report.unrecoverable;
-    } else {
-      return read;  // The scrubber itself failed; surface it.
-    }
-    if (options.max_bytes != 0 && report.bytes_scanned >= options.max_bytes) {
-      break;
-    }
-  }
-  return report;
+  report->quarantined_units +=
+      store_->quarantined_cluster_count() - quarantined_before;
 }
 
 }  // namespace core

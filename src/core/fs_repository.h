@@ -16,6 +16,14 @@
 // into a temp file whose MFT record id comes from the store's recycle
 // pool, so aging workloads rewrite a bounded set of record slots
 // instead of marching fresh records through the MFT zone.
+//
+// Temp names are `<key>.tmp<digits>`, and Mount's orphan sweep discards
+// every file of that form, so Put, SafeWrite and OpenForWrite reject
+// such keys with InvalidArgument before any I/O.
+//
+// The data volume, its queue, cache and Mount preamble are the shared
+// VolumeRepository; this class adds the file store, its journal
+// recovery step and its scrub repair step.
 
 #ifndef LOREPO_CORE_FS_REPOSITORY_H_
 #define LOREPO_CORE_FS_REPOSITORY_H_
@@ -24,46 +32,26 @@
 #include <string>
 #include <vector>
 
-#include "core/object_repository.h"
+#include "core/volume_repository.h"
 #include "fs/file_store.h"
-#include "sim/block_device.h"
-#include "sim/buffer_pool.h"
-#include "sim/spindle_plane.h"
 
 namespace lor {
 namespace core {
 
-/// Configuration of the filesystem-backed repository.
-struct FsRepositoryConfig {
-  /// Data volume size.
-  uint64_t volume_bytes = 40 * kGiB;
-  /// Drive model; capacity is overridden by volume_bytes.
-  sim::DiskParams disk = sim::DiskParams::St3400832as();
-  /// Retain payload bytes (tests only).
-  sim::DataMode data_mode = sim::DataMode::kMetadataOnly;
+/// Configuration of the filesystem-backed repository: the data volume
+/// (VolumeConfig) plus the file store on it.
+struct FsRepositoryConfig : VolumeConfig {
   /// Size of the application's append requests (64 KB in the paper).
   uint64_t write_request_bytes = 64 * kKiB;
-  /// Buffer pool fronting the data volume. Capacity 0 (the default)
-  /// disables the pool entirely — the paper's cold-cache regime.
-  sim::BufferPoolOptions cache;
   /// File store tuning.
   fs::FileStoreOptions store;
   /// When true, SafeWrite preallocates the temp file to its final size
   /// before streaming — the paper's proposed interface extension.
   bool preallocate_on_safe_write = false;
-  /// Shared-spindle binding. Non-null: the data volume is owner
-  /// `spindle_owner`'s region of this plane (the plane's region size
-  /// must equal volume_bytes) and the scheduler is ported onto it —
-  /// `disk` and `data_mode` above are then ignored for the data volume,
-  /// which shares the plane's hub disk. Null (default): dedicated
-  /// spindle, bit-identical historical behavior. Crash simulation
-  /// (Mount/recovery) is unavailable in shared mode.
-  std::shared_ptr<sim::SpindlePlane> spindle;
-  uint32_t spindle_owner = 0;
 };
 
 /// Filesystem-backed ObjectRepository.
-class FsRepository : public ObjectRepository {
+class FsRepository : public VolumeRepository {
  public:
   explicit FsRepository(FsRepositoryConfig config = {});
 
@@ -104,25 +92,9 @@ class FsRepository : public ObjectRepository {
   const FragmentationTracker* fragmentation_tracker() const override;
   uint64_t object_count() const override;
   uint64_t live_bytes() const override;
-  uint64_t volume_bytes() const override;
   uint64_t free_bytes() const override;
-  double now() const override;
-  sim::IoStats device_stats() const override;
-  sim::BufferPoolStats cache_stats() const override {
-    return pool_->stats();
-  }
-  Status FlushCache() override;
   Status CheckConsistency() const override;
   std::string name() const override { return "filesystem"; }
-
-  /// Journal recovery against the attached sim::FaultInjector's
-  /// durability verdicts (fs::FileStore::Recover). When the injector
-  /// tripped, the scheduler's dead queue is abandoned and the head
-  /// position invalidated first, so calling Mount right after
-  /// MaterializeCrash is the whole restart sequence. Recovery I/O is
-  /// charged synchronously; recovery_seconds is the simulated elapsed
-  /// time.
-  Result<MountReport> Mount() override;
 
   /// Adds to the base verifier: payload FNV-1a checks under
   /// DataMode::kRetain (kTornPayload / kLostObject), typed allocator
@@ -131,30 +103,20 @@ class FsRepository : public ObjectRepository {
   /// window is armed (rollback holds look like leaks).
   Result<FsckReport> Fsck() override;
 
-  /// Background scrubber pass with repair: walks files from the
-  /// persistent cursor re-reading payloads with charged I/O. A read
-  /// that only succeeded through media retries marks the file's
-  /// clusters pending-bad and relocates it onto fresh ones (the old
-  /// clusters divert to the quarantine list); reads that stay broken
-  /// after retry count as unrecoverable (a client rewrite heals them).
-  Result<ScrubReport> Scrub(const ScrubOptions& options = {}) override;
-
-  // Submission/completion pipeline.
-  Status SetQueueDepth(
-      uint32_t depth,
-      sim::SchedPolicy policy = sim::SchedPolicy::kSptf) override;
-  Status DrainIo() override;
-  Status SettleIo() override;
-  bool shared_spindle() const override;
-  const sim::LatencyRecorder* latency_recorder() const override {
-    return &latency_;
-  }
-
   fs::FileStore* store() { return store_.get(); }
-  sim::BlockDevice* device() { return device_.get(); }
-  sim::IoScheduler* io_scheduler() { return scheduler_.get(); }
-  sim::BufferPool* buffer_pool() { return pool_.get(); }
   const FsRepositoryConfig& config() const { return config_; }
+
+ protected:
+  /// Journal recovery (fs::FileStore::Recover); the orphan sweep
+  /// discards every name of NextTempName's form.
+  Status RecoverStore(bool power_cycled, MountReport* report) override;
+
+  /// Scrub's repair: marks the file's clusters pending-bad and relocates
+  /// it onto fresh ones (the old clusters divert to the quarantine
+  /// list).
+  void RepairScrubbed(const std::string& key,
+                      const std::vector<uint8_t>& payload,
+                      ScrubReport* report) override;
 
  private:
   /// The safe-write cycle against an already-opened target handle:
@@ -168,26 +130,21 @@ class FsRepository : public ObjectRepository {
   /// against user keys and leftover temps).
   std::string NextTempName(const std::string& key);
 
-  /// True for names NextTempName could have produced (Mount's orphan
-  /// sweep and Fsck's orphan scan).
-  static bool IsTempName(const std::string& name) {
-    return name.find(".tmp") != std::string::npos;
-  }
+  /// True for names of NextTempName's form — `.tmp` and one or more
+  /// decimal digits at the end (Mount's orphan sweep and Fsck's orphan
+  /// scan).
+  static bool IsTempName(const std::string& name);
+
+  /// InvalidArgument for a key of the temp-name form: the orphan sweep
+  /// would discard it at the next Mount.
+  static Status CheckUserKey(const std::string& key);
 
   /// Converts a byte-extent layout from cluster extents.
   Result<alloc::ExtentList> ScaleExtents(
       Result<alloc::ExtentList> extents) const;
 
   FsRepositoryConfig config_;
-  std::unique_ptr<sim::BlockDevice> device_;
-  /// Cache tier fronting device_; attached before the store is built so
-  /// every store path sees it. Always constructed (possibly disabled).
-  std::unique_ptr<sim::BufferPool> pool_;
   std::unique_ptr<fs::FileStore> store_;
-  sim::LatencyRecorder latency_;
-  /// Owns the data volume's submission queue; attached to device_ for
-  /// the repository's whole lifetime (disengaged = synchronous).
-  std::unique_ptr<sim::IoScheduler> scheduler_;
   uint64_t temp_counter_ = 0;
 };
 

@@ -9,9 +9,8 @@ namespace core {
 
 // Default handle surface: name-routed handles (gen 0) that replay the
 // resolution on every operation. Back ends with real handle tables
-// (FsRepository, DbRepository) override everything here; these defaults
-// keep wrapper repositories (e.g. workload::RecordingRepository) and
-// future back ends working unchanged.
+// (FsRepository, DbRepository) override it; wrapper repositories (e.g.
+// workload::RecordingRepository) inherit it.
 
 Status ObjectRepository::ValidateHandle(const ObjectHandle& handle,
                                         bool need_write) const {
@@ -40,20 +39,6 @@ ObjectHandle ObjectRepository::MakeHandle(const std::string& key,
   handle.writable_ = writable;
   return handle;
 }
-
-Status ObjectRepository::SetQueueDepth(uint32_t depth,
-                                       sim::SchedPolicy /*policy*/) {
-  if (depth == 0) {
-    return Status::InvalidArgument("queue depth must be at least 1");
-  }
-  if (depth == 1) return Status::OK();  // Synchronous: every back end.
-  return Status::NotSupported(name() +
-                              " does not support queued submission");
-}
-
-Status ObjectRepository::DrainIo() { return Status::OK(); }
-
-Result<MountReport> ObjectRepository::Mount() { return MountReport{}; }
 
 Result<FsckReport> ObjectRepository::Fsck() {
   FsckReport report;
@@ -101,11 +86,9 @@ Result<FsckReport> ObjectRepository::Fsck() {
 }
 
 Result<ScrubReport> ObjectRepository::Scrub(const ScrubOptions& options) {
-  // Name-routed default: detect-only. Walks the sorted key space from
-  // the persistent cursor, re-reading each payload through the public
-  // Get surface (charged like any client read, typed errors included).
-  // Wrapper repositories therefore scrub whatever they wrap; repair
-  // needs back-end layout access and lives in the overrides.
+  // Walks the sorted key space from the persistent cursor, re-reading
+  // each payload through the public Get surface (charged like any
+  // client read, typed errors included).
   ScrubReport report;
   std::vector<std::string> keys = ListKeys();
   std::sort(keys.begin(), keys.end());
@@ -126,10 +109,16 @@ Result<ScrubReport> ObjectRepository::Scrub(const ScrubOptions& options) {
   for (uint64_t i = 0; i < budget && i < keys.size(); ++i) {
     const std::string& key = keys[(start + i) % keys.size()];
     scrub_cursor_ = key;
+    const uint64_t errors_before = device_stats().media_read_errors;
     const Status read = Get(key, &payload);
     ++report.objects_scanned;
     if (read.ok()) {
       report.bytes_scanned += payload.size();
+      // The read succeeded but needed media retries: a transient latent
+      // sector error lives under this object.
+      if (options.repair && device_stats().media_read_errors > errors_before) {
+        RepairScrubbed(key, payload, &report);
+      }
     } else if (read.IsNotFound()) {
       continue;  // Deleted since ListKeys: not a media problem.
     } else if (read.IsCorruption()) {
@@ -147,6 +136,10 @@ Result<ScrubReport> ObjectRepository::Scrub(const ScrubOptions& options) {
   }
   return report;
 }
+
+void ObjectRepository::RepairScrubbed(const std::string& /*key*/,
+                                      const std::vector<uint8_t>& /*payload*/,
+                                      ScrubReport* /*report*/) {}
 
 Result<ObjectHandle> ObjectRepository::Open(const std::string& key) {
   if (!Exists(key)) return Status::NotFound("no object: " + key);

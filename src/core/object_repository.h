@@ -14,6 +14,14 @@
 //     without a name lookup. The name-based mutations are thin
 //     open–op–release wrappers over the same handle ops, so both paths
 //     produce identical layouts and tracker state by construction.
+//
+// Class map: FsRepository and DbRepository derive from VolumeRepository
+// (core/volume_repository.h), which owns the data volume, its queue,
+// cache and Mount preamble. Wrappers such as
+// workload::RecordingRepository derive from this class directly and
+// inherit the defaults kept here: the name-routed handle surface
+// (gen-0 handles that replay the resolution on every call), the one
+// Scrub loop, a no-op SettleIo and shared_spindle() == false.
 
 #ifndef LOREPO_CORE_OBJECT_REPOSITORY_H_
 #define LOREPO_CORE_OBJECT_REPOSITORY_H_
@@ -175,8 +183,8 @@ class ObjectRepository {
   /// Handle twins of the name-based operations. SafeWrite and Delete
   /// require a writable handle; Delete invalidates every open handle on
   /// the object (use-after-delete fails, it does not touch stale
-  /// state). Default implementations route through the name-based ops
-  /// so alternative back ends keep working without a handle table.
+  /// state). The defaults route through the name-based ops so wrapper
+  /// repositories work without a handle table.
   virtual Status Get(const ObjectHandle& handle,
                      std::vector<uint8_t>* out = nullptr);
   virtual Status SafeWrite(const ObjectHandle& handle, uint64_t size,
@@ -201,9 +209,7 @@ class ObjectRepository {
   /// Incrementally maintained fragmentation accounting, or null when
   /// the back end does not keep one (analysis then falls back to the
   /// full layout scan).
-  virtual const FragmentationTracker* fragmentation_tracker() const {
-    return nullptr;
-  }
+  virtual const FragmentationTracker* fragmentation_tracker() const = 0;
 
   virtual uint64_t object_count() const = 0;
   virtual uint64_t live_bytes() const = 0;
@@ -217,18 +223,17 @@ class ObjectRepository {
 
   /// Cumulative data-volume device activity. Per-shard repositories
   /// snapshot this so aggregate device figures merge exactly
-  /// (sim::Sum); back ends without a device model return zeros.
-  virtual sim::IoStats device_stats() const { return {}; }
+  /// (sim::Sum).
+  virtual sim::IoStats device_stats() const = 0;
 
   /// Cumulative buffer-pool counters for the data volume's cache tier
   /// (hits, misses, fills, evictions, writebacks, hit-rate). All-zeros
-  /// when the back end has no pool or the pool is disabled — the
-  /// plumbing twin of device_stats().
-  virtual sim::BufferPoolStats cache_stats() const { return {}; }
+  /// when the pool is disabled — the plumbing twin of device_stats().
+  virtual sim::BufferPoolStats cache_stats() const = 0;
 
   /// Writes back every dirty cached frame to the data volume. A no-op
-  /// without a pool; DrainIo implies it.
-  virtual Status FlushCache() { return Status::OK(); }
+  /// with the pool disabled; DrainIo implies it.
+  virtual Status FlushCache() = 0;
 
   // -- Submission/completion pipeline -----------------------------------
 
@@ -238,15 +243,15 @@ class ObjectRepository {
   /// every historical figure is reproduced exactly. Depth > 1 engages
   /// the back end's IoScheduler: device requests queue per operation
   /// and service in `policy` order (NCQ-style SPTF by default), so
-  /// completion latency includes queueing delay. Back ends without a
-  /// scheduler accept only depth 1. Pending work is drained before the
-  /// depth changes; may not be called mid-operation.
-  virtual Status SetQueueDepth(uint32_t depth,
-                               sim::SchedPolicy policy = sim::SchedPolicy::kSptf);
+  /// completion latency includes queueing delay. Depth 0 is
+  /// InvalidArgument. Pending work is drained before the depth changes;
+  /// may not be called mid-operation.
+  virtual Status SetQueueDepth(
+      uint32_t depth, sim::SchedPolicy policy = sim::SchedPolicy::kSptf) = 0;
 
-  /// Services everything queued and advances the clock to the
-  /// completion horizon. A no-op at depth 1.
-  virtual Status DrainIo();
+  /// Writes dirty cached frames back, services everything queued and
+  /// advances the clock to the completion horizon.
+  virtual Status DrainIo() = 0;
 
   /// Phase-boundary settle for shared-spindle back ends: drains this
   /// repository's outstanding submissions and parks its spindle owner
@@ -259,7 +264,7 @@ class ObjectRepository {
   /// their boundaries, and a shared single-owner run must charge the
   /// same I/O. The default (and the dedicated-spindle behavior) is a
   /// no-op: a synchronous or drained-by-Exit phase end has nothing to
-  /// settle.
+  /// settle. Wrappers that do not forward it inherit the no-op.
   virtual Status SettleIo() { return Status::OK(); }
 
   /// True when this repository's data volume is an owner view on a
@@ -268,22 +273,19 @@ class ObjectRepository {
   /// gate shared-spindle-only behavior.
   virtual bool shared_spindle() const { return false; }
 
-  /// Per-op-class submit-to-completion latency histograms, or null when
-  /// the back end does not record them. Populated on both the
-  /// synchronous and the queued path.
-  virtual const sim::LatencyRecorder* latency_recorder() const {
-    return nullptr;
-  }
+  /// Per-op-class submit-to-completion latency histograms. Populated on
+  /// both the synchronous and the queued path.
+  virtual const sim::LatencyRecorder* latency_recorder() const = 0;
 
   // -- Crash recovery & verification ------------------------------------
 
   /// Mount-time recovery: replays the back end's journal/log against
   /// the post-crash volume state, rolling back whatever did not commit,
   /// and charges realistic recovery I/O so the report's
-  /// recovery_seconds is a simulated metric. The default (wrapper back
-  /// ends, stores without a crash model) recovers nothing and returns
-  /// an empty report.
-  virtual Result<MountReport> Mount();
+  /// recovery_seconds is a simulated metric. Both back ends share one
+  /// preamble (VolumeRepository::Mount) around their store's recovery
+  /// step; wrappers forward it.
+  virtual Result<MountReport> Mount() = 0;
 
   /// Full-volume verifier: cross-checks every object's payload hash,
   /// extent layout vs. allocator state, and the FragmentationTracker
@@ -295,14 +297,16 @@ class ObjectRepository {
   /// wrappers keep working.
   virtual Result<FsckReport> Fsck();
 
-  /// One background-scrubber pass: walks live objects from the
-  /// persistent scrub cursor, re-reads payloads with charged I/O,
-  /// verifies end-to-end checksums, and (when options.repair) rewrites
-  /// recovered objects off suspect media, quarantining the old units.
+  /// One background-scrubber pass: walks live objects in key order
+  /// from the persistent scrub cursor, re-reads payloads with charged
+  /// I/O through the name-based Get, and verifies end-to-end checksums.
+  /// This is the only scrub loop: a read that succeeded but bumped
+  /// device_stats().media_read_errors needed media retries, and (when
+  /// options.repair) goes to the back end's RepairScrubbed step, which
+  /// rewrites it off the suspect media and quarantines the old units.
   /// Detected-but-unrepairable objects stay typed-error, never silently
-  /// wrong. The default implementation is name-routed (ListKeys + Get),
-  /// so wrapper repositories scrub what they wrap — it detects typed
-  /// errors and corruption but repairs nothing.
+  /// wrong. Wrapper repositories inherit it and scrub what they wrap:
+  /// they detect typed errors and corruption but repair nothing.
   virtual Result<ScrubReport> Scrub(const ScrubOptions& options = {});
 
   /// Structural invariants (no shared clusters/extents, accounting).
@@ -322,9 +326,17 @@ class ObjectRepository {
   ObjectHandle MakeHandle(const std::string& key, bool writable,
                           uint64_t slot = 0, uint64_t gen = 0) const;
 
+  /// Scrub's repair step for `key`, whose read returned `payload` but
+  /// needed media retries: rewrite the object onto fresh units and
+  /// count what was repaired and quarantined into `report`. The default
+  /// (wrappers) repairs nothing.
+  virtual void RepairScrubbed(const std::string& key,
+                              const std::vector<uint8_t>& payload,
+                              ScrubReport* report);
+
+ private:
   /// Background-scrubber resume point: the last key the previous Scrub
-  /// pass examined (empty = start of the key space). Shared by the
-  /// default implementation and the back-end overrides.
+  /// pass examined (empty = start of the key space).
   std::string scrub_cursor_;
 };
 

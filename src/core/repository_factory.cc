@@ -38,23 +38,27 @@ std::shared_ptr<sim::SpindlePlane> RepositoryFactory::PlaneForShard(
   return planes_[shard / k];
 }
 
+void RepositoryFactory::ShardVolume(uint32_t shard, uint32_t shard_count,
+                                    VolumeConfig* volume) const {
+  volume->volume_bytes = SplitVolume(volume->volume_bytes, shard_count);
+  // Each shard's pool gets its slice of the configured cache, like the
+  // volume: total DRAM is a host-level budget.
+  volume->cache.capacity_bytes =
+      SplitVolume(volume->cache.capacity_bytes, shard_count);
+  volume->spindle = PlaneForShard(shard, shard_count, volume->volume_bytes,
+                                  volume->disk, volume->data_mode);
+  volume->spindle_owner =
+      volume->spindle != nullptr ? shard % topology_.owners_per_spindle : 0;
+}
+
 FsRepositoryFactory::FsRepositoryFactory(FsRepositoryConfig base)
     : base_(std::move(base)) {}
 
 std::unique_ptr<ObjectRepository> FsRepositoryFactory::Create(
     uint32_t shard, uint32_t shard_count) const {
   assert(shard < shard_count);
-  (void)shard;
   FsRepositoryConfig config = base_;
-  config.volume_bytes = SplitVolume(base_.volume_bytes, shard_count);
-  // Each shard's pool gets its slice of the configured cache, like the
-  // volume: total DRAM is a host-level budget.
-  config.cache.capacity_bytes =
-      SplitVolume(base_.cache.capacity_bytes, shard_count);
-  config.spindle = PlaneForShard(shard, shard_count, config.volume_bytes,
-                                 config.disk, config.data_mode);
-  config.spindle_owner =
-      config.spindle != nullptr ? shard % topology_.owners_per_spindle : 0;
+  ShardVolume(shard, shard_count, &config);
   return std::make_unique<FsRepository>(std::move(config));
 }
 
@@ -64,18 +68,11 @@ DbRepositoryFactory::DbRepositoryFactory(DbRepositoryConfig base)
 std::unique_ptr<ObjectRepository> DbRepositoryFactory::Create(
     uint32_t shard, uint32_t shard_count) const {
   assert(shard < shard_count);
-  (void)shard;
   DbRepositoryConfig config = base_;
-  config.volume_bytes = SplitVolume(base_.volume_bytes, shard_count);
+  // Only the data volume shares a spindle; each shard's log device
+  // stays dedicated (see DbRepositoryConfig).
+  ShardVolume(shard, shard_count, &config);
   config.log_volume_bytes = SplitVolume(base_.log_volume_bytes, shard_count);
-  config.cache.capacity_bytes =
-      SplitVolume(base_.cache.capacity_bytes, shard_count);
-  // Only the data volumes share spindles; each shard's log device stays
-  // dedicated (see DbRepositoryConfig::spindle).
-  config.spindle = PlaneForShard(shard, shard_count, config.volume_bytes,
-                                 config.disk, config.data_mode);
-  config.spindle_owner =
-      config.spindle != nullptr ? shard % topology_.owners_per_spindle : 0;
   return std::make_unique<DbRepository>(std::move(config));
 }
 

@@ -79,6 +79,12 @@ class RepositoryFactory {
       uint32_t shard, uint32_t shard_count, uint64_t region_bytes,
       const sim::DiskParams& disk, sim::DataMode data_mode) const;
 
+  /// Turns `volume`, a copy of the deployment's config, into shard
+  /// `shard`'s: its slice of the volume and of the cache, and its
+  /// spindle plane and owner slot.
+  void ShardVolume(uint32_t shard, uint32_t shard_count,
+                   VolumeConfig* volume) const;
+
   SpindleTopology topology_;
 
  private:

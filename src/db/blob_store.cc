@@ -12,12 +12,12 @@ namespace {
 constexpr uint64_t kCommitRecordBytes = 4096;
 }
 
-BlobStore::BlobStore(sim::BlockDevice* data_device,
+BlobStore::BlobStore(sim::BlockDevice* device,
                      sim::BlockDevice* log_device, BlobStoreOptions options)
-    : data_device_(data_device),
+    : device_(device),
       log_device_(log_device),
       options_(options),
-      page_file_(data_device, options.page_file),
+      page_file_(device, options.page_file),
       lob_unit_(&page_file_) {
   metadata_ = std::make_unique<MetadataTable>(&page_file_, &options_.costs,
                                               options_.ops_per_checkpoint);
@@ -29,7 +29,7 @@ uint64_t BlobStore::LogCommit(uint64_t payload_bytes) {
   ++stats_.log_records;
   stats_.log_bytes += record;
   if (CrashArmed()) window_log_bytes_ += record;
-  data_device_->ChargeCpu(options_.costs.db_commit_s);
+  device_->ChargeCpu(options_.costs.db_commit_s);
   if (log_device_ == nullptr) return 0;
   if (log_cursor_ + record > log_device_->capacity()) log_cursor_ = 0;
   // The transaction blocks until the log write completes, so the log
@@ -38,7 +38,7 @@ uint64_t BlobStore::LogCommit(uint64_t payload_bytes) {
   Status s = log_device_->Write(log_cursor_, record);
   (void)s;
   log_cursor_ += record;
-  data_device_->ChargeCpu(log_device_->clock().now() - t0);
+  device_->ChargeCpu(log_device_->clock().now() - t0);
   // The log device has no scheduler, so the commit record is serviced
   // at submission: its sequence number decides commit durability.
   const sim::FaultInjector* injector = log_device_->fault_injector();
@@ -47,7 +47,7 @@ uint64_t BlobStore::LogCommit(uint64_t payload_bytes) {
 }
 
 bool BlobStore::CrashArmed() const {
-  const sim::FaultInjector* injector = data_device_->fault_injector();
+  const sim::FaultInjector* injector = device_->fault_injector();
   return injector != nullptr && injector->armed();
 }
 
@@ -69,7 +69,7 @@ void BlobStore::BindHandles(const std::string& key, BlobLayout* layout,
 Result<BlobHandle> BlobStore::OpenRead(const std::string& key) {
   // The per-operation query + metadata-row resolution the name-based
   // Get pays on every call; reads through the handle skip both.
-  data_device_->ChargeCpu(options_.costs.db_query_s);
+  device_->ChargeCpu(options_.costs.db_query_s);
   auto row = metadata_->Lookup(key);
   if (!row.ok()) return row.status();
   auto it = layouts_.find(key);
@@ -83,7 +83,7 @@ Result<BlobHandle> BlobStore::OpenRead(const std::string& key) {
 }
 
 Result<BlobHandle> BlobStore::OpenWrite(const std::string& key) {
-  data_device_->ChargeCpu(options_.costs.db_query_s);
+  device_->ChargeCpu(options_.costs.db_query_s);
   auto it = layouts_.find(key);
   OpenBlobEntry entry;
   entry.layout = it == layouts_.end() ? nullptr : &it->second;
@@ -186,7 +186,7 @@ Result<ObjectRow> BlobStore::Row(BlobHandle handle) const {
 
 Status BlobStore::Put(const std::string& key, uint64_t size,
                       std::span<const uint8_t> data) {
-  data_device_->ChargeCpu(options_.costs.db_query_s);
+  device_->ChargeCpu(options_.costs.db_query_s);
   if (layouts_.count(key) != 0) {
     return Status::AlreadyExists("object exists: " + key);
   }
@@ -195,7 +195,7 @@ Status BlobStore::Put(const std::string& key, uint64_t size,
 
 Status BlobStore::PutResolved(const std::string& key, uint64_t size,
                               std::span<const uint8_t> data) {
-  const sim::FaultInjector* injector = data_device_->fault_injector();
+  const sim::FaultInjector* injector = device_->fault_injector();
   const bool armed = injector != nullptr && injector->armed();
   const uint64_t seq_before = armed ? injector->last_seq() : 0;
   auto layout = BlobBtree::Write(&page_file_, &lob_unit_, size, data,
@@ -246,7 +246,7 @@ Status BlobStore::PutResolved(const std::string& key, uint64_t size,
 
 Status BlobStore::Replace(const std::string& key, uint64_t size,
                           std::span<const uint8_t> data) {
-  data_device_->ChargeCpu(options_.costs.db_query_s);
+  device_->ChargeCpu(options_.costs.db_query_s);
   auto it = layouts_.find(key);
   if (it == layouts_.end()) {
     return Status::NotFound("no object: " + key);
@@ -263,7 +263,7 @@ Status BlobStore::Replace(const std::string& key, uint64_t size,
 Status BlobStore::ReplaceResolved(const std::string& key,
                                   OpenBlobEntry* entry, uint64_t size,
                                   std::span<const uint8_t> data) {
-  const sim::FaultInjector* injector = data_device_->fault_injector();
+  const sim::FaultInjector* injector = device_->fault_injector();
   const bool armed = injector != nullptr && injector->armed();
   const uint64_t seq_before = armed ? injector->last_seq() : 0;
   auto layout = BlobBtree::Write(&page_file_, &lob_unit_, size, data,
@@ -323,7 +323,7 @@ Status BlobStore::ReplaceResolved(const std::string& key,
 }
 
 Status BlobStore::Get(const std::string& key, std::vector<uint8_t>* out) {
-  data_device_->ChargeCpu(options_.costs.db_query_s);
+  device_->ChargeCpu(options_.costs.db_query_s);
   auto row = metadata_->Lookup(key);
   if (!row.ok()) return row.status();
   auto it = layouts_.find(key);
@@ -347,7 +347,7 @@ Status BlobStore::ReadVerified(const std::string& key,
        ++attempt) {
     // Linear backoff before re-driving the read (transient latent
     // sector errors clear after a few attempts).
-    data_device_->ChargeCpu(retry.backoff_s * attempt);
+    device_->ChargeCpu(retry.backoff_s * attempt);
     s = BlobBtree::ReadAt(&page_file_, layout, options_.costs, offset, length,
                           out, cursor);
   }
@@ -362,8 +362,8 @@ Status BlobStore::VerifyChecksums(const std::string& key,
       layout.block_sums.empty()) {
     return Status::OK();
   }
-  if (data_device_->media_faults() == nullptr ||
-      data_device_->data_mode() != sim::DataMode::kRetain) {
+  if (device_->media_faults() == nullptr ||
+      device_->data_mode() != sim::DataMode::kRetain) {
     return Status::OK();
   }
   // Verify every block sum whose block lies wholly inside the returned
@@ -415,7 +415,7 @@ Status BlobStore::MarkPendingBad(const std::string& key) {
 }
 
 Status BlobStore::Delete(const std::string& key) {
-  data_device_->ChargeCpu(options_.costs.db_query_s);
+  device_->ChargeCpu(options_.costs.db_query_s);
   auto it = layouts_.find(key);
   if (it == layouts_.end()) {
     return Status::NotFound("no object: " + key);
@@ -487,7 +487,7 @@ Result<BlobStore::RebuildReport> BlobStore::RebuildTable() {
         "table rebuild inside an armed crash window is not supported");
   }
   RebuildReport report;
-  const double t0 = data_device_->clock().now();
+  const double t0 = device_->clock().now();
   const std::vector<std::string> keys = ListKeys();
   if (keys.empty()) return report;
 
@@ -508,7 +508,7 @@ Result<BlobStore::RebuildReport> BlobStore::RebuildTable() {
   page_file_.GrowBy(live_extents + live_extents / 16 + keys.size() / 4 + 1);
   lob_unit_.set_sequential_fill(true);
 
-  const bool retain = data_device_->data_mode() == sim::DataMode::kRetain;
+  const bool retain = device_->data_mode() == sim::DataMode::kRetain;
   auto copy_all = [&]() -> Status {
     for (const std::string& key : keys) {
       auto it = layouts_.find(key);
@@ -557,7 +557,7 @@ Result<BlobStore::RebuildReport> BlobStore::RebuildTable() {
         static_cast<double>(layouts_.at(key).Fragments());
   }
   report.fragments_after /= static_cast<double>(keys.size());
-  report.elapsed_seconds = data_device_->clock().now() - t0;
+  report.elapsed_seconds = device_->clock().now() - t0;
   return report;
 }
 
@@ -671,7 +671,7 @@ void BlobStore::UndoEntry(const BlobRecoveryEntry& entry,
 Result<BlobRecoveryStats> BlobStore::Recover() {
   BlobRecoveryStats rs;
   rs.entries_scanned = recovery_log_.size();
-  const sim::FaultInjector* injector = data_device_->fault_injector();
+  const sim::FaultInjector* injector = device_->fault_injector();
 
   // Analysis pass: re-read the metadata checkpoint pages, then the log
   // tail written since the window opened (the restart blocks on the log
@@ -680,8 +680,8 @@ Result<BlobRecoveryStats> BlobStore::Recover() {
   const uint64_t checkpoint_bytes =
       (ms.leaf_pages + ms.internal_pages) * page_file_.page_bytes();
   if (checkpoint_bytes > 0) {
-    Status s = data_device_->Read(
-        0, std::min(checkpoint_bytes, data_device_->capacity()));
+    Status s = device_->Read(
+        0, std::min(checkpoint_bytes, device_->capacity()));
     (void)s;
   }
   if (log_device_ != nullptr && window_log_bytes_ > 0) {
@@ -690,7 +690,7 @@ Result<BlobRecoveryStats> BlobStore::Recover() {
     const double t0 = log_device_->clock().now();
     Status s = log_device_->Read(tail_start, tail);
     (void)s;
-    data_device_->ChargeCpu(log_device_->clock().now() - t0);
+    device_->ChargeCpu(log_device_->clock().now() - t0);
   }
 
   // Commit prefix: the log is sequential, so the first commit record
@@ -711,10 +711,10 @@ Result<BlobRecoveryStats> BlobStore::Recover() {
   std::vector<bool> torn(committed, false);
   for (size_t i = 0; i < committed; ++i) {
     const BlobRecoveryEntry& entry = recovery_log_[i];
-    data_device_->ChargeCpu(options_.costs.db_query_s);
+    device_->ChargeCpu(options_.costs.db_query_s);
     if (entry.kind == BlobRecoveryEntry::Kind::kDelete) continue;
     Status s =
-        data_device_->Read(entry.new_root_page * page_file_.page_bytes(),
+        device_->Read(entry.new_root_page * page_file_.page_bytes(),
                            page_file_.page_bytes());
     (void)s;
     if (injector != nullptr &&

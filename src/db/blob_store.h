@@ -144,7 +144,7 @@ class BlobStore {
  public:
   /// `log_device` may be null, in which case log writes are charged as
   /// CPU-only commit cost (equivalent to an infinitely fast log drive).
-  BlobStore(sim::BlockDevice* data_device, sim::BlockDevice* log_device,
+  BlobStore(sim::BlockDevice* device, sim::BlockDevice* log_device,
             BlobStoreOptions options = {});
 
   /// Inserts a new object. `data` empty = timing-only.
@@ -355,7 +355,7 @@ class BlobStore {
                          uint64_t offset, uint64_t length,
                          std::vector<uint8_t>* out);
 
-  sim::BlockDevice* data_device_;
+  sim::BlockDevice* device_;
   sim::BlockDevice* log_device_;
   BlobStoreOptions options_;
   PageFile page_file_;

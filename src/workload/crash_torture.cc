@@ -51,9 +51,9 @@ Status CrashTortureRunner::Setup() {
     cfg.data_mode = options_.data_mode;
     cfg.cache.capacity_bytes = options_.cache_bytes;
     cfg.store.batch_journal_charges = options_.batch_journal_charges;
-    fs_ = std::make_unique<core::FsRepository>(cfg);
-    fs_->device()->AttachFaultInjector(&injector_);
-    repo_ = fs_.get();
+    auto fs = std::make_unique<core::FsRepository>(cfg);
+    fs_ = fs.get();
+    repo_ = std::move(fs);
   } else {
     core::DbRepositoryConfig cfg;
     cfg.volume_bytes = options_.volume_bytes;
@@ -61,15 +61,16 @@ Status CrashTortureRunner::Setup() {
     cfg.data_mode = options_.data_mode;
     cfg.cache.capacity_bytes = options_.cache_bytes;
     cfg.store.bulk_logged = options_.bulk_logged;
-    db_ = std::make_unique<core::DbRepository>(cfg);
-    // Data and log volumes share one power supply: one injector, one
-    // global sequence, one cut.
-    db_->data_device()->AttachFaultInjector(&injector_);
+    auto db = std::make_unique<core::DbRepository>(cfg);
+    db_ = db.get();
+    repo_ = std::move(db);
+    // The log volume shares the data volume's power supply: one
+    // injector, one global sequence, one cut.
     if (db_->log_device() != nullptr) {
       db_->log_device()->AttachFaultInjector(&injector_);
     }
-    repo_ = db_.get();
   }
+  repo_->device()->AttachFaultInjector(&injector_);
   if (options_.queue_depth > 1) {
     LOR_RETURN_IF_ERROR(repo_->SetQueueDepth(options_.queue_depth));
   }
@@ -411,8 +412,7 @@ Result<MediaTortureSummary> CrashTortureRunner::RunMedia() {
         "media torture needs DataMode::kRetain (faults bite real bytes)");
   }
   LOR_RETURN_IF_ERROR(Setup());
-  if (fs_ != nullptr) fs_->device()->AttachMediaFaults(&media_model_);
-  if (db_ != nullptr) db_->data_device()->AttachMediaFaults(&media_model_);
+  repo_->device()->AttachMediaFaults(&media_model_);
   MediaTortureSummary sum;
   for (uint64_t c = 0; c < options_.media_cycles; ++c) {
     LOR_ASSIGN_OR_RETURN(const MediaCycleResult cycle, RunMediaCycle());

@@ -184,7 +184,7 @@ class CrashTortureRunner {
   /// Setup + media attach + `media_cycles` cycles.
   Result<MediaTortureSummary> RunMedia();
 
-  core::ObjectRepository* repository() { return repo_; }
+  core::ObjectRepository* repository() { return repo_.get(); }
   sim::FaultInjector* injector() { return &injector_; }
   sim::MediaFaultModel* media_model() { return &media_model_; }
 
@@ -232,9 +232,11 @@ class CrashTortureRunner {
   Rng rng_;
   sim::FaultInjector injector_;
   sim::MediaFaultModel media_model_;
-  std::unique_ptr<core::FsRepository> fs_;
-  std::unique_ptr<core::DbRepository> db_;
-  core::ObjectRepository* repo_ = nullptr;
+  std::unique_ptr<core::VolumeRepository> repo_;
+  /// repo_ as its back end, for the store-specific hooks (null for the
+  /// other back end).
+  core::FsRepository* fs_ = nullptr;
+  core::DbRepository* db_ = nullptr;
   std::vector<KeyState> keys_;
   std::unordered_map<uint64_t, std::vector<WindowOp>> window_;
   /// Upper bound fed to the crash-point draw (writes per window).

@@ -6,6 +6,7 @@
 #include <bit>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -313,6 +314,11 @@ struct AllocatorFactory {
   std::string label;
   std::function<std::unique_ptr<ExtentAllocator>(uint64_t)> make;
 };
+
+/// Names the case by its label, so test names stay stable across runs
+/// (gtest would otherwise print the struct's raw bytes, pointers
+/// included).
+void PrintTo(const AllocatorFactory& f, std::ostream* os) { *os << f.label; }
 
 class AllocatorPropertyTest
     : public ::testing::TestWithParam<AllocatorFactory> {};

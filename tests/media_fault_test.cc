@@ -15,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -303,7 +306,7 @@ TEST(ChecksumFsTest, AtRestRotIsDetectedNeverSilent) {
 TEST(ChecksumDbTest, AtRestRotIsDetectedNeverSilent) {
   core::DbRepository repo(DbConfig(64 * kMiB));
   MediaFaultModel media;
-  repo.data_device()->AttachMediaFaults(&media);
+  repo.device()->AttachMediaFaults(&media);
   const auto payloads = Load(&repo, 8, 256 * kKiB);
 
   media.Arm(MediaFaultSpec{});
@@ -352,7 +355,7 @@ TEST(ChecksumFsTest, PersistentLseSurfacesTypedIoError) {
 TEST(ChecksumDbTest, PersistentLseSurfacesTypedIoError) {
   core::DbRepository repo(DbConfig(64 * kMiB));
   MediaFaultModel media;
-  repo.data_device()->AttachMediaFaults(&media);
+  repo.device()->AttachMediaFaults(&media);
   const auto payloads = Load(&repo, 6, 128 * kKiB);
 
   MediaFaultSpec spec;
@@ -411,7 +414,7 @@ TEST(ScrubFsTest, TransientLseRepairRelocatesAndQuarantines) {
 TEST(ScrubDbTest, TransientLseRepairSupersedesAndQuarantines) {
   core::DbRepository repo(DbConfig(64 * kMiB));
   MediaFaultModel media;
-  repo.data_device()->AttachMediaFaults(&media);
+  repo.device()->AttachMediaFaults(&media);
   const auto payloads = Load(&repo, 12, 64 * kKiB);
 
   MediaFaultSpec spec;
@@ -441,11 +444,23 @@ TEST(ScrubDbTest, TransientLseRepairSupersedesAndQuarantines) {
   ASSERT_TRUE(repo.CheckConsistency().ok());
 }
 
-TEST(ScrubFsTest, RotIsDetectedButUnrecoverableUntilClientRewrite) {
-  core::FsRepository repo(FsConfig(64 * kMiB));
+// The scrub loop and its cursor are shared; each back end supplies only
+// its repair step. These run on both.
+struct BackendCase {
+  std::string label;
+  std::function<std::unique_ptr<core::VolumeRepository>(uint64_t)> make;
+};
+
+/// Names the case by its label, so test names stay stable across runs.
+void PrintTo(const BackendCase& c, std::ostream* os) { *os << c.label; }
+
+class ScrubBackendTest : public ::testing::TestWithParam<BackendCase> {};
+
+TEST_P(ScrubBackendTest, RotIsDetectedButUnrecoverableUntilClientRewrite) {
+  auto repo = GetParam().make(64 * kMiB);
   MediaFaultModel media;
-  repo.device()->AttachMediaFaults(&media);
-  const auto payloads = Load(&repo, 8, 64 * kKiB);
+  repo->device()->AttachMediaFaults(&media);
+  const auto payloads = Load(repo.get(), 8, 64 * kKiB);
 
   MediaFaultSpec spec;
   spec.corruption_rate = 1.0;
@@ -453,7 +468,7 @@ TEST(ScrubFsTest, RotIsDetectedButUnrecoverableUntilClientRewrite) {
 
   // The scrubber has no good copy to rewrite from: it reports, and
   // every subsequent read stays a typed error — never silent.
-  auto report = repo.Scrub();
+  auto report = repo->Scrub();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->corruptions_detected, payloads.size());
   EXPECT_EQ(report->unrecoverable, payloads.size());
@@ -461,26 +476,26 @@ TEST(ScrubFsTest, RotIsDetectedButUnrecoverableUntilClientRewrite) {
 
   media.Disarm();
   for (uint64_t i = 0; i < payloads.size(); ++i) {
-    ASSERT_TRUE(repo.SafeWrite("obj" + std::to_string(i), payloads[i].size(),
-                               payloads[i])
+    ASSERT_TRUE(repo->SafeWrite("obj" + std::to_string(i), payloads[i].size(),
+                                payloads[i])
                     .ok());
   }
-  ReadTally healed = ReadAll(&repo, payloads);
+  ReadTally healed = ReadAll(repo.get(), payloads);
   EXPECT_EQ(healed.ok, payloads.size());
 }
 
-TEST(ScrubFsTest, BoundedPassesResumeFromPersistentCursor) {
-  core::FsRepository repo(FsConfig(64 * kMiB));
+TEST_P(ScrubBackendTest, BoundedPassesResumeFromPersistentCursor) {
+  auto repo = GetParam().make(64 * kMiB);
   MediaFaultModel media;
-  repo.device()->AttachMediaFaults(&media);
-  Load(&repo, 12, 64 * kKiB);
+  repo->device()->AttachMediaFaults(&media);
+  Load(repo.get(), 12, 64 * kKiB);
   media.Arm(MediaFaultSpec{});  // armed, zero rates: pure trickle scan
 
   core::ScrubOptions options;
   options.max_objects = 5;
   uint64_t scanned = 0;
   for (int pass = 0; pass < 3; ++pass) {
-    auto report = repo.Scrub(options);
+    auto report = repo->Scrub(options);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->objects_scanned, 5u);
     EXPECT_GT(report->bytes_scanned, 0u);
@@ -490,6 +505,21 @@ TEST(ScrubFsTest, BoundedPassesResumeFromPersistentCursor) {
   // instead of pinning the scrubber to the tail.
   EXPECT_EQ(scanned, 15u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ScrubBackendTest,
+    ::testing::Values(
+        BackendCase{"filesystem",
+                    [](uint64_t volume_bytes) {
+                      return std::make_unique<core::FsRepository>(
+                          FsConfig(volume_bytes));
+                    }},
+        BackendCase{"database",
+                    [](uint64_t volume_bytes) {
+                      return std::make_unique<core::DbRepository>(
+                          DbConfig(volume_bytes));
+                    }}),
+    [](const auto& info) { return info.param.label; });
 
 // Satellite: typed statuses must survive the decorator stack. The
 // RecordingRepository forwards Get/Put/... but inherits the base

@@ -301,6 +301,45 @@ TEST(FsRepositoryTest, PreallocationReducesFragmentsUnderChurn) {
   EXPECT_LE(hinted_frags, plain_frags);
 }
 
+TEST(FsRepositoryTest, KeysContainingTmpSurviveMount) {
+  // Safe-write temps are named <key>.tmp<digits>, and only names of
+  // exactly that form are orphans: a user key that merely contains
+  // ".tmp" is an acknowledged object and must survive a clean mount.
+  FsRepositoryConfig config;
+  config.volume_bytes = 64 * kMiB;
+  config.data_mode = sim::DataMode::kRetain;
+  FsRepository repo(config);
+  const std::vector<uint8_t> photo = Pattern(64 * kKiB, 3);
+  const std::vector<uint8_t> notes = Pattern(16 * kKiB, 4);
+  ASSERT_TRUE(repo.Put("holiday.tmp.jpg", photo.size(), photo).ok());
+  ASSERT_TRUE(repo.Put("notes.tmp", notes.size(), notes).ok());
+  auto before = repo.Fsck();
+  ASSERT_TRUE(before.ok());
+  EXPECT_TRUE(before->clean());
+
+  auto mount = repo.Mount();
+  ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+  EXPECT_EQ(mount->orphan_temps_discarded, 0u);
+  EXPECT_EQ(mount->data_loss_bytes, 0u);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(repo.Get("holiday.tmp.jpg", &out).ok());
+  EXPECT_EQ(out, photo);
+  ASSERT_TRUE(repo.Get("notes.tmp", &out).ok());
+  EXPECT_EQ(out, notes);
+  auto after = repo.Fsck();
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->clean());
+
+  // Keys of the temp form itself are refused before any I/O.
+  const double now = repo.now();
+  const uint64_t writes = repo.device_stats().writes;
+  EXPECT_TRUE(repo.Put("x.tmp3", 4 * kKiB).IsInvalidArgument());
+  EXPECT_TRUE(repo.SafeWrite("x.tmp3", 4 * kKiB).IsInvalidArgument());
+  EXPECT_TRUE(repo.OpenForWrite("x.tmp3").status().IsInvalidArgument());
+  EXPECT_FALSE(repo.Exists("x.tmp3"));
+  EXPECT_EQ(repo.now(), now);
+  EXPECT_EQ(repo.device_stats().writes, writes);
+}
 
 // -- Decision pin --------------------------------------------------------
 
@@ -413,18 +452,13 @@ std::unique_ptr<ObjectRepository> MakePinned(const PinCase& c) {
   return factory->Create(0, 1);
 }
 
-sim::BlockDevice* PinnedDevice(ObjectRepository* repo, bool db) {
-  if (db) return static_cast<DbRepository*>(repo)->data_device();
-  return static_cast<FsRepository*>(repo)->device();
-}
-
 uint64_t RunPinned(const PinCase& c, uint64_t seed) {
   // Fault planes first: they must outlive the devices they attach to.
   sim::FaultInjector injector;
   sim::MediaFaultModel media;
   std::unique_ptr<ObjectRepository> repo = MakePinned(c);
   EXPECT_EQ(repo->shared_spindle(), c.shared_plane);
-  sim::BlockDevice* device = PinnedDevice(repo.get(), c.db);
+  sim::BlockDevice* device = static_cast<VolumeRepository*>(repo.get())->device();
   device->AttachMediaFaults(&media);
   RepoHash hash;
   Rng rng(seed);
