@@ -465,19 +465,29 @@ TEST(BufferPoolTest, LaterSliceInstallNeverCorruptsEarlierSliceCopies) {
 // Pins every decision the pool makes (hits, fills, evictions, flush
 // batches, pins, device charges) under a seeded op stream, so that an
 // index or eviction-bookkeeping rewrite can prove it changed nothing.
+/// Device and pool sizes of one churn configuration.
+struct ChurnShape {
+  uint64_t capacity = 16 * kMiB;
+  uint64_t pool_bytes = 4 * kMiB;
+  double dirty_ratio = 0.25;
+  /// Whether the stream issues explicit FlushAll calls; without them
+  /// only the lazy writer (and eviction) cleans dirty frames.
+  bool flush_all = true;
+};
+
 class SeededChurn {
  public:
-  static constexpr uint64_t kCapacity = 16 * kMiB;
-  static constexpr uint64_t kPoolBytes = 4 * kMiB;
   /// Multi-slice reads keep their slices this far apart, beyond the
   /// largest frame the stream installs, so no slice's fill can drop a
   /// frame an earlier slice of the same call is still copying from.
   static constexpr uint64_t kSliceGap = 3 * kMiB;
 
-  SeededChurn(uint64_t seed, uint32_t shards, DataMode mode)
-      : rng_(seed),
-        dev_(SmallDisk(kCapacity), mode),
-        pool_(&dev_, Options(shards)),
+  SeededChurn(uint64_t seed, uint32_t shards, DataMode mode,
+              ChurnShape shape = {})
+      : shape_(shape),
+        rng_(seed),
+        dev_(SmallDisk(shape.capacity), mode),
+        pool_(&dev_, Options(shards, shape)),
         payload_(8 * kMiB),
         scratch_(8 * kMiB) {
     Rng fill(seed ^ 0x5eed);
@@ -493,10 +503,14 @@ class SeededChurn {
     return hash_;
   }
 
+  /// Write calls that ended in a whole-pool lazy-writer flush.
+  uint64_t lazy_flushes() const { return lazy_flushes_; }
+
  private:
-  static BufferPoolOptions Options(uint32_t shards) {
+  static BufferPoolOptions Options(uint32_t shards, const ChurnShape& shape) {
     BufferPoolOptions options;
-    options.capacity_bytes = kPoolBytes;
+    options.capacity_bytes = shape.pool_bytes;
+    options.dirty_ratio = shape.dirty_ratio;
     options.shards = shards;
     return options;
   }
@@ -534,8 +548,8 @@ class SeededChurn {
   /// unaligned starts, and ranges ending on the device's last byte.
   uint64_t Offset(uint64_t len) {
     const uint64_t r = rng_.Uniform(100);
-    if (r < 3) return kCapacity - len;
-    const uint64_t span = r < 60 ? 5 * kMiB : kCapacity;
+    if (r < 3) return shape_.capacity - len;
+    const uint64_t span = r < 60 ? 5 * kMiB : shape_.capacity;
     uint64_t off = rng_.Uniform(span > len ? span - len + 1 : 1);
     if (rng_.Bernoulli(0.7)) off &= ~(4 * kKiB - 1);
     return off;
@@ -559,13 +573,13 @@ class SeededChurn {
     for (int i = 0; i < n; ++i) {
       const uint64_t len = Length();
       uint64_t off = i == 0 ? Offset(len) : floor + rng_.Uniform(kMiB);
-      if (off + len > kCapacity) break;
+      if (off + len > shape_.capacity) break;
       CacheSlice s{off, len, nullptr, nullptr, off, 0};
       if (rng_.Bernoulli(0.6)) {
         // Read-ahead over the surrounding run, clamped to the device.
         const uint64_t before = std::min(off, rng_.Uniform(96 * kKiB));
         const uint64_t after =
-            std::min(kCapacity - off - len, rng_.Uniform(160 * kKiB));
+            std::min(shape_.capacity - off - len, rng_.Uniform(160 * kKiB));
         s.fill_offset = off - before;
         s.fill_length = before + len + after;
         if (i > 0 && s.fill_offset < floor) break;
@@ -593,13 +607,20 @@ class SeededChurn {
     for (int i = 0; i < n; ++i) {
       const uint64_t len = Length();
       const uint64_t off = i == 0 ? Offset(len) : floor + rng_.Uniform(kMiB);
-      if (off + len > kCapacity) break;
+      if (off + len > shape_.capacity) break;
       slices.push_back({off, len, Src(len), nullptr, off, 0});
       floor = off + len;
     }
+    const uint64_t writebacks = pool_.stats().writebacks;
     uint64_t device_bytes = 0;
     MixStatus(pool_.WriteThrough(slices, &device_bytes));
     Mix(device_bytes);
+    // A write-back call leaves its own frame dirty, so one that ends
+    // with nothing dirty and frames written back tripped the lazy writer.
+    if (!injector_.armed() && pool_.dirty_bytes() == 0 &&
+        pool_.stats().writebacks > writebacks) {
+      ++lazy_flushes_;
+    }
   }
 
   void Step(int step) {
@@ -636,7 +657,7 @@ class SeededChurn {
       const uint64_t len = Length();
       MixStatus(pool_.FlushRange(Offset(len), len));
     } else if (r < 945) {
-      MixStatus(pool_.FlushAll());
+      if (shape_.flush_all) MixStatus(pool_.FlushAll());
     } else if (r < 975) {
       const uint64_t len = Length();
       pool_.View(Offset(len), len, [this](std::span<const uint8_t> chunk) {
@@ -679,6 +700,7 @@ class SeededChurn {
     MixDouble(dev_.clock().now());
   }
 
+  const ChurnShape shape_;
   Rng rng_;
   FaultInjector injector_;
   BlockDevice dev_;
@@ -687,6 +709,7 @@ class SeededChurn {
   std::vector<uint8_t> scratch_;
   std::vector<std::pair<uint64_t, uint64_t>> pins_;
   uint64_t hash_ = kFnvBasis;
+  uint64_t lazy_flushes_ = 0;
 };
 
 TEST(BufferPoolTest, SeededChurnDecisionsArePinned) {
@@ -705,6 +728,21 @@ TEST(BufferPoolTest, SeededChurnDecisionsArePinned) {
     }
   }
   EXPECT_EQ(hash, 0x88a6fef7a55e1d30ull);
+
+  // A fifth configuration at bench shape, pinned by the bucketed-index
+  // pool: bookkeeping frames spread over a 64 GiB device, most of which
+  // no frame ever touches, under a 256 MiB pool with a low dirty ratio
+  // and no explicit FlushAll, so dirty bytes pile up until the lazy
+  // writer trips.
+  ChurnShape wide;
+  wide.capacity = 64 * kGiB;
+  wide.pool_bytes = 256 * kMiB;
+  wide.dirty_ratio = 0.05;
+  wide.flush_all = false;
+  SeededChurn churn(seed, 4, DataMode::kMetadataOnly, wide);
+  hash = (hash ^ churn.Run(25000)) * kFnvPrime;
+  EXPECT_GT(churn.lazy_flushes(), 0u);
+  EXPECT_EQ(hash, 0xcbbd545016f326e5ull);
 }
 
 }  // namespace
