@@ -21,125 +21,170 @@ size_t RecycleClass(uint64_t capacity) {
   return capacity <= 1 ? 0 : static_cast<size_t>(std::bit_width(capacity) - 1);
 }
 
-// Positions in one offset bucket (sorted by start offset).
-template <typename Bucket>
-auto FirstAtOrAfter(Bucket& bucket, uint64_t offset) {
-  return std::partition_point(
-      bucket.begin(), bucket.end(),
-      [offset](const auto& e) { return e.offset < offset; });
-}
-template <typename Bucket>
-auto FirstAfter(Bucket& bucket, uint64_t offset) {
-  return std::partition_point(
-      bucket.begin(), bucket.end(),
-      [offset](const auto& e) { return e.offset <= offset; });
-}
+// Directory granules: at least 64 KiB of offset space each, and at
+// most 2^20 of them, so the directory stays a few MiB at any volume.
+constexpr uint32_t kMinGranuleShift = 16;
+constexpr uint32_t kMaxGranuleBits = 20;
+
+uint64_t Bit(size_t i) { return uint64_t{1} << (i % 64); }
 
 }  // namespace
 
-void BufferPool::OffsetIndex::Build(uint64_t capacity) {
-  const size_t n = static_cast<size_t>(capacity >> 20) + 1;
-  buckets_.assign(n, {});
-  nonempty_.assign((n + 63) / 64, 0);
+uint32_t BufferPool::FrameArena::Allocate() {
+  if (free_head_ != kNoSlot) {
+    const uint32_t slot = free_head_;
+    free_head_ = span(slot).next;
+    return slot;
+  }
+  if ((size_ & kChunkMask) == 0) {
+    chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+  }
+  return size_++;
+}
+
+void BufferPool::FrameArena::Free(uint32_t slot) {
+  span(slot).next = free_head_;
+  free_head_ = slot;
+}
+
+void BufferPool::FrameArena::Clear() {
+  chunks_.clear();
   size_ = 0;
+  free_head_ = kNoSlot;
 }
 
-size_t BufferPool::OffsetIndex::BucketOf(uint64_t offset) const {
-  return std::min(static_cast<size_t>(offset >> 20), buckets_.size() - 1);
+void BufferPool::GranuleBits::Assign(size_t n) {
+  words_.assign((n + 63) / 64, 0);
+  summary_.assign((words_.size() + 63) / 64, 0);
 }
 
-void BufferPool::OffsetIndex::SetBit(size_t bucket, bool on) {
-  const uint64_t bit = uint64_t{1} << (bucket % 64);
-  if (on) {
-    nonempty_[bucket / 64] |= bit;
-  } else {
-    nonempty_[bucket / 64] &= ~bit;
-  }
+void BufferPool::GranuleBits::Set(size_t granule) {
+  words_[granule / 64] |= Bit(granule);
+  summary_[granule / 4096] |= Bit(granule / 64);
 }
 
-size_t BufferPool::OffsetIndex::PrevBucket(size_t bucket) const {
-  if (bucket == 0) return kNone;
-  size_t w = (bucket - 1) / 64;
-  // Bits at or below bucket-1 within its word.
-  uint64_t word = nonempty_[w] & (~uint64_t{0} >> (63 - (bucket - 1) % 64));
-  while (true) {
-    if (word != 0) return w * 64 + 63 - std::countl_zero(word);
-    if (w == 0) return kNone;
-    word = nonempty_[--w];
-  }
+void BufferPool::GranuleBits::Clear(size_t granule) {
+  const size_t w = granule / 64;
+  words_[w] &= ~Bit(granule);
+  if (words_[w] == 0) summary_[w / 64] &= ~Bit(w);
 }
 
-size_t BufferPool::OffsetIndex::NextBucket(size_t bucket) const {
-  size_t w = (bucket + 1) / 64;
-  if (w >= nonempty_.size()) return kNone;
-  // Bits at or above bucket+1 within its word.
-  uint64_t word = nonempty_[w] & (~uint64_t{0} << ((bucket + 1) % 64));
-  while (true) {
-    if (word != 0) return w * 64 + std::countr_zero(word);
-    if (++w == nonempty_.size()) return kNone;
-    word = nonempty_[w];
-  }
-}
-
-void BufferPool::OffsetIndex::Insert(uint64_t offset, uint32_t slot) {
-  const size_t b = BucketOf(offset);
-  std::vector<Entry>& bucket = buckets_[b];
-  bucket.insert(FirstAtOrAfter(bucket, offset), Entry{offset, slot});
-  if (bucket.size() == 1) SetBit(b, true);
-  ++size_;
-}
-
-void BufferPool::OffsetIndex::Erase(uint64_t offset) {
-  const size_t b = BucketOf(offset);
-  std::vector<Entry>& bucket = buckets_[b];
-  bucket.erase(FirstAtOrAfter(bucket, offset));
-  if (bucket.empty()) SetBit(b, false);
-  --size_;
-}
-
-uint32_t BufferPool::OffsetIndex::Floor(uint64_t offset) const {
-  if (size_ == 0) return kNoSlot;
-  size_t b = BucketOf(offset);
-  const std::vector<Entry>& bucket = buckets_[b];
-  auto it = FirstAfter(bucket, offset);
-  if (it != bucket.begin()) return std::prev(it)->slot;
-  b = PrevBucket(b);
-  return b == kNone ? kNoSlot : buckets_[b].back().slot;
-}
-
-uint64_t BufferPool::OffsetIndex::NextStart(uint64_t offset) const {
-  if (size_ == 0) return UINT64_MAX;
-  size_t b = BucketOf(offset);
-  const std::vector<Entry>& bucket = buckets_[b];
-  auto it = FirstAfter(bucket, offset);
-  if (it != bucket.end()) return it->offset;
-  b = NextBucket(b);
-  return b == kNone ? UINT64_MAX : buckets_[b].front().offset;
-}
-
-void BufferPool::OffsetIndex::Collect(uint64_t lo, uint64_t hi,
-                                      std::vector<uint32_t>* out) const {
-  if (size_ == 0 || lo >= hi) return;
-  size_t b = BucketOf(lo);
-  const std::vector<Entry>* bucket = &buckets_[b];
-  auto it = FirstAtOrAfter(*bucket, lo);
-  while (true) {
-    for (; it != bucket->end(); ++it) {
-      if (it->offset >= hi) return;
-      out->push_back(it->slot);
+void BufferPool::GranuleBits::ClearAll() {
+  for (size_t sw = 0; sw < summary_.size(); ++sw) {
+    for (uint64_t bits = summary_[sw]; bits != 0; bits &= bits - 1) {
+      words_[sw * 64 + std::countr_zero(bits)] = 0;
     }
-    b = NextBucket(b);
-    if (b == kNone) return;
-    bucket = &buckets_[b];
-    it = bucket->begin();
+    summary_[sw] = 0;
   }
+}
+
+size_t BufferPool::GranuleBits::PrevSet(size_t granule) const {
+  if (words_.empty()) return kNone;
+  granule = std::min(granule, words_.size() * 64 - 1);
+  size_t w = granule / 64;
+  const uint64_t bits = words_[w] & (~uint64_t{0} >> (63 - granule % 64));
+  if (bits != 0) return w * 64 + 63 - std::countl_zero(bits);
+  // Second level: the nearest non-empty word before w.
+  if (w == 0) return kNone;
+  size_t sw = (w - 1) / 64;
+  uint64_t summary = summary_[sw] & (~uint64_t{0} >> (63 - (w - 1) % 64));
+  while (summary == 0) {
+    if (sw == 0) return kNone;
+    summary = summary_[--sw];
+  }
+  w = sw * 64 + 63 - std::countl_zero(summary);
+  return w * 64 + 63 - std::countl_zero(words_[w]);
 }
 
 BufferPool::BufferPool(BlockDevice* device, BufferPoolOptions options)
-    : device_(device), options_(options) {
+    : device_(device),
+      options_(options),
+      retain_(device->data_mode() == DataMode::kRetain) {
   if (options_.shards == 0) options_.shards = 1;
   shards_.resize(options_.shards);
-  if (enabled()) index_.Build(device_->capacity());
+  if (enabled()) BuildDirectory();
+}
+
+void BufferPool::BuildDirectory() {
+  const uint64_t capacity = device_->capacity();
+  const uint32_t bits = static_cast<uint32_t>(std::bit_width(capacity));
+  granule_shift_ = std::max(
+      kMinGranuleShift, bits > kMaxGranuleBits ? bits - kMaxGranuleBits : 0);
+  const size_t granules = static_cast<size_t>(capacity >> granule_shift_) + 1;
+  last_.assign(granules, kNoSlot);
+  nonempty_.Assign(granules);
+  dirty_granules_.Assign(granules);
+  head_ = tail_ = kNoSlot;
+  frame_count_ = 0;
+}
+
+uint32_t BufferPool::Floor(uint64_t offset) const {
+  if (frame_count_ == 0) return kNoSlot;
+  const size_t g = GranuleOf(offset);
+  uint32_t slot = last_[g];
+  if (slot == kNoSlot) {
+    // Empty granule: the floor is the last frame of the nearest
+    // non-empty granule below.
+    const size_t below = nonempty_.PrevSet(g);
+    return below == GranuleBits::kNone ? kNoSlot : last_[below];
+  }
+  // Step back over the granule's frames that start past `offset`; the
+  // walk ends at latest on the last frame of an earlier granule.
+  while (slot != kNoSlot && span(slot).offset > offset) slot = span(slot).prev;
+  return slot;
+}
+
+void BufferPool::Link(uint32_t slot, uint32_t pred) {
+  FrameSpan& sp = span(slot);
+  const uint32_t next = NextOf(pred);
+  sp.prev = pred;
+  sp.next = next;
+  if (pred == kNoSlot) {
+    head_ = slot;
+  } else {
+    span(pred).next = slot;
+  }
+  // The frame is its granule's last unless its successor shares it.
+  const size_t g = GranuleOf(sp.offset);
+  bool last_in_granule = true;
+  if (next == kNoSlot) {
+    tail_ = slot;
+  } else {
+    FrameSpan& after = span(next);
+    after.prev = slot;
+    last_in_granule = GranuleOf(after.offset) != g;
+  }
+  if (last_in_granule) {
+    last_[g] = slot;
+    nonempty_.Set(g);
+  }
+  ++frame_count_;
+}
+
+void BufferPool::Unlink(uint32_t slot) {
+  const FrameSpan& sp = span(slot);
+  if (sp.next == kNoSlot) {
+    tail_ = sp.prev;
+  } else {
+    span(sp.next).prev = sp.prev;
+  }
+  const size_t g = GranuleOf(sp.offset);
+  bool granule_empty = last_[g] == slot;
+  if (sp.prev == kNoSlot) {
+    head_ = sp.next;
+  } else {
+    FrameSpan& before = span(sp.prev);
+    before.next = sp.next;
+    if (granule_empty && GranuleOf(before.offset) == g) {
+      last_[g] = sp.prev;
+      granule_empty = false;
+    }
+  }
+  if (granule_empty) {
+    last_[g] = kNoSlot;
+    nonempty_.Clear(g);
+  }
+  --frame_count_;
 }
 
 bool BufferPool::WriteBackActive() const {
@@ -147,84 +192,75 @@ bool BufferPool::WriteBackActive() const {
   return injector == nullptr || !injector->armed();
 }
 
-bool BufferPool::CollectOverlaps(uint64_t offset, uint64_t len) {
+bool BufferPool::CollectOverlaps(uint64_t offset, uint64_t len,
+                                 uint32_t floor) {
   overlaps_.clear();
   // A frame starting before `offset` overlaps only if it reaches past
-  // it; non-overlap means at most one such frame.
-  uint64_t lo = offset;
-  const uint32_t floor = index_.Floor(offset);
-  if (floor != kNoSlot && slots_[floor].end() > offset) {
-    lo = slots_[floor].offset;
+  // it; non-overlap means at most one such frame, the floor.
+  const uint64_t end = offset + len;
+  uint32_t slot = Containing(offset, floor);
+  if (slot == kNoSlot) slot = NextOf(floor);
+  for (; slot != kNoSlot && span(slot).offset < end; slot = span(slot).next) {
+    overlaps_.push_back(slot);
   }
-  index_.Collect(lo, offset + len, &overlaps_);
   return !overlaps_.empty();
 }
 
-BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) {
-  return const_cast<Frame*>(
-      static_cast<const BufferPool*>(this)->FrameAt(offset));
-}
-
-const BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) const {
-  const uint32_t slot = index_.Floor(offset);
-  if (slot == kNoSlot) return nullptr;
-  const Frame& f = slots_[slot];
-  return f.end() > offset ? &f : nullptr;
-}
-
-bool BufferPool::Covered(uint64_t offset, uint64_t len) const {
-  uint64_t pos = offset;
+bool BufferPool::Covered(uint64_t offset, uint64_t len, uint32_t first) const {
+  if (first == kNoSlot) return false;
   const uint64_t end = offset + len;
-  while (pos < end) {
-    const Frame* f = FrameAt(pos);
-    if (f == nullptr) return false;
-    pos = f->end();
+  for (uint32_t slot = first;;) {
+    const FrameSpan& sp = span(slot);
+    if (sp.end >= end) return true;
+    slot = sp.next;
+    if (slot == kNoSlot || span(slot).offset != sp.end) return false;
   }
-  return true;
 }
 
-Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
+Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
+                                uint32_t* out) {
   uint32_t inherited_pin = 0;
-  if (CollectOverlaps(offset, len)) {
+  // The new frame follows the floor, or the floor's predecessor when
+  // the floor overlaps it and is dropped below.
+  uint32_t pred = floor;
+  if (CollectOverlaps(offset, len, floor)) {
+    if (overlaps_.front() == floor) pred = span(floor).prev;
     // Dirty overlaps hold bytes newer than the device: write them back
     // before they are dropped (a read fill would otherwise resurrect
     // stale device content; a partially-overlapping write would lose
     // the non-overlapped dirty bytes).
     LOR_RETURN_IF_ERROR(FlushSlots(overlaps_));
     for (uint32_t slot : overlaps_) {
-      inherited_pin = std::max(inherited_pin, slots_[slot].pin);
+      inherited_pin = std::max(inherited_pin, state(slot).pin);
       DropFrame(slot);
     }
   }
   const uint32_t shard = ShardOf(offset);
+  const uint64_t pred_seq = pred == kNoSlot ? 0 : state(pred).seq;
   LOR_RETURN_IF_ERROR(EvictFor(shard, len));
-  uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  Frame& frame = slots_[slot];
-  frame.offset = offset;
-  frame.length = len;
+  // Eviction only removes frames, so the predecessor still is one
+  // unless eviction took it.
+  if (pred != kNoSlot && state(pred).seq != pred_seq) pred = Floor(offset);
+  const uint32_t slot = arena_.Allocate();
+  FrameSpan& sp = span(slot);
+  sp.offset = offset;
+  sp.end = offset + len;
+  FrameState& st = state(slot);
   // Replacing a pinned frame keeps its pin (the granularity changed,
   // the protection window did not); UnpinRange guards at zero.
-  frame.pin = inherited_pin;
-  frame.shard = shard;
-  frame.seq = ++install_seq_;
-  frame.dirty = false;
-  frame.referenced = true;
-  frame.held = false;
-  frame.filling = false;
-  if (RetainData()) frame.data = TakeBuffer(len);
-  index_.Insert(offset, slot);
+  st.pin = inherited_pin;
+  st.seq = ++install_seq_;
+  st.flags = kReferenced;
+  if (retain_) {
+    if (slot >= payloads_.size()) payloads_.resize(slot + 1);
+    payloads_[slot] = TakeBuffer(len);
+  }
+  Link(slot, pred);
   Shard& sh = shards_[shard];
   sh.used_bytes += len;
   cached_bytes_ += len;
-  sh.clock_ring.push_back({slot, frame.seq});
-  *out = &frame;
+  sh.clock_ring.push_back({slot, st.seq});
+  *out = slot;
   return Status::OK();
 }
 
@@ -256,24 +292,26 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   while (!sh.clock_ring.empty() && scanned < limit) {
     if (sh.hand >= sh.clock_ring.size()) sh.hand = 0;
     const RingEntry entry = sh.clock_ring[sh.hand];
-    Frame& f = slots_[entry.slot];
-    if (f.seq != entry.seq) {
+    FrameState& st = state(entry.slot);
+    if (st.seq != entry.seq) {
       sh.clock_ring[sh.hand] = sh.clock_ring.back();
       sh.clock_ring.pop_back();
       continue;
     }
-    if (f.pinned()) {
+    if (st.pinned()) {
       ++sh.hand;
       ++scanned;
       continue;
     }
-    if (f.referenced) {
-      f.referenced = false;
+    if ((st.flags & kReferenced) != 0) {
+      st.flags &= ~kReferenced;
       ++sh.hand;
       ++scanned;
       continue;
     }
-    if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
+    if ((st.flags & kDirty) != 0) {
+      LOR_RETURN_IF_ERROR(WriteBackFrame(entry.slot));
+    }
     DropFrame(entry.slot);
     sh.clock_ring[sh.hand] = sh.clock_ring.back();
     sh.clock_ring.pop_back();
@@ -285,68 +323,92 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
 }
 
 void BufferPool::DropFrame(uint32_t slot) {
-  Frame& f = slots_[slot];
-  Shard& sh = shards_[f.shard];
-  sh.used_bytes -= f.length;
-  cached_bytes_ -= f.length;
-  if (f.dirty) dirty_bytes_ -= f.length;
-  if (!f.data.empty()) RecycleBuffer(std::move(f.data));
-  f.data = {};
-  index_.Erase(f.offset);
-  f.seq = 0;  // Any ring entry for this slot is now stale.
-  free_slots_.push_back(slot);
+  const FrameSpan& sp = span(slot);
+  FrameState& st = state(slot);
+  const uint64_t len = sp.length();
+  shards_[ShardOf(sp.offset)].used_bytes -= len;
+  cached_bytes_ -= len;
+  if ((st.flags & kDirty) != 0) dirty_bytes_ -= len;
+  if (retain_) {
+    RecycleBuffer(std::move(payloads_[slot]));
+    payloads_[slot] = {};
+  }
+  Unlink(slot);
+  st.seq = 0;  // Any ring entry for this slot is now stale.
+  arena_.Free(slot);
 }
 
-Status BufferPool::WriteBackFrame(Frame* frame) {
-  LOR_RETURN_IF_ERROR(
-      device_->Write(frame->offset, frame->length, frame->data));
-  frame->dirty = false;
-  dirty_bytes_ -= frame->length;
+void BufferPool::MarkDirty(uint32_t slot) {
+  const FrameSpan& sp = span(slot);
+  state(slot).flags |= kDirty;
+  dirty_bytes_ += sp.length();
+  dirty_granules_.Set(GranuleOf(sp.offset));
+}
+
+Status BufferPool::WriteBackFrame(uint32_t slot) {
+  const FrameSpan& sp = span(slot);
+  const uint64_t len = sp.length();
+  LOR_RETURN_IF_ERROR(device_->Write(
+      sp.offset, len,
+      std::span<const uint8_t>(payload(slot), retain_ ? len : 0)));
+  state(slot).flags &= ~kDirty;
+  dirty_bytes_ -= len;
   ++stats_.writebacks;
-  stats_.writeback_bytes += frame->length;
+  stats_.writeback_bytes += len;
   return Status::OK();
 }
 
 Status BufferPool::FlushSlots(std::span<const uint32_t> slots) {
   if (dirty_bytes_ == 0) return Status::OK();
   flush_slices_.clear();
-  flush_frames_.clear();
+  flush_slots_.clear();
   for (uint32_t slot : slots) {
-    Frame& f = slots_[slot];
-    if (!f.dirty) continue;
-    flush_slices_.push_back(
-        {f.offset, f.length, f.data.empty() ? nullptr : f.data.data(),
-         nullptr});
-    flush_frames_.push_back(&f);
+    if ((state(slot).flags & kDirty) == 0) continue;
+    const FrameSpan& sp = span(slot);
+    flush_slices_.push_back({sp.offset, sp.length(), payload(slot), nullptr});
+    flush_slots_.push_back(slot);
   }
   if (flush_slices_.empty()) return Status::OK();
-  // One offset-ordered vectored write (index order is offset order):
+  // One offset-ordered vectored write (walk order is offset order):
   // the batch rides the IoScheduler and charges like the equivalent
   // scalar sequence, so a big flush pays one positioning per contiguous
   // dirty range.
   LOR_RETURN_IF_ERROR(device_->WriteV(flush_slices_));
-  for (Frame* f : flush_frames_) {
-    f->dirty = false;
-    dirty_bytes_ -= f->length;
+  for (size_t i = 0; i < flush_slots_.size(); ++i) {
+    state(flush_slots_[i]).flags &= ~kDirty;
+    dirty_bytes_ -= flush_slices_[i].length;
     ++stats_.writebacks;
-    stats_.writeback_bytes += f->length;
+    stats_.writeback_bytes += flush_slices_[i].length;
   }
   return Status::OK();
 }
 
-Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
-  if (dirty_bytes_ == 0 || !CollectOverlaps(offset, len)) return Status::OK();
-  return FlushSlots(overlaps_);
-}
-
 Status BufferPool::FlushRange(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0) return Status::OK();
-  return FlushOverlapping(offset, len);
+  if (!enabled() || len == 0 || dirty_bytes_ == 0 ||
+      !CollectOverlaps(offset, len, Floor(offset))) {
+    return Status::OK();
+  }
+  return FlushSlots(overlaps_);
 }
 
 Status BufferPool::FlushAll() {
   if (!enabled() || dirty_bytes_ == 0) return Status::OK();
-  return FlushOverlapping(0, device_->capacity());
+  // Only granules where a frame was dirtied can hold a dirty frame.
+  // Walked from the top down, each granule from its last frame back,
+  // they list the candidates in descending offset order.
+  overlaps_.clear();
+  for (size_t g = dirty_granules_.PrevSet(SIZE_MAX); g != GranuleBits::kNone;
+       g = g == 0 ? GranuleBits::kNone : dirty_granules_.PrevSet(g - 1)) {
+    for (uint32_t slot = last_[g];
+         slot != kNoSlot && GranuleOf(span(slot).offset) == g;
+         slot = span(slot).prev) {
+      overlaps_.push_back(slot);
+    }
+  }
+  std::reverse(overlaps_.begin(), overlaps_.end());
+  LOR_RETURN_IF_ERROR(FlushSlots(overlaps_));
+  dirty_granules_.ClearAll();  // Nothing is dirty any more.
+  return Status::OK();
 }
 
 std::vector<uint8_t> BufferPool::TakeBuffer(uint64_t len) {
@@ -405,29 +467,32 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
         s.offset + s.length < s.offset) {
       return Status::InvalidArgument("cache read out of range");
     }
-    if (Covered(s.offset, s.length)) {
+    const uint32_t floor = Floor(s.offset);
+    const uint32_t first = Containing(s.offset, floor);
+    if (Covered(s.offset, s.length, first)) {
       ++stats_.hits;
       stats_.hit_bytes += s.length;
       bool pinned_before = false;
       uint64_t pos = s.offset;
       const uint64_t end = s.offset + s.length;
-      while (pos < end) {
-        Frame* f = FrameAt(pos);
-        if (f->pinned()) pinned_before = true;
-        f->referenced = true;
-        const uint64_t chunk = std::min(f->end(), end) - pos;
+      for (uint32_t slot = first; pos < end; slot = span(slot).next) {
+        const FrameSpan& sp = span(slot);
+        FrameState& st = state(slot);
+        if (st.pinned()) pinned_before = true;
+        const uint64_t chunk = std::min(sp.end, end) - pos;
         uint8_t* dst = s.dst == nullptr ? nullptr : s.dst + (pos - s.offset);
-        if (f->filling) {
+        if ((st.flags & kFilling) != 0) {
           copy_jobs_.push_back({pos, dst, chunk});
-        } else if (dst != nullptr && f->data.empty()) {
+        } else if (dst != nullptr && !retain_) {
           std::memset(dst, 0, chunk);
         } else if (dst != nullptr) {
           // The frame predates the call, so its bytes are valid now —
           // and a later slice's install may drop it before the fill.
-          std::memcpy(dst, f->data.data() + (pos - f->offset), chunk);
+          std::memcpy(dst, payload(slot) + (pos - sp.offset), chunk);
         }
-        f->held = true;  // Protects the frame for the rest of the call.
-        held_.push_back(f);
+        // Held protects the frame for the rest of the call.
+        st.flags |= kReferenced | kHeld;
+        held_.push_back(slot);
         pos += chunk;
       }
       if (pinned_before) ++stats_.pinned_hits;
@@ -453,11 +518,11 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
         return Status::InvalidArgument("cache fill does not cover request");
       }
     }
-    Frame* frame = nullptr;
-    LOR_RETURN_IF_ERROR(InstallFrame(fo, fl, &frame));
-    frame->held = true;
-    frame->filling = true;
-    held_.push_back(frame);
+    uint32_t slot = kNoSlot;
+    LOR_RETURN_IF_ERROR(
+        InstallFrame(fo, fl, fo == s.offset ? floor : Floor(fo), &slot));
+    state(slot).flags |= kHeld | kFilling;
+    held_.push_back(slot);
     fill_offsets_.push_back(fo);
     ++stats_.fills;
     stats_.fill_bytes += fl;
@@ -468,11 +533,14 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
   // Fill destinations are resolved only now: when a later slice's
   // install replaced an earlier slice's frame, that run is charged
   // timing-only and its bytes arrive through the replacement's fill.
-  for (IoSlice& fill : fill_slices_) {
-    Frame* f = FrameAt(fill.offset);
-    if (f != nullptr && f->offset == fill.offset &&
-        f->length == fill.length && !f->data.empty()) {
-      fill.dst = f->data.data();
+  // Metadata-only fills carry no bytes.
+  if (retain_) {
+    for (IoSlice& fill : fill_slices_) {
+      const uint32_t slot = Floor(fill.offset);
+      if (slot != kNoSlot && span(slot).offset == fill.offset &&
+          span(slot).length() == fill.length) {
+        fill.dst = payload(slot);
+      }
     }
   }
   // One vectored device read fills every missed range (charged exactly
@@ -488,14 +556,14 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
       dst += chunk.size();
     });
   }
-  for (Frame* f : held_) f->held = f->filling = false;
+  for (uint32_t slot : held_) state(slot).flags &= ~(kHeld | kFilling);
   if (!fill_status.ok()) {
     // The fill never happened: drop (do not park) every frame this call
     // installed, or a stale-zero frame would sit in the index as a valid
     // cache entry and serve wrong bytes to the next hit.
     for (uint64_t fo : fill_offsets_) {
-      const uint32_t slot = index_.Floor(fo);
-      if (slot != kNoSlot && slots_[slot].offset == fo) DropFrame(slot);
+      const uint32_t slot = Floor(fo);
+      if (slot != kNoSlot && span(slot).offset == fo) DropFrame(slot);
     }
   }
   if (device_bytes != nullptr) *device_bytes = filled;
@@ -524,11 +592,12 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
         s.offset + s.length < s.offset) {
       return Status::InvalidArgument("cache write out of range");
     }
-    Frame* f = FrameAt(s.offset);
-    if (f != nullptr && f->end() >= s.offset + s.length) {
+    const uint32_t floor = Floor(s.offset);
+    uint32_t slot = floor;
+    if (floor != kNoSlot && span(floor).end >= s.offset + s.length) {
       // In-place update within one resident frame.
-      if (!f->data.empty()) {
-        uint8_t* p = f->data.data() + (s.offset - f->offset);
+      if (retain_) {
+        uint8_t* p = payload(slot) + (s.offset - span(slot).offset);
         if (s.src != nullptr) {
           std::memcpy(p, s.src, s.length);
         } else {
@@ -536,11 +605,11 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
           std::memset(p, 0, s.length);
         }
       }
-      f->referenced = true;
+      state(slot).flags |= kReferenced;
     } else {
-      LOR_RETURN_IF_ERROR(InstallFrame(s.offset, s.length, &f));
-      if (!f->data.empty() && s.src != nullptr) {
-        std::memcpy(f->data.data(), s.src, s.length);
+      LOR_RETURN_IF_ERROR(InstallFrame(s.offset, s.length, floor, &slot));
+      if (retain_ && s.src != nullptr) {
+        std::memcpy(payload(slot), s.src, s.length);
       }
     }
     ++stats_.write_installs;
@@ -551,10 +620,7 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
       // The frame's other bytes keep whatever dirtiness they had; the
       // slice itself is now coherent with the device either way.
     } else {
-      if (!f->dirty) {
-        f->dirty = true;
-        dirty_bytes_ += f->length;
-      }
+      if ((state(slot).flags & kDirty) == 0) MarkDirty(slot);
       device_->ChargeCpu(options_.hit_cpu_s +
                          static_cast<double>(s.length) /
                              options_.copy_bandwidth);
@@ -575,7 +641,9 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
 }
 
 void BufferPool::Invalidate(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0 || !CollectOverlaps(offset, len)) return;
+  if (!enabled() || len == 0 || !CollectOverlaps(offset, len, Floor(offset))) {
+    return;
+  }
   for (uint32_t slot : overlaps_) {
     ++stats_.invalidations;
     DropFrame(slot);  // Dirty content dies with the owner.
@@ -583,23 +651,27 @@ void BufferPool::Invalidate(uint64_t offset, uint64_t len) {
 }
 
 uint64_t BufferPool::PinRange(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0 || !CollectOverlaps(offset, len)) return 0;
-  for (uint32_t slot : overlaps_) ++slots_[slot].pin;
+  if (!enabled() || len == 0 || !CollectOverlaps(offset, len, Floor(offset))) {
+    return 0;
+  }
+  for (uint32_t slot : overlaps_) ++state(slot).pin;
   return overlaps_.size();
 }
 
 void BufferPool::UnpinRange(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0 || !CollectOverlaps(offset, len)) return;
+  if (!enabled() || len == 0 || !CollectOverlaps(offset, len, Floor(offset))) {
+    return;
+  }
   for (uint32_t slot : overlaps_) {
-    if (slots_[slot].pin > 0) --slots_[slot].pin;
+    if (state(slot).pin > 0) --state(slot).pin;
   }
 }
 
 void BufferPool::Reset() {
   if (!enabled()) return;
-  slots_.clear();
-  free_slots_.clear();
-  index_.Build(device_->capacity());
+  arena_.Clear();
+  payloads_.clear();
+  BuildDirectory();
   shards_.assign(options_.shards, Shard{});
   free_lists_.clear();
   free_list_bytes_ = 0;
@@ -609,34 +681,38 @@ void BufferPool::Reset() {
 
 const uint8_t* BufferPool::ViewChunk(uint64_t offset, uint64_t len,
                                      uint64_t* chunk) const {
-  const Frame* f = FrameAt(offset);
-  if (f != nullptr) {
-    *chunk = std::min(f->end(), offset + len) - offset;
-    if (f->data.empty()) return nullptr;  // Bookkeeping frame: device view.
-    return f->data.data() + (offset - f->offset);
+  const uint32_t floor = Floor(offset);
+  const uint32_t slot = Containing(offset, floor);
+  if (slot == kNoSlot) {
+    *chunk = GapLength(offset, len, floor);
+    return nullptr;
   }
-  *chunk = GapLength(offset, len);
-  return nullptr;
+  const FrameSpan& sp = span(slot);
+  *chunk = std::min(sp.end, offset + len) - offset;
+  // A bookkeeping frame (null payload) reads through the device view.
+  return retain_ ? payload(slot) + (offset - sp.offset) : nullptr;
 }
 
 uint8_t* BufferPool::MutableViewChunk(uint64_t offset, uint64_t len,
                                       uint64_t* chunk, bool through) {
-  Frame* f = FrameAt(offset);
-  if (f != nullptr) {
-    *chunk = std::min(f->end(), offset + len) - offset;
-    if (f->data.empty()) return nullptr;  // Device drops payload anyway.
-    if (!through && !f->dirty) {
-      f->dirty = true;
-      dirty_bytes_ += f->length;
-    }
-    return f->data.data() + (offset - f->offset);
+  const uint32_t floor = Floor(offset);
+  const uint32_t slot = Containing(offset, floor);
+  if (slot == kNoSlot) {
+    *chunk = GapLength(offset, len, floor);
+    return nullptr;
   }
-  *chunk = GapLength(offset, len);
-  return nullptr;
+  const FrameSpan& sp = span(slot);
+  *chunk = std::min(sp.end, offset + len) - offset;
+  if (!retain_) return nullptr;  // Device drops payload anyway.
+  if (!through && (state(slot).flags & kDirty) == 0) MarkDirty(slot);
+  return payload(slot) + (offset - sp.offset);
 }
 
-uint64_t BufferPool::GapLength(uint64_t offset, uint64_t len) const {
-  return std::min(index_.NextStart(offset), offset + len) - offset;
+uint64_t BufferPool::GapLength(uint64_t offset, uint64_t len,
+                               uint32_t floor) const {
+  const uint32_t next = NextOf(floor);
+  const uint64_t next_start = next == kNoSlot ? UINT64_MAX : span(next).offset;
+  return std::min(next_start, offset + len) - offset;
 }
 
 void BufferPool::CopyFrameToDevice(uint64_t offset, const uint8_t* src,

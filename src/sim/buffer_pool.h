@@ -17,15 +17,24 @@
 //     host-side cache CPU (per-request cost + bytes / copy_bandwidth)
 //     via ChargeCpu, so hits still ride op scopes and show up in
 //     latency percentiles.
-//   * Frames live in a slot arena (a deque, so addresses are stable,
-//     plus a free list of slots) and are found through an offset
-//     index: one small sorted vector of (start, slot) per 1 MiB offset
-//     bucket — the granularity ShardOf uses — with a bitmap of
-//     non-empty buckets for predecessor/successor lookups by word
-//     scan. Invariant: every walk over the index (flush batches,
-//     invalidations, pins) visits frames in ascending offset order, so
-//     a flush is one offset-ordered WriteV. The index is built only
-//     when the pool is enabled.
+//   * Frames live in a slot arena of fixed-size chunks (records never
+//     move, and a free slot chains to the next through its link). Each
+//     slot splits into a span record (start, end and the slots of the
+//     offset-ordered neighbours) and a CLOCK record (install seq, pin
+//     count, dirty/referenced/held flags); payload buffers sit in a
+//     separate per-slot store that metadata-only devices never touch.
+//     Frames are found through an offset directory sized from the
+//     device capacity: the slot of the last frame starting in each fixed
+//     granule of the offset space (at least 64 KiB, at most 2^20
+//     granules), a two-level bitmap of non-empty granules for far
+//     predecessor searches, and the neighbour links for everything else
+//     — a lookup is one directory load plus a short walk, and the
+//     overlap walk and the insert reuse the position the lookup found. A second granule bitmap marks where
+//     frames were dirtied, so the lazy writer visits only those
+//     granules. Invariant: every walk (flush batches, invalidations,
+//     pins) visits frames in ascending offset order, so a flush is one
+//     offset-ordered WriteV. The directory is built only when the pool
+//     is enabled.
 //   * Misses fill through one vectored ReadV per call, at extent-run
 //     granularity (extended to the caller's fill range when it gives
 //     one — read-ahead), into frames recycled from per-size free lists
@@ -63,8 +72,9 @@
 #ifndef LOREPO_SIM_BUFFER_POOL_H_
 #define LOREPO_SIM_BUFFER_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -237,70 +247,91 @@ class BufferPool {
   const BufferPoolOptions& options() const { return options_; }
   uint64_t cached_bytes() const { return cached_bytes_; }
   uint64_t dirty_bytes() const { return dirty_bytes_; }
-  uint64_t frame_count() const { return index_.size(); }
+  uint64_t frame_count() const { return frame_count_; }
   BlockDevice* device() { return device_; }
 
  private:
   /// "No frame" marker for slot lookups.
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  struct Frame {
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    /// Payload; empty on metadata-only devices (bookkeeping frame).
-    std::vector<uint8_t> data;
-    uint32_t pin = 0;
-    uint32_t shard = 0;
-    /// Install seq; 0 marks a free arena slot (seqs start at 1).
-    uint64_t seq = 0;
-    bool dirty = false;
-    bool referenced = false;  ///< CLOCK second-chance bit.
-    /// Hit or installed by the in-progress ReadThrough: eviction skips
-    /// it like a pinned frame. Cleared when the call returns; never
-    /// inherited by a frame installed over it.
-    bool held = false;
-    /// Installed by the in-progress ReadThrough; its bytes arrive with
-    /// the call's batched fill.
-    bool filling = false;
-    uint64_t end() const { return offset + length; }
-    bool pinned() const { return pin > 0 || held; }
+  /// FrameState::flags bits.
+  static constexpr uint8_t kDirty = 1;
+  static constexpr uint8_t kReferenced = 2;  ///< CLOCK second-chance bit.
+  /// Hit or installed by the in-progress ReadThrough: eviction skips it
+  /// like a pinned frame. Cleared when the call returns; never
+  /// inherited by a frame installed over it.
+  static constexpr uint8_t kHeld = 4;
+  /// Installed by the in-progress ReadThrough; its bytes arrive with the
+  /// call's batched fill.
+  static constexpr uint8_t kFilling = 8;
+
+  /// A frame's place in offset order: its byte range and the slots of
+  /// its neighbours (kNoSlot at the ends). A free slot keeps the next
+  /// free slot in `next`.
+  struct FrameSpan {
+    uint64_t offset;
+    uint64_t end;
+    uint32_t prev;
+    uint32_t next;
+    uint64_t length() const { return end - offset; }
   };
 
-  /// Resident frames ordered by start offset: a sorted (start, slot)
-  /// vector per 1 MiB bucket plus a bitmap of non-empty buckets.
-  class OffsetIndex {
-   public:
-    /// Sizes the buckets for a device of `capacity` bytes, empty.
-    void Build(uint64_t capacity);
-    uint64_t size() const { return size_; }
+  /// What eviction and the flush paths read per frame.
+  struct FrameState {
+    /// Install seq; 0 marks a free slot (seqs start at 1).
+    uint64_t seq;
+    uint32_t pin;
+    uint8_t flags;
+    bool pinned() const { return pin > 0 || (flags & kHeld) != 0; }
+  };
 
-    void Insert(uint64_t offset, uint32_t slot);
-    void Erase(uint64_t offset);
-    /// Slot of the frame with the largest start <= offset, or kNoSlot.
-    uint32_t Floor(uint64_t offset) const;
-    /// Start of the first frame starting after `offset`, or UINT64_MAX.
-    uint64_t NextStart(uint64_t offset) const;
-    /// Appends the slots of frames starting in [lo, hi), in offset
-    /// order.
-    void Collect(uint64_t lo, uint64_t hi, std::vector<uint32_t>* out) const;
+  /// Slot arena: span and CLOCK records in fixed-size chunks, so growth
+  /// neither moves a record nor over-allocates by more than one chunk.
+  class FrameArena {
+   public:
+    FrameSpan& span(uint32_t slot) {
+      return chunks_[slot >> kChunkShift]->spans[slot & kChunkMask];
+    }
+    const FrameSpan& span(uint32_t slot) const {
+      return chunks_[slot >> kChunkShift]->spans[slot & kChunkMask];
+    }
+    FrameState& state(uint32_t slot) {
+      return chunks_[slot >> kChunkShift]->states[slot & kChunkMask];
+    }
+    /// A free slot, reusing the most recently freed one first.
+    uint32_t Allocate();
+    void Free(uint32_t slot);
+    void Clear();
 
    private:
-    struct Entry {
-      uint64_t offset;
-      uint32_t slot;
+    static constexpr uint32_t kChunkShift = 12;
+    static constexpr uint32_t kChunkMask = (1u << kChunkShift) - 1;
+    struct Chunk {
+      FrameSpan spans[1u << kChunkShift];
+      FrameState states[1u << kChunkShift];
     };
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    uint32_t size_ = 0;  ///< Slots ever handed out.
+    uint32_t free_head_ = kNoSlot;
+  };
+
+  /// One bit per directory granule plus a summary bit per 64-bit word,
+  /// so a predecessor search crosses 4,096 empty granules per word read.
+  class GranuleBits {
+   public:
     static constexpr size_t kNone = SIZE_MAX;
+    /// `n` granules, all clear.
+    void Assign(size_t n);
+    void Set(size_t granule);
+    void Clear(size_t granule);
+    /// Clears every set bit (cost proportional to the set words).
+    void ClearAll();
+    /// Last set granule at or before `granule`, or kNone.
+    size_t PrevSet(size_t granule) const;
 
-    size_t BucketOf(uint64_t offset) const;
-    void SetBit(size_t bucket, bool on);
-    /// Nearest non-empty bucket strictly below / above `bucket`, or
-    /// kNone.
-    size_t PrevBucket(size_t bucket) const;
-    size_t NextBucket(size_t bucket) const;
-
-    std::vector<std::vector<Entry>> buckets_;
-    std::vector<uint64_t> nonempty_;
-    uint64_t size_ = 0;
+   private:
+    std::vector<uint64_t> words_;
+    std::vector<uint64_t> summary_;
   };
 
   /// One deferred payload move of a ReadThrough call: a miss copy-out,
@@ -332,28 +363,59 @@ class BufferPool {
   uint64_t ShardCapacity() const {
     return options_.capacity_bytes / options_.shards;
   }
-  bool RetainData() const {
-    return device_->data_mode() == DataMode::kRetain;
-  }
   /// True when writes may park in dirty frames right now (no armed
   /// fault injector on the device).
   bool WriteBackActive() const;
 
+  FrameSpan& span(uint32_t slot) { return arena_.span(slot); }
+  const FrameSpan& span(uint32_t slot) const { return arena_.span(slot); }
+  FrameState& state(uint32_t slot) { return arena_.state(slot); }
+  /// The frame's payload, or null on a metadata-only device.
+  uint8_t* payload(uint32_t slot) {
+    return retain_ ? payloads_[slot].data() : nullptr;
+  }
+  const uint8_t* payload(uint32_t slot) const {
+    return retain_ ? payloads_[slot].data() : nullptr;
+  }
+
+  // Offset directory.
+  /// Sizes the directory for the device, empty.
+  void BuildDirectory();
+  size_t GranuleOf(uint64_t offset) const {
+    return std::min(static_cast<size_t>(offset >> granule_shift_),
+                    last_.size() - 1);
+  }
+  /// Slot of the frame with the largest start <= offset, or kNoSlot.
+  uint32_t Floor(uint64_t offset) const;
+  /// The frame after `slot` in offset order; the first frame when
+  /// `slot` is kNoSlot.
+  uint32_t NextOf(uint32_t slot) const {
+    return slot == kNoSlot ? head_ : span(slot).next;
+  }
+  /// Links `slot` (its span set) into offset order right after `pred`
+  /// (kNoSlot: at the front).
+  void Link(uint32_t slot, uint32_t pred);
+  void Unlink(uint32_t slot);
+
   /// Fills overlaps_ with the slots of the frames intersecting
-  /// [offset, offset+len), in offset order; returns whether any does.
-  bool CollectOverlaps(uint64_t offset, uint64_t len);
-  /// Frame containing `offset`, or null.
-  Frame* FrameAt(uint64_t offset);
-  const Frame* FrameAt(uint64_t offset) const;
+  /// [offset, offset+len), in offset order, given `floor` ==
+  /// Floor(offset); returns whether any does.
+  bool CollectOverlaps(uint64_t offset, uint64_t len, uint32_t floor);
+  /// `floor` when that frame contains `offset`, else kNoSlot.
+  uint32_t Containing(uint64_t offset, uint32_t floor) const {
+    return floor != kNoSlot && span(floor).end > offset ? floor : kNoSlot;
+  }
 
-  /// True when [offset, offset+len) is fully covered by (contiguous)
-  /// resident frames.
-  bool Covered(uint64_t offset, uint64_t len) const;
+  /// True when [offset, offset+len) is fully covered by contiguous
+  /// resident frames, the first being `first` (Containing(offset)).
+  bool Covered(uint64_t offset, uint64_t len, uint32_t first) const;
 
-  /// Installs a frame for [offset, len): flushes dirty partial
-  /// overlaps, drops full overlaps, evicts for space, takes a recycled
-  /// buffer. `*out` receives the new frame.
-  Status InstallFrame(uint64_t offset, uint64_t len, Frame** out);
+  /// Installs a frame for [offset, len) given `floor` == Floor(offset):
+  /// flushes dirty partial overlaps, drops full overlaps, evicts for
+  /// space, takes a recycled buffer. Returns the new frame's slot in
+  /// `*out`.
+  Status InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
+                      uint32_t* out);
 
   /// Evicts until `shard` can absorb `incoming` more bytes; gives up
   /// (and lets the domain overflow) when only pinned frames remain.
@@ -362,19 +424,19 @@ class BufferPool {
   /// one existed.
   Status EvictOne(uint32_t shard, bool* evicted);
 
-  /// Removes the frame in `slot` from the index and eviction state,
+  /// Removes the frame in `slot` from the directory and eviction state,
   /// recycling its buffer and its slot. Does not write anything back —
   /// callers flush or discard dirty content first.
   void DropFrame(uint32_t slot);
 
+  /// Marks a clean frame dirty.
+  void MarkDirty(uint32_t slot);
   /// Writes one dirty frame back (scalar Write) and marks it clean.
-  Status WriteBackFrame(Frame* frame);
+  Status WriteBackFrame(uint32_t slot);
 
   /// Flushes the dirty frames among `slots` (offset order) as one
   /// WriteV batch — the shared core of FlushRange/FlushAll/install.
   Status FlushSlots(std::span<const uint32_t> slots);
-  /// Flushes the dirty frames overlapping [offset, offset+len).
-  Status FlushOverlapping(uint64_t offset, uint64_t len);
 
   /// Buffer recycling (per-size free lists, power-of-two classes).
   std::vector<uint8_t> TakeBuffer(uint64_t len);
@@ -386,20 +448,31 @@ class BufferPool {
                            uint64_t* chunk) const;
   uint8_t* MutableViewChunk(uint64_t offset, uint64_t len, uint64_t* chunk,
                             bool through);
-  /// Length of the uncached gap at `offset`, capped at `len`.
-  uint64_t GapLength(uint64_t offset, uint64_t len) const;
+  /// Length of the uncached gap at `offset`, capped at `len`, given
+  /// `floor` == Floor(offset) does not contain it.
+  uint64_t GapLength(uint64_t offset, uint64_t len, uint32_t floor) const;
   /// Copies frame bytes through to the device arena (write-through
   /// views).
   void CopyFrameToDevice(uint64_t offset, const uint8_t* src, uint64_t len);
 
   BlockDevice* device_;
   BufferPoolOptions options_;
+  /// The device retains payload bytes (its data mode never changes).
+  bool retain_;
   BufferPoolStats stats_;
-  /// Frame arena: slots are reused through free_slots_, and a deque
-  /// never moves a live frame.
-  std::deque<Frame> slots_;
-  std::vector<uint32_t> free_slots_;
-  OffsetIndex index_;
+  FrameArena arena_;
+  /// Payload buffers by slot; grown and touched only when retain_.
+  std::vector<std::vector<uint8_t>> payloads_;
+  /// Directory: last (highest-offset) frame starting in each granule.
+  std::vector<uint32_t> last_;
+  GranuleBits nonempty_;
+  /// Granules holding the start of a frame dirtied since the last
+  /// FlushAll (a superset of the dirty frames' granules).
+  GranuleBits dirty_granules_;
+  uint32_t granule_shift_ = 0;
+  uint32_t head_ = kNoSlot;
+  uint32_t tail_ = kNoSlot;
+  uint64_t frame_count_ = 0;
   std::vector<Shard> shards_;
   uint64_t cached_bytes_ = 0;
   uint64_t dirty_bytes_ = 0;
@@ -412,9 +485,9 @@ class BufferPool {
   /// allocates.
   std::vector<IoSlice> fill_slices_;
   std::vector<IoSlice> flush_slices_;
-  std::vector<Frame*> flush_frames_;
+  std::vector<uint32_t> flush_slots_;
   std::vector<CopyJob> copy_jobs_;
-  std::vector<Frame*> held_;  ///< Frames the in-progress call holds.
+  std::vector<uint32_t> held_;  ///< Slots the in-progress call holds.
   std::vector<uint32_t> overlaps_;
   /// Start offsets of frames installed by the in-progress ReadThrough;
   /// a failed fill drops exactly these (never parks them as valid).

@@ -462,6 +462,216 @@ TEST(BufferPoolTest, LaterSliceInstallNeverCorruptsEarlierSliceCopies) {
   expect_unpinned(&pool);
 }
 
+// Offset-index boundaries, seen only through the public API. The
+// directory keeps one entry per granule of at least 64 KiB, so the
+// cases below put frames on granule edges, on the device's first and
+// last byte, at odd offsets, and tens of thousands of granules apart.
+
+/// Bytes of [offset, offset+len) as the pool serves them.
+std::vector<uint8_t> Viewed(const BufferPool& pool, uint64_t offset,
+                            uint64_t len) {
+  std::vector<uint8_t> out;
+  pool.View(offset, len, [&](std::span<const uint8_t> chunk) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  });
+  return out;
+}
+
+TEST(BufferPoolIndexTest, FramesAtTheDeviceStartAndEnd) {
+  constexpr uint64_t kCap = 16 * kMiB;
+  constexpr uint64_t kTail = 5000;  // Unaligned, ends on the last byte.
+  BlockDevice dev(SmallDisk(kCap), DataMode::kRetain);
+  BufferPoolOptions options;
+  options.capacity_bytes = 4 * kMiB;
+  BufferPool pool(&dev, options);
+
+  const std::vector<uint8_t> head = Pattern(4 * kKiB, 3);
+  const std::vector<uint8_t> tail = Pattern(kTail, 4);
+  std::vector<CacheSlice> w = {Slice(0, head.size(), head.data(), nullptr),
+                               Slice(kCap - kTail, kTail, tail.data(), nullptr)};
+  ASSERT_TRUE(pool.WriteThrough(w).ok());
+  EXPECT_EQ(pool.frame_count(), 2u);
+  EXPECT_EQ(dev.stats().writes, 0u) << "write-back wrote through";
+
+  // Both frames serve their bytes (still dirty: only the pool has them).
+  EXPECT_EQ(Viewed(pool, 0, head.size()), head);
+  EXPECT_EQ(Viewed(pool, kCap - kTail, kTail), tail);
+  std::vector<uint8_t> last(1);
+  std::vector<CacheSlice> r = {Slice(kCap - 1, 1, nullptr, last.data())};
+  ASSERT_TRUE(pool.ReadThrough(r).ok());
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(last[0], tail.back());
+
+  // A range holding only the last byte finds the frame that starts
+  // 5000 bytes earlier; one holding only byte 0 finds the first frame.
+  ASSERT_TRUE(pool.FlushRange(kCap - 1, 1).ok());
+  EXPECT_EQ(dev.stats().bytes_written, kTail);
+  ASSERT_TRUE(pool.FlushRange(0, 1).ok());
+  EXPECT_EQ(dev.stats().bytes_written, kTail + head.size());
+  EXPECT_EQ(pool.dirty_bytes(), 0u);
+
+  pool.Invalidate(kCap - 1, 1);
+  EXPECT_EQ(pool.frame_count(), 1u);
+  pool.Invalidate(0, 1);
+  EXPECT_EQ(pool.frame_count(), 0u);
+  EXPECT_EQ(pool.cached_bytes(), 0u);
+}
+
+TEST(BufferPoolIndexTest, UnalignedFramesStraddlingGranuleEdges) {
+  constexpr uint64_t kCap = 16 * kMiB;
+  constexpr uint64_t kEdge = 64 * kKiB;
+  BlockDevice dev(SmallDisk(kCap), DataMode::kRetain);
+  BufferPoolOptions options;
+  options.capacity_bytes = 4 * kMiB;
+  BufferPool pool(&dev, options);
+
+  // [start, length): across one edge, ending one byte past an edge,
+  // spanning three edges, exactly one granule, and two frames sharing
+  // a granule.
+  const std::vector<std::pair<uint64_t, uint64_t>> frames = {
+      {kEdge - 100, 200},          {2 * kEdge - 1, 2},
+      {3 * kEdge + 7, 3 * kEdge},  {7 * kEdge, kEdge},
+      {9 * kEdge + 11, 13},        {9 * kEdge + 4000, 3}};
+  std::vector<uint8_t> expected(10 * kEdge, 0);
+  std::vector<std::vector<uint8_t>> payloads;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const auto [start, len] = frames[i];
+    payloads.push_back(Pattern(len, static_cast<uint8_t>(10 + i)));
+    std::copy(payloads.back().begin(), payloads.back().end(),
+              expected.begin() + static_cast<long>(start));
+    std::vector<CacheSlice> w = {
+        Slice(start, len, payloads.back().data(), nullptr)};
+    ASSERT_TRUE(pool.WriteThrough(w).ok());
+  }
+  EXPECT_EQ(pool.frame_count(), frames.size());
+  EXPECT_EQ(Viewed(pool, 0, expected.size()), expected);
+
+  // A read wholly inside the middle granule of the three-edge frame
+  // hits; one just past that frame's end, in the same granule, misses
+  // and fills a frame of its own.
+  std::vector<uint8_t> back(10);
+  std::vector<CacheSlice> r = {
+      Slice(4 * kEdge + 5, back.size(), nullptr, back.data())};
+  ASSERT_TRUE(pool.ReadThrough(r).ok());
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_TRUE(std::equal(back.begin(), back.end(),
+                         expected.begin() + 4 * kEdge + 5));
+  r = {Slice(6 * kEdge + 7, 2, nullptr, back.data())};
+  ASSERT_TRUE(pool.ReadThrough(r).ok());
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.frame_count(), frames.size() + 1);
+  EXPECT_EQ(dev.stats().bytes_written, 0u);
+
+  // Flushing one byte on the far side of an edge writes the frame that
+  // crosses it; invalidating the second of two frames in one granule
+  // leaves the first.
+  ASSERT_TRUE(pool.FlushRange(kEdge + 50, 1).ok());
+  EXPECT_EQ(dev.stats().bytes_written, 200u);
+  pool.Invalidate(9 * kEdge + 4001, 1);
+  EXPECT_EQ(pool.frame_count(), frames.size());
+  expected[9 * kEdge + 4000] = expected[9 * kEdge + 4001] =
+      expected[9 * kEdge + 4002] = 0;  // Dirty bytes died with the frame.
+  EXPECT_EQ(Viewed(pool, 0, expected.size()), expected);
+
+  // FlushAll writes every remaining dirty frame once.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dev.stats().bytes_written,
+            200u + 2 + 3 * kEdge + kEdge + 13);
+  EXPECT_EQ(pool.dirty_bytes(), 0u);
+}
+
+TEST(BufferPoolIndexTest, LookupsAcrossThousandsOfEmptyGranules) {
+  // Bookkeeping frames on a 32 GiB device: a 1 GiB frame at offset 0
+  // spans 16,384 granules of 64 KiB, far more than the 4,096 one
+  // summary word of the non-empty bitmap covers.
+  constexpr uint64_t kCap = 32 * kGiB;
+  BlockDevice dev(SmallDisk(kCap), DataMode::kMetadataOnly);
+  BufferPoolOptions options;
+  options.capacity_bytes = 8 * kGiB;  // The lazy writer stays idle.
+  options.shards = 1;
+  BufferPool pool(&dev, options);
+
+  std::vector<CacheSlice> w = {Slice(0, kGiB, nullptr, nullptr),
+                               Slice(kCap - 4 * kKiB, 4 * kKiB, nullptr,
+                                     nullptr)};
+  ASSERT_TRUE(pool.WriteThrough(w).ok());
+  ASSERT_EQ(pool.frame_count(), 2u);
+
+  // Reads deep inside the big frame hit it.
+  for (const uint64_t at : {kGiB / 2, kGiB - 1, uint64_t{300} * kMiB + 7}) {
+    std::vector<CacheSlice> r = {Slice(at, 1, nullptr, nullptr)};
+    ASSERT_TRUE(pool.ReadThrough(r).ok());
+  }
+  EXPECT_EQ(pool.stats().hits, 3u);
+  EXPECT_EQ(pool.stats().misses, 0u);
+
+  // A read in the empty middle misses, and its fill lands between the
+  // two frames without disturbing either.
+  std::vector<CacheSlice> r = {Slice(16 * kGiB + 3, 100, nullptr, nullptr)};
+  ASSERT_TRUE(pool.ReadThrough(r).ok());
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.frame_count(), 3u);
+
+  // One byte far inside the big frame flushes all of it; one byte
+  // below the last frame flushes nothing; the last byte finds it.
+  ASSERT_TRUE(pool.FlushRange(kGiB - 2, 1).ok());
+  EXPECT_EQ(dev.stats().bytes_written, kGiB);
+  ASSERT_TRUE(pool.FlushRange(kCap - 4 * kKiB - 1, 1).ok());
+  EXPECT_EQ(dev.stats().bytes_written, kGiB);
+  ASSERT_TRUE(pool.FlushRange(kCap - 1, 1).ok());
+  EXPECT_EQ(dev.stats().bytes_written, kGiB + 4 * kKiB);
+
+  pool.Invalidate(20 * kGiB, 1);  // Nothing there.
+  EXPECT_EQ(pool.frame_count(), 3u);
+  pool.Invalidate(kGiB / 3, 1);
+  pool.Invalidate(kCap - 1, 1);
+  EXPECT_EQ(pool.frame_count(), 1u);
+  EXPECT_EQ(pool.cached_bytes(), 100u);
+}
+
+TEST(BufferPoolIndexTest, ResetThenReuse) {
+  constexpr uint64_t kCap = 16 * kMiB;
+  BlockDevice dev(SmallDisk(kCap), DataMode::kRetain);
+  BufferPoolOptions options;
+  options.capacity_bytes = 4 * kMiB;
+  BufferPool pool(&dev, options);
+
+  const std::vector<uint8_t> old_bytes = Pattern(3 * kFrame, 30);
+  std::vector<CacheSlice> w = {
+      Slice(kFrame / 2, old_bytes.size(), old_bytes.data(), nullptr)};
+  ASSERT_TRUE(pool.WriteThrough(w).ok());
+  ASSERT_GT(pool.dirty_bytes(), 0u);
+
+  // The crash path: dirty frames vanish without reaching the device.
+  pool.Reset();
+  EXPECT_EQ(pool.frame_count(), 0u);
+  EXPECT_EQ(pool.cached_bytes(), 0u);
+  EXPECT_EQ(pool.dirty_bytes(), 0u);
+  EXPECT_EQ(Viewed(pool, kFrame / 2, old_bytes.size()),
+            std::vector<uint8_t>(old_bytes.size(), 0));
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dev.stats().writes, 0u);
+
+  // The same offsets index afresh: smaller frames, then a read.
+  const std::vector<uint8_t> a = Pattern(kFrame, 31);
+  const std::vector<uint8_t> b = Pattern(kFrame, 32);
+  w = {Slice(kFrame / 2, a.size(), a.data(), nullptr),
+       Slice(2 * kFrame, b.size(), b.data(), nullptr)};
+  ASSERT_TRUE(pool.WriteThrough(w).ok());
+  EXPECT_EQ(pool.frame_count(), 2u);
+  std::vector<uint8_t> back(kFrame);
+  std::vector<CacheSlice> r = {Slice(2 * kFrame, kFrame, nullptr, back.data())};
+  ASSERT_TRUE(pool.ReadThrough(r).ok());
+  EXPECT_EQ(back, b);
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(Viewed(pool, kFrame / 2, kFrame), a);
+
+  // FlushAll writes exactly the post-reset frames.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(dev.stats().bytes_written, 2 * kFrame);
+  EXPECT_EQ(pool.dirty_bytes(), 0u);
+}
+
 // Pins every decision the pool makes (hits, fills, evictions, flush
 // batches, pins, device charges) under a seeded op stream, so that an
 // index or eviction-bookkeeping rewrite can prove it changed nothing.
