@@ -19,6 +19,16 @@
 // Retain-mode passes verify every payload byte against the written
 // pattern; any mismatch (stale frame, recycled-buffer leak) exits
 // nonzero and fails the run_all REQUIRED gate.
+//
+// The 8 MiB region holds 128 frames, so the pool's index and frame
+// records sit in cache there. A last phase runs at bench shape instead:
+// metadata-only frames on an 8 GiB device under a 4 GiB single-domain
+// pool (the cached_pool lor_bench shape), filled to over 100k resident
+// frames, then a seeded churn of multi-slice write installs, extent
+// invalidations, range flushes and reads, with the lazy writer tripping
+// along the way. Only its wall ns/op is printed, as prose; the phase
+// exits nonzero when it ends with too few resident frames or without a
+// lazy-writer flush, since it would then not measure what it claims.
 
 #include <chrono>
 #include <cstdio>
@@ -28,6 +38,7 @@
 #include "bench_common.h"
 #include "sim/block_device.h"
 #include "sim/buffer_pool.h"
+#include "util/random.h"
 #include "util/table_writer.h"
 
 namespace lor {
@@ -123,6 +134,93 @@ bool RunPath(sim::BlockDevice* dev, sim::BufferPool* pool, Path path,
   return true;
 }
 
+constexpr uint64_t kChurnDevice = 8 * kGiB;
+constexpr uint64_t kChurnPool = 4 * kGiB;
+constexpr uint64_t kChurnPage = 8 * kKiB;
+constexpr uint64_t kChurnExtent = 64 * kKiB;
+constexpr uint64_t kChurnOps = 200000;
+constexpr uint64_t kChurnMinFrames = 100000;
+
+struct ChurnResult {
+  double wall_seconds = 0.0;
+  uint64_t frames = 0;        ///< Resident at the end.
+  uint64_t lazy_flushes = 0;  ///< Write calls that tripped the writer.
+
+  double wall_ns_per_op() const {
+    return wall_seconds * 1e9 / static_cast<double>(kChurnOps);
+  }
+};
+
+/// Writes `slices` and counts the call if it ended in a lazy-writer
+/// flush (a write-back call leaves its own frame dirty unless the
+/// writer then cleaned everything).
+bool ChurnWrite(sim::BufferPool* pool,
+                std::span<const sim::CacheSlice> slices,
+                uint64_t* lazy_flushes) {
+  const uint64_t writebacks = pool->stats().writebacks;
+  if (!pool->WriteThrough(slices).ok()) return false;
+  if (pool->dirty_bytes() == 0 && pool->stats().writebacks > writebacks) {
+    ++*lazy_flushes;
+  }
+  return true;
+}
+
+/// The bench-shape phase: fill, then kChurnOps timed operations.
+bool RunChurn(uint64_t seed, ChurnResult* result) {
+  sim::BlockDevice dev(
+      sim::DiskParams::St3400832as().WithCapacity(kChurnDevice),
+      sim::DataMode::kMetadataOnly);
+  sim::BufferPoolOptions pool_options;
+  pool_options.capacity_bytes = kChurnPool;
+  pool_options.shards = 1;
+  sim::BufferPool pool(&dev, pool_options);
+  dev.AttachBufferPool(&pool);
+  Rng rng(seed);
+  std::vector<sim::CacheSlice> slices;
+  // Fill: 32 KiB frames across the first half of the device.
+  for (uint64_t off = 0; off < kChurnPool; off += 4 * kChurnPage) {
+    slices.assign(1, {off, 4 * kChurnPage, nullptr, nullptr, off, 0});
+    if (!ChurnWrite(&pool, slices, &result->lazy_flushes)) return false;
+  }
+  const auto page_at = [&rng](uint64_t span) {
+    return rng.Uniform(span / kChurnPage) * kChurnPage;
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  for (uint64_t op = 0; op < kChurnOps; ++op) {
+    const uint64_t r = rng.Uniform(100);
+    bool ok = true;
+    if (r < 50) {
+      // An object's runs: 1-4 page-aligned slices of 8-48 KiB, a
+      // little apart, installed dirty.
+      slices.clear();
+      uint64_t off = page_at(kChurnDevice - 2 * kMiB);
+      for (uint64_t n = 1 + rng.Uniform(4); n > 0; --n) {
+        const uint64_t len = rng.UniformRange(1, 6) * kChurnPage;
+        slices.push_back({off, len, nullptr, nullptr, off, 0});
+        off += len + rng.Uniform(8) * kChurnPage;
+      }
+      ok = ChurnWrite(&pool, slices, &result->lazy_flushes);
+    } else if (r < 80) {
+      // A freed extent drops whatever frames it holds.
+      pool.Invalidate(page_at(kChurnDevice - kChurnExtent), kChurnExtent);
+    } else if (r < 90) {
+      // An fsync-style flush of a 1 MiB range.
+      ok = pool.FlushRange(page_at(kChurnDevice - kMiB), kMiB).ok();
+    } else {
+      // A 64 KiB read, filling its extent on a miss.
+      const uint64_t off = page_at(kChurnDevice - kChurnExtent);
+      slices.assign(1, {off, kChurnExtent, nullptr, nullptr, off, 0});
+      ok = pool.ReadThrough(slices).ok();
+    }
+    if (!ok) return false;
+  }
+  result->wall_seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  result->frames = pool.frame_count();
+  return true;
+}
+
 const char* PathName(Path path) {
   switch (path) {
     case Path::kMiss:
@@ -204,6 +302,24 @@ int Run(const Options& options) {
                   path == 0 ? "miss" : path == 1 ? "hit" : "pinned hit",
                   r.wall_mb_per_s(), r.wall_ns_per_op());
     }
+  }
+  ChurnResult churn;
+  if (!RunChurn(options.seed, &churn)) {
+    std::fprintf(stderr, "bench-shape churn phase failed\n");
+    ok = false;
+  } else if (churn.frames < kChurnMinFrames || churn.lazy_flushes == 0) {
+    std::fprintf(stderr,
+                 "bench-shape churn ended with %llu frames and %llu lazy "
+                 "flushes; it needs %llu+ frames and one flush\n",
+                 static_cast<unsigned long long>(churn.frames),
+                 static_cast<unsigned long long>(churn.lazy_flushes),
+                 static_cast<unsigned long long>(kChurnMinFrames));
+    ok = false;
+  } else {
+    std::printf("  wall metadata churn     : %7.0f ns/op (%llu frames "
+                "resident on 8 GiB)\n",
+                churn.wall_ns_per_op(),
+                static_cast<unsigned long long>(churn.frames));
   }
   std::printf(
       "\nExpectation: the miss rows charge the device's sequential read\n"
