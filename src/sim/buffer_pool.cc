@@ -37,7 +37,7 @@ uint32_t BufferPool::FrameArena::Allocate() {
     return slot;
   }
   if ((size_ & kChunkMask) == 0) {
-    chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+    chunks_.push_back(std::make_unique<Chunk>());
   }
   return size_++;
 }

@@ -29,12 +29,12 @@
 //     granules), a two-level bitmap of non-empty granules for far
 //     predecessor searches, and the neighbour links for everything else
 //     — a lookup is one directory load plus a short walk, and the
-//     overlap walk and the insert reuse the position the lookup found. A second granule bitmap marks where
-//     frames were dirtied, so the lazy writer visits only those
-//     granules. Invariant: every walk (flush batches, invalidations,
-//     pins) visits frames in ascending offset order, so a flush is one
-//     offset-ordered WriteV. The directory is built only when the pool
-//     is enabled.
+//     overlap walk and the insert reuse the position the lookup found.
+//     A second granule bitmap marks where frames were dirtied, so the
+//     lazy writer visits only those granules. Invariant: every walk
+//     (flush batches, invalidations, pins) visits frames in ascending
+//     offset order, so a flush is one offset-ordered WriteV. The
+//     directory is built only when the pool is enabled.
 //   * Misses fill through one vectored ReadV per call, at extent-run
 //     granularity (extended to the caller's fill range when it gives
 //     one — read-ahead), into frames recycled from per-size free lists
@@ -269,19 +269,19 @@ class BufferPool {
   /// its neighbours (kNoSlot at the ends). A free slot keeps the next
   /// free slot in `next`.
   struct FrameSpan {
-    uint64_t offset;
-    uint64_t end;
-    uint32_t prev;
-    uint32_t next;
+    uint64_t offset = 0;
+    uint64_t end = 0;
+    uint32_t prev = kNoSlot;
+    uint32_t next = kNoSlot;
     uint64_t length() const { return end - offset; }
   };
 
   /// What eviction and the flush paths read per frame.
   struct FrameState {
     /// Install seq; 0 marks a free slot (seqs start at 1).
-    uint64_t seq;
-    uint32_t pin;
-    uint8_t flags;
+    uint64_t seq = 0;
+    uint32_t pin = 0;
+    uint8_t flags = 0;
     bool pinned() const { return pin > 0 || (flags & kHeld) != 0; }
   };
 
