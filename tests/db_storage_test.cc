@@ -342,6 +342,110 @@ TEST(LobAllocationUnitTest, RandomChurnStaysConsistent) {
   EXPECT_TRUE(unit.CheckConsistency().ok());
 }
 
+// Runs one seeded churn on two units over two page files: `batched`
+// goes through AllocatePages/FreePages, `single` through per-page
+// AllocatePage/FreePage. Every observable of the unit, the file and
+// (when `pool_bytes` > 0) the buffer pool must agree after every step.
+void ExpectBatchedCallsMatchPerPageCalls(uint64_t pool_bytes) {
+  auto dev_a = MakeDevice();
+  auto dev_b = MakeDevice();
+  sim::BufferPoolOptions pool_options;
+  pool_options.capacity_bytes = pool_bytes;
+  sim::BufferPool pool_a(dev_a.get(), pool_options);
+  sim::BufferPool pool_b(dev_b.get(), pool_options);
+  dev_a->AttachBufferPool(&pool_a);
+  dev_b->AttachBufferPool(&pool_b);
+  BlobRig batched(dev_a.get());
+  BlobRig single(dev_b.get());
+  Rng rng(pool_bytes + 91);
+  std::vector<alloc::Extent> live;  // Page runs held by both units.
+  uint64_t live_pages = 0;
+  uint64_t whole_extent_frees = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (live.empty() || (live_pages < 6000 && rng.Bernoulli(0.5))) {
+      const uint64_t count = 1 + rng.Uniform(rng.Bernoulli(0.2) ? 160 : 20);
+      alloc::ExtentList got_a;
+      ASSERT_TRUE(batched.unit.AllocatePages(count, &got_a).ok());
+      alloc::ExtentList got_b;
+      for (uint64_t i = 0; i < count; ++i) {
+        auto page = single.unit.AllocatePage();
+        ASSERT_TRUE(page.ok());
+        alloc::AppendCoalescing(&got_b, {*page, 1});
+      }
+      ASSERT_EQ(got_a, got_b) << "step " << step;
+      for (const alloc::Extent& run : got_a) {
+        live.push_back(run);
+        live_pages += run.length;
+        if (pool_bytes > 0) {
+          ASSERT_TRUE(batched.file.WritePages(run.start, run.length).ok());
+          ASSERT_TRUE(single.file.WritePages(run.start, run.length).ok());
+        }
+      }
+    } else {
+      // Free a whole run or a slice of one; the rest stays live.
+      const size_t i = rng.Uniform(live.size());
+      const alloc::Extent run = live[i];
+      const uint64_t skip = rng.Bernoulli(0.5) ? 0 : rng.Uniform(run.length);
+      const uint64_t len =
+          rng.Bernoulli(0.5) ? run.length - skip
+                             : 1 + rng.Uniform(run.length - skip);
+      const alloc::Extent freed{run.start + skip, len};
+      if (pool_bytes > 0 && rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(batched.file.ReadPages(run.start, run.length).ok());
+        ASSERT_TRUE(single.file.ReadPages(run.start, run.length).ok());
+      }
+      const uint64_t freed_before = batched.file.stats().extents_freed;
+      ASSERT_TRUE(batched.unit.FreePages(freed).ok()) << "step " << step;
+      for (uint64_t p = freed.start; p < freed.end(); ++p) {
+        ASSERT_TRUE(single.unit.FreePage(p).ok()) << "step " << step;
+      }
+      if (batched.file.stats().extents_freed > freed_before + 1) {
+        ++whole_extent_frees;
+      }
+      live[i] = live.back();
+      live.pop_back();
+      live_pages -= len;
+      if (skip > 0) live.push_back({run.start, skip});
+      if (freed.end() < run.end()) {
+        live.push_back({freed.end(), run.end() - freed.end()});
+      }
+    }
+    const LobAllocationUnit& a = batched.unit;
+    const LobAllocationUnit& b = single.unit;
+    ASSERT_EQ(a.allocated_pages(), live_pages) << "step " << step;
+    ASSERT_EQ(a.allocated_pages(), b.allocated_pages()) << "step " << step;
+    ASSERT_EQ(a.reserved_free_pages(), b.reserved_free_pages())
+        << "step " << step;
+    ASSERT_EQ(a.owned_extents(), b.owned_extents()) << "step " << step;
+    ASSERT_EQ(batched.file.stats().extents_freed,
+              single.file.stats().extents_freed)
+        << "step " << step;
+    ASSERT_EQ(batched.file.pending_free_extents(),
+              single.file.pending_free_extents())
+        << "step " << step;
+    ASSERT_EQ(batched.file.gam().free_count(), single.file.gam().free_count())
+        << "step " << step;
+    ASSERT_EQ(pool_a.stats().invalidations, pool_b.stats().invalidations)
+        << "step " << step;
+    ASSERT_EQ(pool_a.frame_count(), pool_b.frame_count()) << "step " << step;
+  }
+  EXPECT_TRUE(batched.unit.CheckConsistency().ok());
+  EXPECT_TRUE(single.unit.CheckConsistency().ok());
+  // Frees released several consecutive extents at once.
+  EXPECT_GT(whole_extent_frees, 50u);
+  if (pool_bytes > 0) {
+    EXPECT_GT(pool_a.stats().invalidations, 100u);
+  }
+}
+
+TEST(LobAllocationUnitTest, BatchedCallsMatchPerPageCalls) {
+  ExpectBatchedCallsMatchPerPageCalls(0);
+}
+
+TEST(LobAllocationUnitTest, BatchedCallsMatchPerPageCallsWithBufferPool) {
+  ExpectBatchedCallsMatchPerPageCalls(4 * kMiB);
+}
+
 TEST(MetadataTableTest, InsertLookupDelete) {
   auto dev = MakeDevice();
   PageFile file(dev.get());

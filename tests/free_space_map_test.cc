@@ -364,6 +364,196 @@ TEST(FreeSpaceMapTest, SizeQueriesMatchBruteForceAcrossTopSplit) {
   EXPECT_GT(m.run_count(), 64u);  // The split was exercised.
 }
 
+// A streamed write shrinks one run from its head many times between two
+// size-ordered reads. The map may leave that run's size key stale until
+// the next read or the next size-index write for another run; every
+// size-ordered answer must still match a brute-force sort of the runs.
+// Reads come only every 1-64 steps, so stale keys survive whole chains.
+TEST(FreeSpaceMapTest, DeferredSizeKeyMatchesBruteForce) {
+  constexpr uint64_t kClusters = 1 << 20;
+  FreeSpaceMap m(kClusters);
+  Rng rng(424242);
+  std::vector<Extent> live;
+  uint64_t live_clusters = 0;
+  auto keep = [&](const Extent& e) {
+    if (e.empty()) return;
+    live.push_back(e);
+    live_clusters += e.length;
+  };
+  auto drop = [&](size_t i) {
+    const Extent e = live[i];
+    live_clusters -= e.length;
+    live[i] = live.back();
+    live.pop_back();
+    return e;
+  };
+  // The live extent that ends at `cursor`, else a random one.
+  auto pick_near = [&](uint64_t cursor) {
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (live[i].end() == cursor) return i;
+    }
+    return static_cast<size_t>(rng.Uniform(live.size()));
+  };
+  // (length desc, start desc): the order the largest runs are picked in.
+  auto by_size = [](const Extent& a, const Extent& b) {
+    return a.length != b.length ? a.length > b.length : a.start > b.start;
+  };
+  // Fragment the map so the size order spills past the 32 top runs.
+  for (int i = 0; i < 600; ++i) {
+    keep(m.AllocateUpTo(1 + rng.Uniform(2000), FitPolicy::kFirstFit));
+  }
+  for (size_t i = live.size(); i-- > 0;) {
+    if (i % 2 == 0) {
+      ASSERT_TRUE(m.Free(drop(i)).ok());
+    }
+  }
+
+  // The run the last chain shrank: its head is `cursor`, and its length
+  // was `chain_from` before the chain and is `chain_to` after it.
+  uint64_t cursor = 0;
+  uint64_t chain_from = 0;
+  uint64_t chain_to = 0;
+  bool chained_since_read = false;
+  uint64_t next_read = 1 + rng.Uniform(64);
+  uint64_t whole_takes = 0;
+  uint64_t stale_reads = 0;
+  for (uint64_t step = 0; step < 12000; ++step) {
+    // Steer the free space between 30% and 60% of the map.
+    uint64_t dice = rng.Uniform(12);
+    if (m.free_clusters() < kClusters * 3 / 10) dice = 6 + dice / 2;
+    if (m.free_clusters() > kClusters * 6 / 10) dice = dice / 2;
+    if (dice < 4) {
+      // A hinted extension chain of 1-200 head takes on one run, which
+      // mostly starts on a large run, as a streamed write's first take
+      // does; the last take sometimes asks for all of a short run.
+      const std::vector<Extent> by_address = m.Snapshot();
+      std::vector<Extent> runs = by_address;
+      std::sort(runs.begin(), runs.end(), by_size);
+      const uint64_t which = rng.Uniform(4);
+      Extent run = runs[which == 0   ? 0
+                        : which == 1 ? rng.Uniform(std::min<size_t>(32, runs.size()))
+                                     : rng.Uniform(runs.size())];
+      if (which == 3 && m.IsFree({cursor, 1})) {
+        // Continue at the cursor, inside the run that holds it.
+        auto after = std::upper_bound(
+            by_address.begin(), by_address.end(), cursor,
+            [](uint64_t c, const Extent& r) { return c < r.start; });
+        run = {cursor, std::prev(after)->end() - cursor};
+      }
+      const uint64_t takes = 1 + rng.Uniform(200);
+      uint64_t at = run.start;
+      for (uint64_t t = 0; t < takes && m.IsFree({at, 1}); ++t) {
+        const bool greedy = t + 1 == takes && rng.Bernoulli(0.3);
+        at += m.ExtendAt(at, greedy ? 4096 : 1 + rng.Uniform(8));
+      }
+      keep({run.start, at - run.start});
+      if (!m.IsFree({at, 1})) ++whole_takes;
+      cursor = at;
+      chain_from = run.length;
+      chain_to = run.end() - at;
+      chained_since_read = true;
+    } else if (dice < 5 && m.IsFree({cursor, 1})) {
+      // Head AllocateAt on the shrinking run.
+      const uint64_t want = 1 + rng.Uniform(8);
+      if (m.AllocateAt({cursor, want}).ok()) {
+        keep({cursor, want});
+        cursor += want;
+      }
+    } else if (dice < 6) {
+      keep(m.AllocateUpTo(1 + rng.Uniform(64),
+                          rng.Bernoulli(0.5) ? FitPolicy::kFirstFit
+                                             : FitPolicy::kNextFit));
+    } else if (dice < 9 && !live.empty()) {
+      // Free next to the shrinking run when an extent borders it.
+      ASSERT_TRUE(m.Free(drop(pick_near(cursor))).ok()) << "step " << step;
+    } else if (!live.empty()) {
+      std::vector<Extent> batch;
+      const uint64_t n = 1 + rng.Uniform(std::min<size_t>(live.size(), 8));
+      for (uint64_t i = 0; i < n; ++i) {
+        batch.push_back(drop(i == 0 ? pick_near(cursor)
+                                    : rng.Uniform(live.size())));
+      }
+      ASSERT_TRUE(m.FreeAll(batch).ok()) << "step " << step;
+    }
+    ASSERT_EQ(m.free_clusters() + live_clusters, kClusters) << "step " << step;
+    if (--next_read > 0) continue;
+    next_read = 1 + rng.Uniform(64);
+
+    std::vector<Extent> runs = m.Snapshot();
+    std::sort(runs.begin(), runs.end(), by_size);
+    // After a chain, fits often ask for a length the shrunk run had
+    // before the chain but has no longer.
+    uint64_t want = 1 + rng.Uniform(2048);
+    if (chained_since_read) {
+      ++stale_reads;
+      if (chain_from > chain_to && rng.Bernoulli(0.5)) {
+        want = chain_to + 1 + rng.Uniform(chain_from - chain_to);
+      }
+    }
+    chained_since_read = false;
+    switch (rng.Uniform(4)) {
+      case 0: {
+        // LargestRuns reports its pick with ties by ascending start.
+        std::vector<Extent> top(
+            runs.begin(), runs.begin() + std::min<size_t>(32, runs.size()));
+        std::stable_sort(top.begin(), top.end(),
+                         [](const Extent& a, const Extent& b) {
+                           return a.length != b.length ? a.length > b.length
+                                                       : a.start < b.start;
+                         });
+        ASSERT_EQ(m.LargestRuns(32), top) << "step " << step;
+        break;
+      }
+      case 1: {
+        const FreeSpaceStats stats = m.Stats();
+        ASSERT_EQ(stats.largest_run, runs.empty() ? 0 : runs[0].length)
+            << "step " << step;
+        ASSERT_EQ(stats.run_count, runs.size());
+        ASSERT_EQ(stats.free_clusters, kClusters - live_clusters);
+        break;
+      }
+      case 2: {
+        // Best fit: the smallest run that fits, lowest start among equals.
+        const Extent* best = nullptr;
+        for (const Extent& run : runs) {
+          if (run.length >= want &&
+              (best == nullptr || run.length < best->length ||
+               (run.length == best->length && run.start < best->start))) {
+            best = &run;
+          }
+        }
+        const Result<Extent> got =
+            m.AllocateContiguous(want, FitPolicy::kBestFit);
+        ASSERT_EQ(got.ok(), best != nullptr) << "step " << step;
+        if (got.ok()) {
+          ASSERT_EQ(*got, (Extent{best->start, want})) << "step " << step;
+          keep(*got);
+        }
+        break;
+      }
+      default: {
+        // Worst fit: the largest run, highest start among equals.
+        const bool fits = !runs.empty() && runs[0].length >= want;
+        const Result<Extent> got =
+            m.AllocateContiguous(want, FitPolicy::kWorstFit);
+        ASSERT_EQ(got.ok(), fits) << "step " << step;
+        if (got.ok()) {
+          ASSERT_EQ(*got, (Extent{runs[0].start, want})) << "step " << step;
+          keep(*got);
+        }
+        break;
+      }
+    }
+    if (rng.Uniform(8) == 0) {
+      ASSERT_TRUE(m.CheckConsistency().ok()) << "step " << step;
+    }
+  }
+  EXPECT_TRUE(m.CheckConsistency().ok());
+  EXPECT_GT(m.run_count(), 64u);  // The top split was exercised.
+  EXPECT_GT(whole_takes, 100u);   // Chains consumed runs whole.
+  EXPECT_GT(stale_reads, 100u);   // Reads followed chains.
+}
+
 // Property test: random allocate/free cycles keep the map internally
 // consistent and conserve clusters, for every policy.
 class FreeSpaceMapPropertyTest

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "sim/block_device.h"
 #include "sim/disk_model.h"
@@ -323,6 +326,69 @@ TEST(DiskModelTest, CapacityNotDivisibleByZonesClampsToLastZone) {
   DiskModel m(p);
   EXPECT_EQ(m.ZoneOf(p.capacity_bytes - 1), p.num_zones - 1);
   EXPECT_DOUBLE_EQ(m.BandwidthAt(p.capacity_bytes - 1), p.inner_bandwidth);
+}
+
+// TransferTime reads zone bandwidths from a table built at
+// construction; it must equal the per-chunk BandwidthAt sum bit for bit:
+// across every zone boundary, in the tail a non-divisible capacity
+// leaves, and past the last zone, whose bandwidth every later chunk
+// shares.
+TEST(DiskModelTest, TransferTimeTableIsBitExact) {
+  auto reference = [](const DiskModel& m, uint64_t offset, uint64_t nbytes) {
+    const DiskParams& p = m.params();
+    const uint64_t zone_size =
+        std::max<uint64_t>(1, p.capacity_bytes / p.num_zones);
+    double total = 0.0;
+    uint64_t pos = offset;
+    uint64_t remaining = nbytes;
+    while (remaining > 0) {
+      const uint64_t zone_end = (pos / zone_size + 1) * zone_size;
+      const uint64_t chunk = std::min(remaining, zone_end - pos);
+      total += static_cast<double>(chunk) / m.BandwidthAt(pos);
+      pos += chunk;
+      remaining -= chunk;
+    }
+    return total;
+  };
+  std::vector<DiskParams> disks = {SmallDisk(), DiskParams::St3400832as()};
+  DiskParams odd = SmallDisk();
+  odd.capacity_bytes = kGiB + 12345;  // Not a multiple of 16 zones.
+  disks.push_back(odd);
+  DiskParams seven = SmallDisk();
+  seven.capacity_bytes = 1000003;
+  seven.num_zones = 7;
+  disks.push_back(seven);
+  DiskParams one = SmallDisk();
+  one.num_zones = 1;
+  disks.push_back(one);
+  uint64_t checked = 0;
+  for (const DiskParams& p : disks) {
+    const DiskModel m(p);
+    const uint64_t zone_size = p.capacity_bytes / p.num_zones;
+    std::vector<uint64_t> offsets = {0, p.capacity_bytes - 1,
+                                     p.capacity_bytes,
+                                     p.capacity_bytes + 3 * zone_size + 7};
+    for (uint64_t z = 1; z <= p.num_zones + 2; ++z) {
+      for (const uint64_t d : {uint64_t{0}, uint64_t{1}, uint64_t{4096},
+                               zone_size / 3}) {
+        offsets.push_back(z * zone_size - d);
+        offsets.push_back(z * zone_size + d);
+      }
+    }
+    const std::vector<uint64_t> lengths = {
+        1, 511, 4096, 64 * kKiB, 10 * kMiB, zone_size - 1, zone_size,
+        zone_size + 1, 3 * zone_size + 5, p.capacity_bytes,
+        p.capacity_bytes + 2 * zone_size};
+    for (const uint64_t offset : offsets) {
+      for (const uint64_t length : lengths) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(m.TransferTime(offset, length)),
+                  std::bit_cast<uint64_t>(reference(m, offset, length)))
+            << p.ToString() << " offset " << offset << " length " << length;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 }  // namespace
