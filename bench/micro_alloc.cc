@@ -156,6 +156,71 @@ void BM_RunCacheAllocatorAgedSafeWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_RunCacheAllocatorAgedSafeWrite);
 
+// The aged_10mb shape, scaled to a 16 GiB volume of 4 KiB clusters (2%
+// MFT zone) half full of 10 MiB objects. Each safe write streams its
+// object as 160 16-cluster (64 KiB) requests, each but the first
+// carrying the extension hint, replaces a random live object, and ticks
+// the allocator twice (create, rename) under the default 128-tick
+// journal commit, so frees are deferred. As in the file store, every
+// 16th write splits a one-cluster directory index buffer and frees the
+// oldest. One iteration is one request, so the time is per request; ten
+// writes per object age the map before timing.
+void BM_RunCacheAllocatorAgedStreamWrite(benchmark::State& state) {
+  constexpr uint64_t kVolumeClusters = 1 << 22;
+  constexpr uint64_t kRequests = 160;
+  constexpr uint64_t kObjects = kVolumeClusters / 2 / (kRequests * 16);
+  alloc::RunCacheAllocator allocator(kVolumeClusters, {},
+                                     kVolumeClusters / 50);
+  Rng rng(23);
+  std::vector<alloc::ExtentList> live(kObjects);
+  std::deque<alloc::Extent> index_buffers;
+  alloc::ExtentList fresh;
+  uint64_t requests = 0;
+  uint64_t writes = 0;
+  size_t victim = 0;  // The object the write in progress replaces.
+  auto request = [&]() {
+    const bool split = writes % 16 == 15;
+    if (fresh.empty()) {  // Create.
+      alloc::ExtentList buffer;
+      if (split && allocator.Allocate(1, alloc::kNoHint, &buffer).ok()) {
+        index_buffers.push_back(buffer.front());
+      }
+      allocator.Tick();
+    }
+    const uint64_t hint =
+        fresh.empty() ? alloc::kNoHint : fresh.back().end();
+    Status s = allocator.Allocate(16, hint, &fresh);
+    benchmark::DoNotOptimize(s.ok());
+    if (++requests % kRequests != 0) return;
+    // Rename over the old object, which frees it.
+    if (split && index_buffers.size() > 1) {
+      Status f = allocator.Free(index_buffers.front());
+      benchmark::DoNotOptimize(f.ok());
+      index_buffers.pop_front();
+    }
+    for (const alloc::Extent& e : live[victim]) {
+      Status f = allocator.Free(e);
+      benchmark::DoNotOptimize(f.ok());
+    }
+    allocator.Tick();
+    live[victim].swap(fresh);
+    fresh.clear();
+    // Fill every slot once, then replace random objects.
+    victim = ++writes < kObjects ? writes : rng.Uniform(kObjects);
+  };
+  for (uint64_t i = 0; i < 11 * kObjects * kRequests; ++i) request();
+  for (auto _ : state) request();
+  uint64_t fragments = 0;
+  for (const alloc::ExtentList& object : live) {
+    fragments += alloc::CountFragments(object);
+  }
+  state.counters["free_runs"] =
+      static_cast<double>(allocator.FreeStats().run_count);
+  state.counters["frags_per_obj"] =
+      static_cast<double>(fragments) / static_cast<double>(kObjects);
+}
+BENCHMARK(BM_RunCacheAllocatorAgedStreamWrite);
+
 void BM_BuddyAllocateFree(benchmark::State& state) {
   alloc::BuddyAllocator allocator(kClusters);
   Rng rng(13);

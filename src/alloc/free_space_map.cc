@@ -38,19 +38,19 @@ bool FreeSpaceMap::InTop(const Extent& run) const {
   return top_count_ > 0 && !BySize{}(run, top_[top_count_ - 1]);
 }
 
-void FreeSpaceMap::TopInsert(const Extent& run) {
+void FreeSpaceMap::TopInsert(const Extent& run) const {
   uint32_t i = top_count_++;
   for (; i > 0 && BySize{}(top_[i - 1], run); --i) top_[i] = top_[i - 1];
   top_[i] = run;
 }
 
-void FreeSpaceMap::TopErase(const Extent& run) {
+void FreeSpaceMap::TopErase(const Extent& run) const {
   uint32_t i = 0;
   while (!(top_[i] == run)) ++i;
   for (--top_count_; i < top_count_; ++i) top_[i] = top_[i + 1];
 }
 
-void FreeSpaceMap::PromoteRest() {
+void FreeSpaceMap::PromoteRest() const {
   if (by_size_.empty()) return;
   // The largest of the rest sorts below every top run.
   top_[top_count_++] = by_size_.back();
@@ -64,7 +64,7 @@ FreeSpaceMap::SizeIndex::Pos FreeSpaceMap::FindRest(const Extent& run) const {
   return by_size_.LowerBound(run);
 }
 
-void FreeSpaceMap::SizeInsert(const Extent& run) {
+void FreeSpaceMap::SizeInsert(const Extent& run) const {
   if (top_count_ < kTopRuns) {
     TopInsert(run);  // The rest is empty until the top is full.
     return;
@@ -78,7 +78,7 @@ void FreeSpaceMap::SizeInsert(const Extent& run) {
   last_size_ = by_size_.Insert(by_size_.LowerBound(run), run);
 }
 
-void FreeSpaceMap::SizeErase(const Extent& run) {
+void FreeSpaceMap::SizeErase(const Extent& run) const {
   if (InTop(run)) {
     TopErase(run);
     PromoteRest();
@@ -87,7 +87,7 @@ void FreeSpaceMap::SizeErase(const Extent& run) {
   }
 }
 
-void FreeSpaceMap::SizeRekey(const Extent& old, const Extent& run) {
+void FreeSpaceMap::SizeRekey(const Extent& old, const Extent& run) const {
   if (InTop(old)) {
     TopErase(old);
     if (!by_size_.empty() && BySize{}(run, by_size_.back())) {
@@ -107,8 +107,26 @@ void FreeSpaceMap::SizeRekey(const Extent& old, const Extent& run) {
   last_size_ = by_size_.Rekey(at, run);
 }
 
+void FreeSpaceMap::SettleSizeKey() const {
+  if (stale_key_.empty()) return;
+  const Extent key = stale_key_;
+  stale_key_ = {};
+  SizeRekey(key, stale_run_);
+}
+
+Extent FreeSpaceMap::ClaimSizeKey(const Extent& run) {
+  if (!stale_key_.empty() && stale_run_ == run) {
+    const Extent key = stale_key_;
+    stale_key_ = {};
+    return key;
+  }
+  SettleSizeKey();
+  return run;
+}
+
 void FreeSpaceMap::InsertRun(Pos at, const Extent& run) {
   runs_.Insert(at, run);
+  SettleSizeKey();
   SizeInsert(run);
   free_clusters_ += run.length;
 }
@@ -116,7 +134,7 @@ void FreeSpaceMap::InsertRun(Pos at, const Extent& run) {
 void FreeSpaceMap::EraseRun(Pos at) {
   const Extent run = runs_[at];
   runs_.Erase(at);
-  SizeErase(run);
+  SizeErase(ClaimSizeKey(run));
   free_clusters_ -= run.length;
 }
 
@@ -124,7 +142,7 @@ void FreeSpaceMap::ResizeRun(Pos at, const Extent& run) {
   const Extent old = runs_[at];
   runs_.Assign(at, run);
   free_clusters_ = free_clusters_ - old.length + run.length;
-  SizeRekey(old, run);
+  SizeRekey(ClaimSizeKey(old), run);
 }
 
 Status FreeSpaceMap::Free(const Extent& extent) {
@@ -182,6 +200,7 @@ Status FreeSpaceMap::FreeAll(std::span<const Extent> extents) {
 }
 
 FreeSpaceMap::Pos FreeSpaceMap::LargestRun() const {
+  SettleSizeKey();
   if (top_count_ == 0) return runs_.end();
   return runs_.LowerBound(top_[0]);
 }
@@ -205,6 +224,7 @@ FreeSpaceMap::Pos FreeSpaceMap::SelectRun(uint64_t length,
     case FitPolicy::kFirstFit:
       return FindFrom(length, 0);
     case FitPolicy::kBestFit: {
+      SettleSizeKey();
       // Every top run is larger than the rest, so a fitting rest run
       // wins; otherwise the smallest fitting top run does.
       const SizeIndex::Pos sized = by_size_.LowerBound({0, length});
@@ -236,8 +256,16 @@ Extent FreeSpaceMap::TakeFromRun(Pos at, uint64_t take) {
     EraseRun(at);
   } else {
     // [start, end) becomes [start+take, end): the address entry keeps
-    // its rank and is rewritten in place.
-    ResizeRun(at, {run.start + take, run.length - take});
+    // its rank and is rewritten in place. The size key is left stale
+    // (see SettleSizeKey), so a run of takes re-keys the run once.
+    const Extent rest{run.start + take, run.length - take};
+    runs_.Assign(at, rest);
+    free_clusters_ -= take;
+    if (stale_key_.empty() || !(stale_run_ == run)) {
+      SettleSizeKey();
+      stale_key_ = run;
+    }
+    stale_run_ = rest;
     last_run_ = at;
   }
   next_fit_cursor_ = run.start + take;
@@ -321,6 +349,7 @@ bool FreeSpaceMap::IsFree(const Extent& extent) const {
 }
 
 uint64_t FreeSpaceMap::largest_run() const {
+  SettleSizeKey();
   return top_count_ == 0 ? 0 : top_[0].length;
 }
 
@@ -368,6 +397,7 @@ std::vector<Extent> FreeSpaceMap::LargestRuns(uint32_t k) const {
 }
 
 Status FreeSpaceMap::CheckConsistency() const {
+  SettleSizeKey();
   if (!runs_.CheckInvariants() || !by_size_.CheckInvariants()) {
     return Status::Corruption("index block structure broken");
   }

@@ -54,11 +54,15 @@ struct FreeSpaceStats {
 ///   * Free, AllocateAt, ExtendAt, AllocateFrom and best/worst fit: one
 ///     O(log R) descent per index plus a move within one block.
 ///     Shrinking a run from its head (every take) rewrites the address
-///     entry in place. Its size entry is rewritten in place while the
-///     run keeps its rank, rotated within its block when it passes a few
-///     neighbours, and moved only when it leaves the block; a top run
-///     shifts within `top_` and trades places with the largest of the
-///     rest when it drops below it.
+///     entry in place and leaves the run's size entry under its old key.
+///     A run shrunk by successive takes is re-keyed once, when the size
+///     order is next read (the k largest runs, best/worst fit, Stats,
+///     CheckConsistency) or written for another run; erasing or growing
+///     it first uses the old key. The re-key rewrites the size entry in
+///     place while the run keeps its rank, rotates it within its block
+///     when it passes a few neighbours, and moves it only when it leaves
+///     the block; a top run shifts within `top_` and trades places with
+///     the largest of the rest when it drops below it.
 ///   * ExtendAt from the end of the last take (sequential extension):
 ///     no search. The map remembers where it last took from in each
 ///     index and checks those positions before descending; a position
@@ -72,6 +76,11 @@ struct FreeSpaceStats {
 ///     ascending, coalescing pass that merges it into the indexes.
 /// Placement decisions depend only on the set of runs and the next-fit
 /// cursor; AllocatorDecisionsArePinned (allocators_test) pins them.
+///
+/// Because of the deferred re-key, const readers of the size order
+/// update `mutable` index state. That is safe because a map is confined
+/// to one shard's thread; a map shared between threads needs a lock
+/// around reads too.
 class FreeSpaceMap {
  public:
   FreeSpaceMap() = default;
@@ -138,6 +147,7 @@ class FreeSpaceMap {
   /// note the tie order differs from LargestRuns' sorted output.
   template <typename Fn>
   void ForEachLargestRun(uint32_t k, Fn&& fn) const {
+    SettleSizeKey();
     const uint32_t top = std::min(k, top_count_);
     for (uint32_t i = 0; i < top; ++i) {
       if (!fn(top_[i])) return;
@@ -171,18 +181,25 @@ class FreeSpaceMap {
   Pos Containing(uint64_t cluster) const;
 
   // The size order is split at the kTopRuns-th largest run: top_ holds
-  // the largest runs, by_size_ the rest. These keep the split.
+  // the largest runs, by_size_ the rest. These keep the split. They are
+  // const because const readers settle a stale key (the index state is
+  // mutable); `run` is the key a run sits under.
   /// True when the run `run` (which must be in the map) is a top run.
   bool InTop(const Extent& run) const;
-  void TopInsert(const Extent& run);  ///< Requires a free top slot.
-  void TopErase(const Extent& run);
+  void TopInsert(const Extent& run) const;  ///< Requires a free top slot.
+  void TopErase(const Extent& run) const;
   /// Moves the largest of the rest into the top's last slot.
-  void PromoteRest();
+  void PromoteRest() const;
   /// Position of `run` in by_size_ (checks last_size_ first).
   SizeIndex::Pos FindRest(const Extent& run) const;
-  void SizeInsert(const Extent& run);
-  void SizeErase(const Extent& run);
-  void SizeRekey(const Extent& old, const Extent& run);
+  void SizeInsert(const Extent& run) const;
+  void SizeErase(const Extent& run) const;
+  void SizeRekey(const Extent& old, const Extent& run) const;
+  /// Re-keys the run left under a stale size key, if any.
+  void SettleSizeKey() const;
+  /// The size key `run` sits under, which the caller is about to erase
+  /// or replace; settles any other run's stale key first.
+  Extent ClaimSizeKey(const Extent& run);
   /// Adds a run (no coalescing) before address position `at`.
   void InsertRun(Pos at, const Extent& run);
   /// Removes the run at `at` from both indexes.
@@ -206,13 +223,17 @@ class FreeSpaceMap {
   AddressIndex runs_;
   /// The min(kTopRuns, R) largest runs, largest first in (length,
   /// start) order, in one flat array; every other run is in by_size_.
-  std::array<Extent, kTopRuns> top_{};
-  uint32_t top_count_ = 0;
-  SizeIndex by_size_;
+  mutable std::array<Extent, kTopRuns> top_{};
+  mutable uint32_t top_count_ = 0;
+  mutable SizeIndex by_size_;
   /// Where the last take happened in each index: checked before any
   /// descent, trusted only if the element there matches.
   Pos last_run_{};
-  SizeIndex::Pos last_size_{};
+  mutable SizeIndex::Pos last_size_{};
+  /// The run last shrunk from its head (`stale_run_`) and the size key
+  /// it still sits under (`stale_key_`; empty when every key is fresh).
+  mutable Extent stale_key_{};
+  mutable Extent stale_run_{};
   std::vector<Extent> batch_;  ///< FreeAll scratch.
   uint64_t free_clusters_ = 0;
   uint64_t next_fit_cursor_ = 0;

@@ -1,5 +1,6 @@
 #include "db/lob_allocation_unit.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace lor {
@@ -70,17 +71,21 @@ Status LobAllocationUnit::AllocatePages(uint64_t count,
       ++owned_count_;
       reserved_free_ += pages_per_extent_;
     }
-    // Drain the extent's free bits lowest-first — the page-id sequence
-    // repeated AllocatePage calls would produce.
+    // Drain the extent's free bits lowest-first, one run of set bits at
+    // a time — the page-id sequence repeated AllocatePage calls would
+    // produce.
     uint16_t& bitmap = bitmaps_[extent];
     const uint64_t first_page = file_->ExtentFirstPage(extent);
     uint64_t taken = 0;
     while (bitmap != 0 && taken < remaining) {
       const int bit = std::countr_zero(bitmap);
-      bitmap = static_cast<uint16_t>(bitmap & ~(1u << bit));
-      alloc::AppendCoalescing(out,
-                              {first_page + static_cast<uint64_t>(bit), 1});
-      ++taken;
+      const uint64_t run = std::min<uint64_t>(
+          std::countr_one(static_cast<uint16_t>(bitmap >> bit)),
+          remaining - taken);
+      bitmap = static_cast<uint16_t>(bitmap & ~(((1u << run) - 1) << bit));
+      alloc::AppendCoalescing(
+          out, {first_page + static_cast<uint64_t>(bit), run});
+      taken += run;
     }
     if (bitmap == 0) with_free_.MarkUsed(extent);
     reserved_free_ -= taken;
@@ -142,38 +147,48 @@ Status LobAllocationUnit::FreePages(const alloc::Extent& run) {
     }
     return Status::OK();
   }
-  uint64_t page = run.start;
-  uint64_t left = run.length;
-  while (left > 0) {
-    const uint64_t extent = page / pages_per_extent_;
-    const uint64_t bit = page % pages_per_extent_;
-    const uint64_t in_extent = std::min(left, pages_per_extent_ - bit);
+  if (run.empty()) return Status::OK();
+  const uint64_t first = run.start / pages_per_extent_;
+  const uint64_t last = (run.end() - 1) / pages_per_extent_;
+  // The run's pages within `extent`.
+  auto mask_in = [&](uint64_t extent) {
+    const uint64_t base = extent * pages_per_extent_;
+    const uint64_t lo = std::max(run.start, base) - base;
+    const uint64_t hi = std::min(run.end(), base + pages_per_extent_) - base;
+    return static_cast<uint16_t>(((1u << hi) - 1) & ~((1u << lo) - 1));
+  };
+  for (uint64_t extent = first; extent <= last; ++extent) {
     if (extent >= bitmaps_.size() || bitmaps_[extent] == kUnowned) {
       return Status::InvalidArgument("page's extent not owned by unit");
     }
-    uint16_t& bitmap = bitmaps_[extent];
-    const uint16_t mask =
-        static_cast<uint16_t>(((1u << in_extent) - 1) << bit);
-    if ((bitmap & mask) != 0) {
+    if ((bitmaps_[extent] & mask_in(extent)) != 0) {
       return Status::InvalidArgument("double free of page");
     }
-    bitmap = static_cast<uint16_t>(bitmap | mask);
-    file_->InvalidatePages(page, in_extent);
-    reserved_free_ += in_extent;
-    allocated_pages_ -= in_extent;
-    if (bitmap == all_free_) {
-      bitmaps_[extent] = kUnowned;
-      with_free_.MarkUsed(extent);
-      --owned_count_;
-      reserved_free_ -= pages_per_extent_;
-      LOR_RETURN_IF_ERROR(file_->FreeExtents(extent, 1));
-    } else {
-      with_free_.MarkFree(extent);
-    }
-    page += in_extent;
-    left -= in_extent;
   }
-  return Status::OK();
+  // One pool invalidation for the whole run: frames drop in ascending
+  // order however many extents it spans.
+  file_->InvalidatePages(run.start, run.length);
+  reserved_free_ += run.length;
+  allocated_pages_ -= run.length;
+  // Only the first and last extents can keep used pages, so the extents
+  // the run frees entirely are consecutive and go back in one call.
+  uint64_t freed_first = 0;
+  uint64_t freed_count = 0;
+  for (uint64_t extent = first; extent <= last; ++extent) {
+    uint16_t& bitmap = bitmaps_[extent];
+    bitmap = static_cast<uint16_t>(bitmap | mask_in(extent));
+    if (bitmap != all_free_) {
+      with_free_.MarkFree(extent);
+      continue;
+    }
+    bitmap = kUnowned;
+    with_free_.MarkUsed(extent);
+    --owned_count_;
+    reserved_free_ -= pages_per_extent_;
+    if (freed_count++ == 0) freed_first = extent;
+  }
+  return freed_count > 0 ? file_->FreeExtents(freed_first, freed_count)
+                         : Status::OK();
 }
 
 Status LobAllocationUnit::CheckConsistency() const {

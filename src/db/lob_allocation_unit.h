@@ -50,10 +50,11 @@ class LobAllocationUnit {
   Result<uint64_t> AllocatePage();
 
   /// Allocates `count` pages — the identical page-id sequence `count`
-  /// AllocatePage calls would produce, batched per extent (one scan +
-  /// one bitmap update per extent instead of per page). Appends the
-  /// pages to `out` as coalesced page runs. On failure the pages
-  /// acquired by this call are rolled back and `out` is untouched.
+  /// AllocatePage calls would produce, batched: one extent pick per
+  /// extent, then the extent's free bits drained lowest-first as runs of
+  /// set bits (countr_zero/countr_one), one AppendCoalescing per run.
+  /// Appends the pages to `out` as coalesced page runs. On failure the
+  /// pages acquired by this call are rolled back and `out` is untouched.
   Status AllocatePages(uint64_t count, alloc::ExtentList* out);
 
   /// Frees one page; returns the extent to the GAM once it is entirely
@@ -61,7 +62,11 @@ class LobAllocationUnit {
   Status FreePage(uint64_t page_id);
 
   /// Frees a run of pages — equivalent to FreePage on each page of
-  /// `run` in ascending order, batched per extent.
+  /// `run` in ascending order, batched: the whole run is checked first
+  /// (on error nothing is freed), the buffer pool is invalidated once
+  /// for the run, each extent's bitmap takes one mask, and the extents
+  /// left entirely free (consecutive, since only the first and last can
+  /// keep used pages) go back in one PageFile::FreeExtents call.
   Status FreePages(const alloc::Extent& run);
 
   /// Pages currently allocated through this unit.

@@ -69,30 +69,22 @@ uint64_t PageFile::GrowBy(uint64_t extents) {
   return grow;
 }
 
-Status PageFile::ReleaseDue() {
-  size_t released = 0;
-  while (released < pending_.size() &&
-         pending_[released].due <= alloc_counter_) {
-    LOR_RETURN_IF_ERROR(
-        gam_.Release(pending_[released].first, pending_[released].count));
-    pending_extents_ -= pending_[released].count;
-    ++released;
+Status PageFile::ReleasePending(uint64_t due) {
+  // Each entry leaves the queue as it is processed, so one that fails to
+  // release is dropped and reported once instead of failing every later
+  // allocation.
+  Status result = Status::OK();
+  while (!pending_.empty() && pending_.front().due <= due) {
+    const PendingFree p = pending_.front();
+    pending_.pop_front();
+    pending_extents_ -= p.count;
+    Status s = gam_.Release(p.first, p.count);
+    if (result.ok() && !s.ok()) result = std::move(s);
   }
-  if (released > 0) {
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<ptrdiff_t>(released));
-  }
-  return Status::OK();
+  return result;
 }
 
-Status PageFile::ReleaseAllPending() {
-  for (const PendingFree& p : pending_) {
-    LOR_RETURN_IF_ERROR(gam_.Release(p.first, p.count));
-    pending_extents_ -= p.count;
-  }
-  pending_.clear();
-  return Status::OK();
-}
+Status PageFile::ReleaseAllPending() { return ReleasePending(UINT64_MAX); }
 
 Result<uint64_t> PageFile::AllocateExtent() {
   auto run = AllocateExtentRun(1);
@@ -102,7 +94,7 @@ Result<uint64_t> PageFile::AllocateExtent() {
 
 Result<std::pair<uint64_t, uint64_t>> PageFile::AllocateExtentRun(
     uint64_t count) {
-  LOR_RETURN_IF_ERROR(ReleaseDue());
+  LOR_RETURN_IF_ERROR(ReleasePending(alloc_counter_));
   const uint64_t from = scan_cursor_;
   auto run = gam_.AllocateRun(count, from);
   if (run.first == kNoExtent && from != 0) {

@@ -13,6 +13,7 @@
 #define LOREPO_DB_PAGE_FILE_H_
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -92,6 +93,9 @@ class PageFile {
 
   /// Releases every pending deferred free immediately (the engine does
   /// this under space pressure before reporting an out-of-space error).
+  /// Like every release of pending frees, it drops an entry whose GAM
+  /// release fails (a double free) and reports the first such error
+  /// once; the other entries are still released.
   Status ReleaseAllPending();
 
   /// Moves the GAM scan hint past the end of the file so subsequent
@@ -169,8 +173,8 @@ class PageFile {
   Status Grow();
   /// Validates `runs` and lowers them into `io_slices_`.
   Status CollectSlices(std::span<const PageRun> runs, bool write);
-  /// Releases deferred frees that have come due.
-  Status ReleaseDue();
+  /// Releases, oldest first, the deferred frees due by `due`.
+  Status ReleasePending(uint64_t due);
 
   struct PendingFree {
     uint64_t due;  ///< alloc_counter_ value at which this releases.
@@ -184,7 +188,7 @@ class PageFile {
   uint64_t file_extents_ = 0;
   uint64_t capacity_extents_ = 0;
   PageFileStats stats_;
-  std::vector<PendingFree> pending_;  ///< FIFO by due time.
+  std::deque<PendingFree> pending_;  ///< FIFO by due time.
   uint64_t pending_extents_ = 0;
   uint64_t alloc_counter_ = 0;
   uint64_t scan_cursor_ = 0;  ///< GAM scan hint (last allocation end).

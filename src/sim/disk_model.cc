@@ -39,6 +39,10 @@ std::string DiskParams::ToString() const {
 DiskModel::DiskModel(DiskParams params) : params_(params) {
   zone_size_bytes_ =
       std::max<uint64_t>(1, params_.capacity_bytes / params_.num_zones);
+  zone_bandwidth_.resize(std::max<uint32_t>(1, params_.num_zones));
+  for (uint32_t z = 0; z < zone_bandwidth_.size(); ++z) {
+    zone_bandwidth_[z] = BandwidthAt(z * zone_size_bytes_);
+  }
 }
 
 double DiskModel::SeekTime(uint64_t from_byte, uint64_t to_byte) const {
@@ -73,15 +77,21 @@ double DiskModel::BandwidthAt(uint64_t byte_offset) const {
 }
 
 double DiskModel::TransferTime(uint64_t byte_offset, uint64_t nbytes) const {
+  // Chunks split at every multiple of the zone size, also past the last
+  // zone, whose bandwidth the tail (capacity % num_zones) shares.
+  const uint64_t last = zone_bandwidth_.size() - 1;
+  uint64_t zone = byte_offset / zone_size_bytes_;
+  uint64_t zone_end = (zone + 1) * zone_size_bytes_;
   double total = 0.0;
   uint64_t pos = byte_offset;
   uint64_t remaining = nbytes;
   while (remaining > 0) {
-    const uint64_t zone_end = (pos / zone_size_bytes_ + 1) * zone_size_bytes_;
     const uint64_t chunk = std::min(remaining, zone_end - pos);
-    total += static_cast<double>(chunk) / BandwidthAt(pos);
+    total += static_cast<double>(chunk) / zone_bandwidth_[std::min(zone, last)];
     pos += chunk;
     remaining -= chunk;
+    ++zone;
+    zone_end += zone_size_bytes_;
   }
   return total;
 }

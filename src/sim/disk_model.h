@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/units.h"
 
@@ -69,7 +70,11 @@ class DiskModel {
   double RotationalLatency() const;
 
   /// Seconds to transfer `nbytes` starting at `byte_offset`, honouring
-  /// zone boundaries (outer zones are faster).
+  /// zone boundaries (outer zones are faster): the sum over the zone
+  /// chunks of chunk / BandwidthAt(chunk start), in address order. The
+  /// bandwidths come from a per-zone table built at construction, so a
+  /// transfer costs one integer division, not a division and a
+  /// bandwidth interpolation per chunk; the sum is bit-identical.
   double TransferTime(uint64_t byte_offset, uint64_t nbytes) const;
 
   /// Bandwidth (bytes/s) of the zone containing `byte_offset`.
@@ -84,6 +89,8 @@ class DiskModel {
  private:
   DiskParams params_;
   uint64_t zone_size_bytes_;
+  /// BandwidthAt of each zone, indexed by ZoneOf.
+  std::vector<double> zone_bandwidth_;
 };
 
 }  // namespace sim

@@ -133,6 +133,33 @@ TEST(PageFileTest, ReleaseAllPendingUnderPressure) {
   EXPECT_TRUE(file.AllocateExtent().status().IsNoSpace());
 }
 
+TEST(PageFileTest, FailedDeferredReleaseIsReportedOnceAndDropped) {
+  // Freeing extent 2 twice queues a release that fails when it comes
+  // due. That allocation reports the error; the entry leaves the queue,
+  // the good entries are released, and later allocations succeed.
+  auto dev = MakeDevice();
+  PageFileOptions opts;
+  opts.deferred_free_allocations = 4;
+  PageFile file(dev.get(), opts);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(file.AllocateExtent().ok());
+  ASSERT_TRUE(file.FreeExtents(2, 1).ok());
+  ASSERT_TRUE(file.FreeExtents(3, 1).ok());
+  ASSERT_TRUE(file.FreeExtents(2, 1).ok());
+  EXPECT_EQ(file.pending_free_extents(), 3u);
+  int failures = 0;
+  for (int i = 0; i < 60; ++i) {
+    auto e = file.AllocateExtent();
+    if (!e.ok()) {
+      EXPECT_TRUE(e.status().IsInvalidArgument()) << e.status().ToString();
+      ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 1);
+  EXPECT_EQ(file.pending_free_extents(), 0u);
+  EXPECT_TRUE(file.gam().CheckConsistency().ok());
+  EXPECT_TRUE(file.ReleaseAllPending().ok());
+}
+
 TEST(PageFileTest, PageIoBoundsChecked) {
   auto dev = MakeDevice();
   PageFileOptions opts;
