@@ -261,10 +261,7 @@ Extent FreeSpaceMap::TakeFromRun(Pos at, uint64_t take) {
     const Extent rest{run.start + take, run.length - take};
     runs_.Assign(at, rest);
     free_clusters_ -= take;
-    if (stale_key_.empty() || !(stale_run_ == run)) {
-      SettleSizeKey();
-      stale_key_ = run;
-    }
+    stale_key_ = ClaimSizeKey(run);
     stale_run_ = rest;
     last_run_ = at;
   }

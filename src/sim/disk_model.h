@@ -73,8 +73,7 @@ class DiskModel {
   /// zone boundaries (outer zones are faster): the sum over the zone
   /// chunks of chunk / BandwidthAt(chunk start), in address order. The
   /// bandwidths come from a per-zone table built at construction, so a
-  /// transfer costs one integer division, not a division and a
-  /// bandwidth interpolation per chunk; the sum is bit-identical.
+  /// transfer costs one integer division however many zones it spans.
   double TransferTime(uint64_t byte_offset, uint64_t nbytes) const;
 
   /// Bandwidth (bytes/s) of the zone containing `byte_offset`.

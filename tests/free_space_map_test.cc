@@ -430,8 +430,9 @@ TEST(FreeSpaceMapTest, DeferredSizeKeyMatchesBruteForce) {
       std::vector<Extent> runs = by_address;
       std::sort(runs.begin(), runs.end(), by_size);
       const uint64_t which = rng.Uniform(4);
+      const size_t top = std::min<size_t>(32, runs.size());
       Extent run = runs[which == 0   ? 0
-                        : which == 1 ? rng.Uniform(std::min<size_t>(32, runs.size()))
+                        : which == 1 ? rng.Uniform(top)
                                      : rng.Uniform(runs.size())];
       if (which == 3 && m.IsFree({cursor, 1})) {
         // Continue at the cursor, inside the run that holds it.
