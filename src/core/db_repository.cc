@@ -4,7 +4,7 @@ namespace lor {
 namespace core {
 
 DbRepository::DbRepository(DbRepositoryConfig config)
-    : VolumeRepository(config), config_(std::move(config)) {
+    : StoreRepository(config), config_(std::move(config)) {
   if (config_.log_volume_bytes > 0) {
     log_device_ = std::make_unique<sim::BlockDevice>(
         config_.disk.WithCapacity(config_.log_volume_bytes),
@@ -15,54 +15,19 @@ DbRepository::DbRepository(DbRepositoryConfig config)
   AttachScheduler();
 }
 
-// -- Handle surface ----------------------------------------------------
-
-Result<ObjectHandle> DbRepository::Open(const std::string& key) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-  LOR_ASSIGN_OR_RETURN(db::BlobHandle bh, store_->OpenRead(key));
-  return MakeHandle(key, /*writable=*/false, bh.slot, bh.gen);
-}
-
-Result<ObjectHandle> DbRepository::OpenForWrite(const std::string& key) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-  LOR_ASSIGN_OR_RETURN(db::BlobHandle bh, store_->OpenWrite(key));
-  return MakeHandle(key, /*writable=*/true, bh.slot, bh.gen);
-}
-
-Status DbRepository::Release(ObjectHandle* handle) {
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-  LOR_RETURN_IF_ERROR(ValidateHandle(*handle));
-  LOR_RETURN_IF_ERROR(store_->Close({handle->slot_, handle->gen_}));
-  handle->owner_ = nullptr;
-  handle->gen_ = 0;
-  return Status::OK();
-}
+// -- Reads and the safe-write step -------------------------------------
 
 Status DbRepository::Get(const ObjectHandle& handle,
                          std::vector<uint8_t>* out) {
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kGet);
   LOR_RETURN_IF_ERROR(ValidateHandle(handle));
-  return store_->Get(db::BlobHandle{handle.slot_, handle.gen_}, out);
+  return store_->Get(TicketOf(handle), out);
 }
 
-Status DbRepository::SafeWrite(const ObjectHandle& handle, uint64_t size,
-                               std::span<const uint8_t> data) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kSafeWrite);
-  LOR_RETURN_IF_ERROR(ValidateHandle(handle, /*need_write=*/true));
-  return store_->SafeWrite(db::BlobHandle{handle.slot_, handle.gen_}, size,
-                           data);
-}
-
-Status DbRepository::Delete(ObjectHandle* handle) {
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kDelete);
-  LOR_RETURN_IF_ERROR(ValidateHandle(*handle, /*need_write=*/true));
-  LOR_RETURN_IF_ERROR(
-      store_->Delete(db::BlobHandle{handle->slot_, handle->gen_}));
-  handle->owner_ = nullptr;
-  handle->gen_ = 0;
-  return Status::OK();
+Status DbRepository::WriteThrough(db::BlobHandle target,
+                                  const std::string& /*key*/, uint64_t size,
+                                  std::span<const uint8_t> data) {
+  return store_->SafeWrite(target, size, data);
 }
 
 Result<alloc::ExtentList> DbRepository::ScaleLayout(
@@ -78,41 +43,10 @@ Result<alloc::ExtentList> DbRepository::ScaleLayout(
 Result<alloc::ExtentList> DbRepository::GetLayout(
     const ObjectHandle& handle) const {
   LOR_RETURN_IF_ERROR(ValidateHandle(handle));
-  return ScaleLayout(
-      store_->GetLayout(db::BlobHandle{handle.slot_, handle.gen_}));
+  return ScaleLayout(store_->GetLayout(TicketOf(handle)));
 }
 
-Result<uint64_t> DbRepository::GetSize(const ObjectHandle& handle) const {
-  LOR_RETURN_IF_ERROR(ValidateHandle(handle));
-  return store_->GetSize(db::BlobHandle{handle.slot_, handle.gen_});
-}
-
-// -- Name surface: thin open–op–release wrappers -----------------------
-
-Status DbRepository::Put(const std::string& key, uint64_t size,
-                         std::span<const uint8_t> data) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kPut);
-  LOR_ASSIGN_OR_RETURN(db::BlobHandle h, store_->OpenWrite(key));
-  auto bound = store_->HandleBound(h);
-  if (!bound.ok() || *bound) {
-    Status c = store_->Close(h);
-    (void)c;
-    if (!bound.ok()) return bound.status();
-    return Status::AlreadyExists("object exists: " + key);
-  }
-  Status s = store_->SafeWrite(h, size, data);
-  Status c = store_->Close(h);
-  return s.ok() ? c : s;
-}
-
-Status DbRepository::SafeWrite(const std::string& key, uint64_t size,
-                               std::span<const uint8_t> data) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kSafeWrite);
-  LOR_ASSIGN_OR_RETURN(db::BlobHandle h, store_->OpenWrite(key));
-  Status s = store_->SafeWrite(h, size, data);
-  Status c = store_->Close(h);
-  return s.ok() ? c : s;
-}
+// -- Name surface --------------------------------------------------------
 
 Status DbRepository::Get(const std::string& key, std::vector<uint8_t>* out) {
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kGet);
@@ -121,22 +55,9 @@ Status DbRepository::Get(const std::string& key, std::vector<uint8_t>* out) {
   return store_->Get(key, out);
 }
 
-Status DbRepository::Delete(const std::string& key) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kDelete);
-  return store_->Delete(key);
-}
-
-bool DbRepository::Exists(const std::string& key) const {
-  return store_->Exists(key);
-}
-
 Result<alloc::ExtentList> DbRepository::GetLayout(
     const std::string& key) const {
   return ScaleLayout(store_->GetLayout(key));
-}
-
-Result<uint64_t> DbRepository::GetSize(const std::string& key) const {
-  return store_->GetSize(key);
 }
 
 std::vector<std::string> DbRepository::ListKeys() const {
@@ -156,10 +77,6 @@ void DbRepository::VisitObjects(
   });
 }
 
-const FragmentationTracker* DbRepository::fragmentation_tracker() const {
-  return &store_->fragmentation_tracker();
-}
-
 uint64_t DbRepository::object_count() const {
   return store_->stats().object_count;
 }
@@ -173,10 +90,6 @@ uint64_t DbRepository::free_bytes() const {
   // remainder of the volume.
   return store_->FreeBytes() +
          (device_->capacity() - store_->page_file().file_bytes());
-}
-
-Status DbRepository::CheckConsistency() const {
-  return store_->CheckConsistency();
 }
 
 // -- Crash recovery & verification -------------------------------------

@@ -2,21 +2,22 @@
 // out-of-row BLOBs in a SQL-Server-like engine running in bulk-logged
 // mode, with the log on a dedicated drive.
 //
-// Access stack: the handle operations are the primary path — Open pins
-// the metadata row, the blob layout, and positioned metadata/blob-tree
-// cursors in the BlobStore handle table, so Get/SafeWrite through the
-// handle skip the per-operation query + row lookup. The name-based
-// mutations are thin open–op–release wrappers over the same code (the
-// name-based Get is the store's own per-call query + lookup + read),
-// charging exactly what the historical per-operation path charged.
+// Access stack: StoreRepository holds the handle surface over the
+// BlobStore handle table — Open pins the metadata row, the blob layout,
+// and positioned metadata/blob-tree cursors, so Get/SafeWrite through
+// the handle skip the per-operation query + row lookup — and the
+// name-based mutations as open–op–release wrappers over the same
+// tickets (the name-based Get is the store's own per-call query +
+// lookup + read), charging exactly what the historical per-operation
+// path charged. The safe write step is BlobStore::SafeWrite.
 //
-// The data volume, its queue, cache and Mount preamble are the shared
-// VolumeRepository; this class adds the log volume, the BLOB engine,
-// its log-replay recovery step and its scrub repair step. The scheduler
-// fronts the data volume only: the log stays a strictly-ordered
-// synchronous append stream (bulk-logged commits are tiny and
-// serialized by the engine), with commit waits charged to the op's
-// chain as CPU.
+// The data volume, its queue, cache, Mount preamble and scrub loop are
+// the shared VolumeRepository; this class adds the log volume, the BLOB
+// engine's reads, its log-replay recovery step and its scrub repair
+// step. The scheduler fronts the data volume only: the log stays a
+// strictly-ordered synchronous append stream (bulk-logged commits are
+// tiny and serialized by the engine), with commit waits charged to the
+// op's chain as CPU.
 
 #ifndef LOREPO_CORE_DB_REPOSITORY_H_
 #define LOREPO_CORE_DB_REPOSITORY_H_
@@ -25,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "core/volume_repository.h"
+#include "core/store_repository.h"
 #include "db/blob_store.h"
 
 namespace lor {
@@ -47,45 +48,26 @@ struct DbRepositoryConfig : VolumeConfig {
 };
 
 /// Database-backed ObjectRepository.
-class DbRepository : public VolumeRepository {
+class DbRepository : public StoreRepository<db::BlobStore, db::BlobHandle> {
  public:
   explicit DbRepository(DbRepositoryConfig config = {});
 
-  // Name-based surface (open–op–release wrappers).
-  Status Put(const std::string& key, uint64_t size,
-             std::span<const uint8_t> data = {}) override;
-  Status SafeWrite(const std::string& key, uint64_t size,
-                   std::span<const uint8_t> data = {}) override;
   Status Get(const std::string& key,
              std::vector<uint8_t>* out = nullptr) override;
-  Status Delete(const std::string& key) override;
-  bool Exists(const std::string& key) const override;
-  Result<alloc::ExtentList> GetLayout(const std::string& key) const override;
-  Result<uint64_t> GetSize(const std::string& key) const override;
-
-  // Handle surface (BlobStore handle table underneath).
-  Result<ObjectHandle> Open(const std::string& key) override;
-  Result<ObjectHandle> OpenForWrite(const std::string& key) override;
-  Status Release(ObjectHandle* handle) override;
   Status Get(const ObjectHandle& handle,
              std::vector<uint8_t>* out = nullptr) override;
-  Status SafeWrite(const ObjectHandle& handle, uint64_t size,
-                   std::span<const uint8_t> data = {}) override;
-  Status Delete(ObjectHandle* handle) override;
+  Result<alloc::ExtentList> GetLayout(const std::string& key) const override;
   Result<alloc::ExtentList> GetLayout(
       const ObjectHandle& handle) const override;
-  Result<uint64_t> GetSize(const ObjectHandle& handle) const override;
 
   std::vector<std::string> ListKeys() const override;
   void VisitObjects(
       const std::function<void(const std::string& key,
                                const alloc::ExtentList& layout,
                                uint64_t size_bytes)>& visit) const override;
-  const FragmentationTracker* fragmentation_tracker() const override;
   uint64_t object_count() const override;
   uint64_t live_bytes() const override;
   uint64_t free_bytes() const override;
-  Status CheckConsistency() const override;
   std::string name() const override { return "database"; }
 
   /// Adds to the base verifier: payload FNV-1a checks under
@@ -101,6 +83,10 @@ class DbRepository : public VolumeRepository {
   const DbRepositoryConfig& config() const { return config_; }
 
  protected:
+  /// The safe write through the ticket (db::BlobStore::SafeWrite).
+  Status WriteThrough(db::BlobHandle target, const std::string& key,
+                      uint64_t size, std::span<const uint8_t> data) override;
+
   /// Checkpoint + log-tail replay (db::BlobStore::Recover). After a
   /// power cut the log spindle restarts cold too.
   Status RecoverStore(bool power_cycled, MountReport* report) override;
@@ -118,7 +104,6 @@ class DbRepository : public VolumeRepository {
 
   DbRepositoryConfig config_;
   std::unique_ptr<sim::BlockDevice> log_device_;
-  std::unique_ptr<db::BlobStore> store_;
 };
 
 }  // namespace core

@@ -23,7 +23,7 @@ FsRepository::FsRepository(FsRepositoryConfig config)
 
 FsRepository::FsRepository(FsRepositoryConfig config,
                            std::unique_ptr<alloc::ExtentAllocator> allocator)
-    : VolumeRepository(config), config_(std::move(config)) {
+    : StoreRepository(config), config_(std::move(config)) {
   store_ = std::make_unique<fs::FileStore>(device_.get(), config_.store,
                                            std::move(allocator));
   AttachScheduler();
@@ -44,47 +44,24 @@ bool FsRepository::IsTempName(const std::string& name) {
          name.find_first_not_of("0123456789", tmp + 4) == std::string::npos;
 }
 
-Status FsRepository::CheckUserKey(const std::string& key) {
+Status FsRepository::CheckWriteKey(const std::string& key) const {
   if (!IsTempName(key)) return Status::OK();
   return Status::InvalidArgument(
       "key has the safe-write temp form <name>.tmp<digits>: " + key);
 }
 
-// -- Handle surface ----------------------------------------------------
-
-Result<ObjectHandle> FsRepository::Open(const std::string& key) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-  LOR_ASSIGN_OR_RETURN(fs::FileHandle fh, store_->OpenRead(key));
-  return MakeHandle(key, /*writable=*/false, fh.slot, fh.gen);
-}
-
-Result<ObjectHandle> FsRepository::OpenForWrite(const std::string& key) {
-  LOR_RETURN_IF_ERROR(CheckUserKey(key));
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-  LOR_ASSIGN_OR_RETURN(fs::FileHandle fh, store_->OpenWrite(key));
-  return MakeHandle(key, /*writable=*/true, fh.slot, fh.gen);
-}
-
-Status FsRepository::Release(ObjectHandle* handle) {
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-  LOR_RETURN_IF_ERROR(ValidateHandle(*handle));
-  LOR_RETURN_IF_ERROR(store_->Close({handle->slot_, handle->gen_}));
-  handle->owner_ = nullptr;
-  handle->gen_ = 0;
-  return Status::OK();
-}
+// -- Reads and the safe-write step -------------------------------------
 
 Status FsRepository::Get(const ObjectHandle& handle,
                          std::vector<uint8_t>* out) {
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kGet);
   LOR_RETURN_IF_ERROR(ValidateHandle(handle));
-  return store_->ReadAll(fs::FileHandle{handle.slot_, handle.gen_}, out);
+  return store_->ReadAll(TicketOf(handle), out);
 }
 
-Status FsRepository::SafeWriteThrough(fs::FileHandle target,
-                                      const std::string& key, uint64_t size,
-                                      std::span<const uint8_t> data) {
+Status FsRepository::WriteThrough(fs::FileHandle target,
+                                  const std::string& key, uint64_t size,
+                                  std::span<const uint8_t> data) {
   if (!data.empty() && data.size() != size) {
     return Status::InvalidArgument("data size does not match object size");
   }
@@ -114,25 +91,6 @@ Status FsRepository::SafeWriteThrough(fs::FileHandle target,
   return store_->Replace(temp, target);
 }
 
-Status FsRepository::SafeWrite(const ObjectHandle& handle, uint64_t size,
-                               std::span<const uint8_t> data) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kSafeWrite);
-  LOR_RETURN_IF_ERROR(ValidateHandle(handle, /*need_write=*/true));
-  return SafeWriteThrough(fs::FileHandle{handle.slot_, handle.gen_},
-                          handle.key_, size, data);
-}
-
-Status FsRepository::Delete(ObjectHandle* handle) {
-  if (handle == nullptr) return Status::InvalidArgument("null handle");
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kDelete);
-  LOR_RETURN_IF_ERROR(ValidateHandle(*handle, /*need_write=*/true));
-  LOR_RETURN_IF_ERROR(
-      store_->Delete(fs::FileHandle{handle->slot_, handle->gen_}));
-  handle->owner_ = nullptr;
-  handle->gen_ = 0;
-  return Status::OK();
-}
-
 Result<alloc::ExtentList> FsRepository::ScaleExtents(
     Result<alloc::ExtentList> extents) const {
   if (!extents.ok()) return extents.status();
@@ -145,43 +103,10 @@ Result<alloc::ExtentList> FsRepository::ScaleExtents(
 Result<alloc::ExtentList> FsRepository::GetLayout(
     const ObjectHandle& handle) const {
   LOR_RETURN_IF_ERROR(ValidateHandle(handle));
-  return ScaleExtents(
-      store_->GetExtents(fs::FileHandle{handle.slot_, handle.gen_}));
+  return ScaleExtents(store_->GetExtents(TicketOf(handle)));
 }
 
-Result<uint64_t> FsRepository::GetSize(const ObjectHandle& handle) const {
-  LOR_RETURN_IF_ERROR(ValidateHandle(handle));
-  return store_->GetSize(fs::FileHandle{handle.slot_, handle.gen_});
-}
-
-// -- Name surface: thin open–op–release wrappers -----------------------
-
-Status FsRepository::Put(const std::string& key, uint64_t size,
-                         std::span<const uint8_t> data) {
-  LOR_RETURN_IF_ERROR(CheckUserKey(key));
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kPut);
-  LOR_ASSIGN_OR_RETURN(fs::FileHandle h, store_->OpenWrite(key));
-  auto bound = store_->HandleBound(h);
-  if (!bound.ok() || *bound) {
-    Status c = store_->Close(h);
-    (void)c;
-    if (!bound.ok()) return bound.status();
-    return Status::AlreadyExists("object exists: " + key);
-  }
-  Status s = SafeWriteThrough(h, key, size, data);
-  Status c = store_->Close(h);
-  return s.ok() ? c : s;
-}
-
-Status FsRepository::SafeWrite(const std::string& key, uint64_t size,
-                               std::span<const uint8_t> data) {
-  LOR_RETURN_IF_ERROR(CheckUserKey(key));
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kSafeWrite);
-  LOR_ASSIGN_OR_RETURN(fs::FileHandle h, store_->OpenWrite(key));
-  Status s = SafeWriteThrough(h, key, size, data);
-  Status c = store_->Close(h);
-  return s.ok() ? c : s;
-}
+// -- Name surface --------------------------------------------------------
 
 Status FsRepository::Get(const std::string& key, std::vector<uint8_t>* out) {
   sim::OpScope scope(scheduler_.get(), sim::OpClass::kGet);
@@ -191,22 +116,9 @@ Status FsRepository::Get(const std::string& key, std::vector<uint8_t>* out) {
   return store_->ReadAll(key, out);
 }
 
-Status FsRepository::Delete(const std::string& key) {
-  sim::OpScope scope(scheduler_.get(), sim::OpClass::kDelete);
-  return store_->Delete(key);
-}
-
-bool FsRepository::Exists(const std::string& key) const {
-  return store_->Exists(key);
-}
-
 Result<alloc::ExtentList> FsRepository::GetLayout(
     const std::string& key) const {
   return ScaleExtents(store_->GetExtents(key));
-}
-
-Result<uint64_t> FsRepository::GetSize(const std::string& key) const {
-  return store_->GetSize(key);
 }
 
 std::vector<std::string> FsRepository::ListKeys() const {
@@ -226,10 +138,6 @@ void FsRepository::VisitObjects(
   });
 }
 
-const FragmentationTracker* FsRepository::fragmentation_tracker() const {
-  return &store_->fragmentation_tracker();
-}
-
 uint64_t FsRepository::object_count() const {
   return store_->stats().file_count;
 }
@@ -239,10 +147,6 @@ uint64_t FsRepository::live_bytes() const {
 }
 
 uint64_t FsRepository::free_bytes() const { return store_->FreeBytes(); }
-
-Status FsRepository::CheckConsistency() const {
-  return store_->CheckConsistency();
-}
 
 Status FsRepository::RecoverStore(bool /*power_cycled*/,
                                   MountReport* report) {

@@ -6,24 +6,25 @@
 // separate drives is modelled as per-operation CPU cost only (it stays
 // cached and its I/O goes to other spindles).
 //
-// Access stack: the handle operations are the primary path — Open pins
-// the file's MFT record and extent map in the FileStore handle table,
-// and Get/SafeWrite through the handle skip the per-operation
-// open-by-name. The name-based mutations are thin open–op–release
-// wrappers over the same handle code; the name-based Get is the
-// store's own per-call open–read–close session. Both charge exactly
-// what the historical per-operation path charged. SafeWrite streams
-// into a temp file whose MFT record id comes from the store's recycle
-// pool, so aging workloads rewrite a bounded set of record slots
-// instead of marching fresh records through the MFT zone.
+// Access stack: StoreRepository holds the handle surface over the
+// FileStore handle table — Open pins the file's MFT record and extent
+// map, so Get/SafeWrite through the handle skip the per-operation
+// open-by-name — and the name-based mutations as open–op–release
+// wrappers over the same tickets. The name-based Get is the store's own
+// per-call open–read–close session. Both charge exactly what the
+// historical per-operation path charged. This class supplies the safe
+// write step: stream into a temp file whose MFT record id comes from
+// the store's recycle pool (so aging workloads rewrite a bounded set of
+// record slots instead of marching fresh records through the MFT
+// zone), then atomically replace the target.
 //
 // Temp names are `<key>.tmp<digits>`, and Mount's orphan sweep discards
 // every file of that form, so Put, SafeWrite and OpenForWrite reject
-// such keys with InvalidArgument before any I/O.
+// such keys with InvalidArgument before any I/O (CheckWriteKey).
 //
-// The data volume, its queue, cache and Mount preamble are the shared
-// VolumeRepository; this class adds the file store, its journal
-// recovery step and its scrub repair step.
+// The data volume, its queue, cache, Mount preamble and scrub loop are
+// the shared VolumeRepository; this class adds the file store's reads,
+// its journal recovery step and its scrub repair step.
 
 #ifndef LOREPO_CORE_FS_REPOSITORY_H_
 #define LOREPO_CORE_FS_REPOSITORY_H_
@@ -32,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "core/volume_repository.h"
+#include "core/store_repository.h"
 #include "fs/file_store.h"
 
 namespace lor {
@@ -51,7 +52,7 @@ struct FsRepositoryConfig : VolumeConfig {
 };
 
 /// Filesystem-backed ObjectRepository.
-class FsRepository : public VolumeRepository {
+class FsRepository : public StoreRepository<fs::FileStore, fs::FileHandle> {
  public:
   explicit FsRepository(FsRepositoryConfig config = {});
 
@@ -59,41 +60,22 @@ class FsRepository : public VolumeRepository {
   FsRepository(FsRepositoryConfig config,
                std::unique_ptr<alloc::ExtentAllocator> allocator);
 
-  // Name-based surface (open–op–release wrappers).
-  Status Put(const std::string& key, uint64_t size,
-             std::span<const uint8_t> data = {}) override;
-  Status SafeWrite(const std::string& key, uint64_t size,
-                   std::span<const uint8_t> data = {}) override;
   Status Get(const std::string& key,
              std::vector<uint8_t>* out = nullptr) override;
-  Status Delete(const std::string& key) override;
-  bool Exists(const std::string& key) const override;
-  Result<alloc::ExtentList> GetLayout(const std::string& key) const override;
-  Result<uint64_t> GetSize(const std::string& key) const override;
-
-  // Handle surface (FileStore handle table underneath).
-  Result<ObjectHandle> Open(const std::string& key) override;
-  Result<ObjectHandle> OpenForWrite(const std::string& key) override;
-  Status Release(ObjectHandle* handle) override;
   Status Get(const ObjectHandle& handle,
              std::vector<uint8_t>* out = nullptr) override;
-  Status SafeWrite(const ObjectHandle& handle, uint64_t size,
-                   std::span<const uint8_t> data = {}) override;
-  Status Delete(ObjectHandle* handle) override;
+  Result<alloc::ExtentList> GetLayout(const std::string& key) const override;
   Result<alloc::ExtentList> GetLayout(
       const ObjectHandle& handle) const override;
-  Result<uint64_t> GetSize(const ObjectHandle& handle) const override;
 
   std::vector<std::string> ListKeys() const override;
   void VisitObjects(
       const std::function<void(const std::string& key,
                                const alloc::ExtentList& layout,
                                uint64_t size_bytes)>& visit) const override;
-  const FragmentationTracker* fragmentation_tracker() const override;
   uint64_t object_count() const override;
   uint64_t live_bytes() const override;
   uint64_t free_bytes() const override;
-  Status CheckConsistency() const override;
   std::string name() const override { return "filesystem"; }
 
   /// Adds to the base verifier: payload FNV-1a checks under
@@ -107,6 +89,17 @@ class FsRepository : public VolumeRepository {
   const FsRepositoryConfig& config() const { return config_; }
 
  protected:
+  /// The safe-write cycle against an already-opened target ticket:
+  /// create temp (recycled MFT record), optional preallocate, stream,
+  /// fsync, atomic replace — all journal charges in one lazy-writer
+  /// batch.
+  Status WriteThrough(fs::FileHandle target, const std::string& key,
+                      uint64_t size, std::span<const uint8_t> data) override;
+
+  /// InvalidArgument for a key of the temp-name form: the orphan sweep
+  /// would discard it at the next Mount.
+  Status CheckWriteKey(const std::string& key) const override;
+
   /// Journal recovery (fs::FileStore::Recover); the orphan sweep
   /// discards every name of NextTempName's form.
   Status RecoverStore(bool power_cycled, MountReport* report) override;
@@ -119,13 +112,6 @@ class FsRepository : public VolumeRepository {
                       ScrubReport* report) override;
 
  private:
-  /// The safe-write cycle against an already-opened target handle:
-  /// create temp (recycled MFT record), optional preallocate, stream,
-  /// fsync, atomic replace — all journal charges in one lazy-writer
-  /// batch.
-  Status SafeWriteThrough(fs::FileHandle target, const std::string& key,
-                          uint64_t size, std::span<const uint8_t> data);
-
   /// Fresh safe-write temp name (counter keeps names collision-free
   /// against user keys and leftover temps).
   std::string NextTempName(const std::string& key);
@@ -135,16 +121,11 @@ class FsRepository : public VolumeRepository {
   /// scan).
   static bool IsTempName(const std::string& name);
 
-  /// InvalidArgument for a key of the temp-name form: the orphan sweep
-  /// would discard it at the next Mount.
-  static Status CheckUserKey(const std::string& key);
-
   /// Converts a byte-extent layout from cluster extents.
   Result<alloc::ExtentList> ScaleExtents(
       Result<alloc::ExtentList> extents) const;
 
   FsRepositoryConfig config_;
-  std::unique_ptr<fs::FileStore> store_;
   uint64_t temp_counter_ = 0;
 };
 

@@ -25,6 +25,8 @@ namespace lor {
 namespace core {
 
 class ObjectRepository;
+template <typename Store, typename Ticket>
+class StoreRepository;
 
 /// Move-only ticket for an open object (see file comment).
 class ObjectHandle {
@@ -57,12 +59,11 @@ class ObjectHandle {
  private:
   // Only repositories mint and interpret the ticket fields.
   friend class ObjectRepository;
-  friend class FsRepository;
-  friend class DbRepository;
+  template <typename Store, typename Ticket>
+  friend class StoreRepository;
 
   const ObjectRepository* owner_ = nullptr;
-  /// Back-end handle-table coordinates. gen_ == 0 marks a name-routed
-  /// handle (the base-class fallback for back ends without a table).
+  /// Back-end handle-table coordinates.
   uint64_t slot_ = 0;
   uint64_t gen_ = 0;
   std::string key_;

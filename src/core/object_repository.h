@@ -15,13 +15,14 @@
 //     open–op–release wrappers over the same handle ops, so both paths
 //     produce identical layouts and tracker state by construction.
 //
-// Class map: FsRepository and DbRepository derive from VolumeRepository
-// (core/volume_repository.h), which owns the data volume, its queue,
-// cache and Mount preamble. Wrappers such as
-// workload::RecordingRepository derive from this class directly and
-// inherit the defaults kept here: the name-routed handle surface
-// (gen-0 handles that replay the resolution on every call), the one
-// Scrub loop, a no-op SettleIo and shared_spindle() == false.
+// Class map: this class is a pure interface (Fsck's name-routed
+// verifier is its one default). VolumeRepository (core/volume_repository.h)
+// owns the data volume, its queue, cache, Mount preamble and the scrub
+// loop; StoreRepository (core/store_repository.h) adds the handle-table
+// plumbing over a store; FsRepository and DbRepository derive from it.
+// Wrappers such as workload::RecordingRepository derive from this class
+// directly and forward every virtual, handles included: a handle minted
+// through a wrapper is the wrapped repository's table handle.
 
 #ifndef LOREPO_CORE_OBJECT_REPOSITORY_H_
 #define LOREPO_CORE_OBJECT_REPOSITORY_H_
@@ -167,31 +168,31 @@ class ObjectRepository {
   /// Opens an existing object for reading. Charges the back end's
   /// open-by-name cost (the cost the name-based Get pays per call);
   /// NotFound when the key is not live.
-  virtual Result<ObjectHandle> Open(const std::string& key);
+  virtual Result<ObjectHandle> Open(const std::string& key) = 0;
 
   /// Opens a key for writing. The object need not exist yet: the first
   /// SafeWrite through the handle creates it (Put semantics are an
   /// exists check away). Charges only the resolution the write path
   /// already paid per operation, never extra metadata I/O.
-  virtual Result<ObjectHandle> OpenForWrite(const std::string& key);
+  virtual Result<ObjectHandle> OpenForWrite(const std::string& key) = 0;
 
   /// Releases a handle (invalidating it). Read handles charge the
   /// back end's close cost, mirroring the name-based Get; releasing an
   /// already-released or foreign handle is an error.
-  virtual Status Release(ObjectHandle* handle);
+  virtual Status Release(ObjectHandle* handle) = 0;
 
   /// Handle twins of the name-based operations. SafeWrite and Delete
   /// require a writable handle; Delete invalidates every open handle on
   /// the object (use-after-delete fails, it does not touch stale
-  /// state). The defaults route through the name-based ops so wrapper
-  /// repositories work without a handle table.
+  /// state).
   virtual Status Get(const ObjectHandle& handle,
-                     std::vector<uint8_t>* out = nullptr);
+                     std::vector<uint8_t>* out = nullptr) = 0;
   virtual Status SafeWrite(const ObjectHandle& handle, uint64_t size,
-                           std::span<const uint8_t> data = {});
-  virtual Status Delete(ObjectHandle* handle);
-  virtual Result<alloc::ExtentList> GetLayout(const ObjectHandle& handle) const;
-  virtual Result<uint64_t> GetSize(const ObjectHandle& handle) const;
+                           std::span<const uint8_t> data = {}) = 0;
+  virtual Status Delete(ObjectHandle* handle) = 0;
+  virtual Result<alloc::ExtentList> GetLayout(
+      const ObjectHandle& handle) const = 0;
+  virtual Result<uint64_t> GetSize(const ObjectHandle& handle) const = 0;
 
   // -- Introspection ----------------------------------------------------
 
@@ -262,16 +263,16 @@ class ObjectRepository {
   /// separate it from the shard's next operations. Deliberately does
   /// NOT flush the cache — dedicated-spindle phases never flush at
   /// their boundaries, and a shared single-owner run must charge the
-  /// same I/O. The default (and the dedicated-spindle behavior) is a
-  /// no-op: a synchronous or drained-by-Exit phase end has nothing to
-  /// settle. Wrappers that do not forward it inherit the no-op.
-  virtual Status SettleIo() { return Status::OK(); }
+  /// same I/O. On a dedicated spindle it is a no-op: a synchronous or
+  /// drained-by-Exit phase end has nothing to settle. Wrappers forward
+  /// it, or the fence never reaches the spindle.
+  virtual Status SettleIo() = 0;
 
   /// True when this repository's data volume is an owner view on a
   /// shared sim::SpindlePlane (its clock, stats, and drains then
   /// follow the plane's round protocol). Workload runners use this to
   /// gate shared-spindle-only behavior.
-  virtual bool shared_spindle() const { return false; }
+  virtual bool shared_spindle() const = 0;
 
   /// Per-op-class submit-to-completion latency histograms. Populated on
   /// both the synchronous and the queued path.
@@ -292,22 +293,18 @@ class ObjectRepository {
   /// vs. a full scan, reporting a typed corruption taxonomy. Never
   /// fails just because the volume is corrupt — corruption is the
   /// report's payload; a Status error means the verifier itself could
-  /// not run. The default implementation is name-routed (VisitObjects +
-  /// GetLayout + CheckConsistency only), so RecordingRepository-style
-  /// wrappers keep working.
+  /// not run. The base implementation is name-routed (VisitObjects +
+  /// GetLayout + CheckConsistency only); back ends extend it.
   virtual Result<FsckReport> Fsck();
 
   /// One background-scrubber pass: walks live objects in key order
-  /// from the persistent scrub cursor, re-reads payloads with charged
-  /// I/O through the name-based Get, and verifies end-to-end checksums.
-  /// This is the only scrub loop: a read that succeeded but bumped
-  /// device_stats().media_read_errors needed media retries, and (when
-  /// options.repair) goes to the back end's RepairScrubbed step, which
-  /// rewrites it off the suspect media and quarantines the old units.
-  /// Detected-but-unrepairable objects stay typed-error, never silently
-  /// wrong. Wrapper repositories inherit it and scrub what they wrap:
-  /// they detect typed errors and corruption but repair nothing.
-  virtual Result<ScrubReport> Scrub(const ScrubOptions& options = {});
+  /// from a persistent cursor, re-reads payloads with charged I/O and
+  /// verifies end-to-end checksums; with options.repair it rewrites
+  /// objects whose reads needed media retries (VolumeRepository::Scrub
+  /// is the one loop). Detected-but-unrepairable objects stay
+  /// typed-error, never silently wrong. Wrappers forward it untraced:
+  /// the scrub reads are not workload ops.
+  virtual Result<ScrubReport> Scrub(const ScrubOptions& options = {}) = 0;
 
   /// Structural invariants (no shared clusters/extents, accounting).
   virtual Status CheckConsistency() const = 0;
@@ -321,23 +318,9 @@ class ObjectRepository {
   Status ValidateHandle(const ObjectHandle& handle,
                         bool need_write = false) const;
 
-  /// Mints a handle. Back ends pass their table coordinates; the
-  /// defaults mint a name-routed handle (gen 0).
+  /// Mints a handle on the back end's handle-table coordinates.
   ObjectHandle MakeHandle(const std::string& key, bool writable,
-                          uint64_t slot = 0, uint64_t gen = 0) const;
-
-  /// Scrub's repair step for `key`, whose read returned `payload` but
-  /// needed media retries: rewrite the object onto fresh units and
-  /// count what was repaired and quarantined into `report`. The default
-  /// (wrappers) repairs nothing.
-  virtual void RepairScrubbed(const std::string& key,
-                              const std::vector<uint8_t>& payload,
-                              ScrubReport* report);
-
- private:
-  /// Background-scrubber resume point: the last key the previous Scrub
-  /// pass examined (empty = start of the key space).
-  std::string scrub_cursor_;
+                          uint64_t slot, uint64_t gen) const;
 };
 
 }  // namespace core

@@ -1,5 +1,6 @@
 #include "core/volume_repository.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "sim/fault_injector.h"
@@ -95,6 +96,55 @@ Result<MountReport> VolumeRepository::Mount() {
   MountReport report;
   LOR_RETURN_IF_ERROR(RecoverStore(power_cycled, &report));
   report.recovery_seconds = device_->clock().now() - t0;
+  return report;
+}
+
+Result<ScrubReport> VolumeRepository::Scrub(const ScrubOptions& options) {
+  ScrubReport report;
+  std::vector<std::string> keys = ListKeys();
+  std::sort(keys.begin(), keys.end());
+  if (keys.empty()) {
+    scrub_cursor_.clear();
+    return report;
+  }
+  // Resume strictly after the cursor, wrapping at the end.
+  size_t start = 0;
+  if (!scrub_cursor_.empty()) {
+    const auto it =
+        std::upper_bound(keys.begin(), keys.end(), scrub_cursor_);
+    start = static_cast<size_t>(it - keys.begin()) % keys.size();
+  }
+  const uint64_t budget =
+      options.max_objects == 0 ? keys.size() : options.max_objects;
+  std::vector<uint8_t> payload;
+  for (uint64_t i = 0; i < budget && i < keys.size(); ++i) {
+    const std::string& key = keys[(start + i) % keys.size()];
+    scrub_cursor_ = key;
+    const uint64_t errors_before = device_stats().media_read_errors;
+    const Status read = Get(key, &payload);
+    ++report.objects_scanned;
+    if (read.ok()) {
+      report.bytes_scanned += payload.size();
+      // The read succeeded but needed media retries: a transient latent
+      // sector error lives under this object.
+      if (options.repair && device_stats().media_read_errors > errors_before) {
+        RepairScrubbed(key, payload, &report);
+      }
+    } else if (read.IsNotFound()) {
+      continue;  // Deleted since ListKeys: not a media problem.
+    } else if (read.IsCorruption()) {
+      ++report.corruptions_detected;
+      ++report.unrecoverable;
+    } else if (read.IsIoError()) {
+      ++report.read_errors;
+      ++report.unrecoverable;
+    } else {
+      return read;  // The scrubber itself failed; surface it.
+    }
+    if (options.max_bytes != 0 && report.bytes_scanned >= options.max_bytes) {
+      break;
+    }
+  }
   return report;
 }
 

@@ -11,6 +11,8 @@
 //   * Mount's preamble — the shared-spindle refusal, the power-cycle or
 //     clean-flush step, the cold cache and recovery_seconds — around
 //     one store-recovery step each back end supplies;
+//   * the scrub loop and its cursor, around one repair step each back
+//     end supplies;
 //   * Fsck's payload verifier (the retain-mode FNV-1a re-read).
 //
 // Construction order is part of the charge model: the pool is attached
@@ -89,6 +91,13 @@ class VolumeRepository : public ObjectRepository {
   /// simulated elapsed time. NotSupported on a shared spindle.
   Result<MountReport> Mount() override;
 
+  /// The one scrub loop: walks the sorted key space from the persistent
+  /// cursor, re-reading each payload through the name-based Get (charged
+  /// like any client read, typed errors included). A read that succeeded
+  /// but bumped device_stats().media_read_errors needed media retries,
+  /// and (when options.repair) goes to RepairScrubbed.
+  Result<ScrubReport> Scrub(const ScrubOptions& options = {}) override;
+
   sim::BlockDevice* device() { return device_.get(); }
   sim::IoScheduler* io_scheduler() { return scheduler_.get(); }
   sim::BufferPool* buffer_pool() { return pool_.get(); }
@@ -106,6 +115,13 @@ class VolumeRepository : public ObjectRepository {
   /// the report's store-specific fields. `power_cycled` is true when
   /// the attached injector tripped.
   virtual Status RecoverStore(bool power_cycled, MountReport* report) = 0;
+
+  /// Scrub's repair step for `key`, whose read returned `payload` but
+  /// needed media retries: rewrite the object onto fresh units and
+  /// count what was repaired and quarantined into `report`.
+  virtual void RepairScrubbed(const std::string& key,
+                              const std::vector<uint8_t>& payload,
+                              ScrubReport* report) = 0;
 
   /// Fsck's payload check: re-reads each (key, recorded FNV-1a hash)
   /// with `read` and reports kLostObject for a failed read and
@@ -128,6 +144,11 @@ class VolumeRepository : public ObjectRepository {
   /// Owns the data volume's submission queue; attached to device_ for
   /// the repository's whole lifetime (disengaged = synchronous).
   std::unique_ptr<sim::IoScheduler> scheduler_;
+
+ private:
+  /// Background-scrubber resume point: the last key the previous Scrub
+  /// pass examined (empty = start of the key space).
+  std::string scrub_cursor_;
 };
 
 }  // namespace core

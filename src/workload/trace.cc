@@ -151,5 +151,28 @@ Status RecordingRepository::Delete(const std::string& key) {
   return s;
 }
 
+Status RecordingRepository::Get(const core::ObjectHandle& handle,
+                                std::vector<uint8_t>* out) {
+  Status s = inner_->Get(handle, out);
+  if (s.ok()) trace_->Add({TraceOp::Kind::kGet, handle.key(), 0});
+  return s;
+}
+
+Status RecordingRepository::SafeWrite(const core::ObjectHandle& handle,
+                                      uint64_t size,
+                                      std::span<const uint8_t> data) {
+  Status s = inner_->SafeWrite(handle, size, data);
+  if (s.ok()) trace_->Add({TraceOp::Kind::kSafeWrite, handle.key(), size});
+  return s;
+}
+
+Status RecordingRepository::Delete(core::ObjectHandle* handle) {
+  // Delete consumes the handle: read its key first.
+  std::string key = handle != nullptr ? handle->key() : std::string();
+  Status s = inner_->Delete(handle);
+  if (s.ok()) trace_->Add({TraceOp::Kind::kDelete, std::move(key), 0});
+  return s;
+}
+
 }  // namespace workload
 }  // namespace lor

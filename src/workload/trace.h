@@ -55,8 +55,11 @@ class Trace {
   std::vector<TraceOp> ops_;
 };
 
-/// ObjectRepository decorator that appends every mutating/reading call
-/// to a Trace while forwarding to the wrapped repository.
+/// ObjectRepository decorator that appends every successful Put,
+/// SafeWrite, Get and Delete to a Trace while forwarding every call to
+/// the wrapped repository. Handle ops are the wrapped repository's own
+/// (its table handles); handle Get/SafeWrite/Delete are recorded under
+/// handle.key(), so a handle workload replays as name ops.
 class RecordingRepository : public core::ObjectRepository {
  public:
   RecordingRepository(core::ObjectRepository* inner, Trace* trace)
@@ -69,6 +72,28 @@ class RecordingRepository : public core::ObjectRepository {
   Status Get(const std::string& key,
              std::vector<uint8_t>* out = nullptr) override;
   Status Delete(const std::string& key) override;
+  Status Get(const core::ObjectHandle& handle,
+             std::vector<uint8_t>* out = nullptr) override;
+  Status SafeWrite(const core::ObjectHandle& handle, uint64_t size,
+                   std::span<const uint8_t> data = {}) override;
+  Status Delete(core::ObjectHandle* handle) override;
+
+  Result<core::ObjectHandle> Open(const std::string& key) override {
+    return inner_->Open(key);
+  }
+  Result<core::ObjectHandle> OpenForWrite(const std::string& key) override {
+    return inner_->OpenForWrite(key);
+  }
+  Status Release(core::ObjectHandle* handle) override {
+    return inner_->Release(handle);
+  }
+  Result<alloc::ExtentList> GetLayout(
+      const core::ObjectHandle& handle) const override {
+    return inner_->GetLayout(handle);
+  }
+  Result<uint64_t> GetSize(const core::ObjectHandle& handle) const override {
+    return inner_->GetSize(handle);
+  }
 
   bool Exists(const std::string& key) const override {
     return inner_->Exists(key);
@@ -112,6 +137,8 @@ class RecordingRepository : public core::ObjectRepository {
     return inner_->SetQueueDepth(depth, policy);
   }
   Status DrainIo() override { return inner_->DrainIo(); }
+  Status SettleIo() override { return inner_->SettleIo(); }
+  bool shared_spindle() const override { return inner_->shared_spindle(); }
   const sim::LatencyRecorder* latency_recorder() const override {
     return inner_->latency_recorder();
   }
@@ -119,6 +146,10 @@ class RecordingRepository : public core::ObjectRepository {
   /// forward without being traced.
   Result<core::MountReport> Mount() override { return inner_->Mount(); }
   Result<core::FsckReport> Fsck() override { return inner_->Fsck(); }
+  Result<core::ScrubReport> Scrub(
+      const core::ScrubOptions& options = {}) override {
+    return inner_->Scrub(options);
+  }
   std::string name() const override { return inner_->name() + "+recorded"; }
 
  private:

@@ -521,10 +521,9 @@ INSTANTIATE_TEST_SUITE_P(
                     }}),
     [](const auto& info) { return info.param.label; });
 
-// Satellite: typed statuses must survive the decorator stack. The
-// RecordingRepository forwards Get/Put/... but inherits the base
-// detect-only Scrub, which routes through the wrapper's virtual Get —
-// both layers must carry Corruption/IoError untyped-free.
+// Typed statuses must survive the decorator stack: the
+// RecordingRepository forwards Get and Scrub to the wrapped repository,
+// and both must carry Corruption/IoError through unchanged.
 TEST(ScrubPropagationTest, TypedStatusesFlowThroughRecordingRepository) {
   core::FsRepository inner(FsConfig(64 * kMiB));
   MediaFaultModel media;
@@ -542,8 +541,8 @@ TEST(ScrubPropagationTest, TypedStatusesFlowThroughRecordingRepository) {
   std::vector<uint8_t> out;
   EXPECT_TRUE(recorder.Get("obj0", &out).IsCorruption());
 
-  // Base-class Scrub on the wrapper: name-routed detect-only walk
-  // dispatching through the wrapper's virtual Get.
+  // The wrapped repository's scrub: corruption has no good copy to
+  // rewrite from, so nothing is repaired.
   auto report = recorder.Scrub();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->objects_scanned, payloads.size());
@@ -559,6 +558,35 @@ TEST(ScrubPropagationTest, TypedStatusesFlowThroughRecordingRepository) {
   auto lse_report = recorder.Scrub();
   ASSERT_TRUE(lse_report.ok());
   EXPECT_EQ(lse_report->read_errors, payloads.size());
+}
+
+TEST(ScrubPropagationTest, RecordingRepositoryScrubIsUntracedAndRepairs) {
+  core::FsRepository inner(FsConfig(64 * kMiB));
+  MediaFaultModel media;
+  inner.device()->AttachMediaFaults(&media);
+  const auto payloads = Load(&inner, 12, 64 * kKiB);
+  workload::Trace trace;
+  workload::RecordingRepository recorder(&inner, &trace);
+
+  // Scrub reads are verification, not workload ops.
+  auto clean = recorder.Scrub();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(clean->objects_scanned, payloads.size());
+  EXPECT_EQ(trace.size(), 0u);
+
+  // Transient LSEs: the wrapped repository's repair step runs.
+  MediaFaultSpec spec;
+  spec.seed = 9;
+  spec.lse_rate = 0.6;
+  spec.transient_fraction = 1.0;
+  spec.transient_failures = 1;
+  media.Arm(spec);
+  auto report = recorder.Scrub();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->repaired, 0u);
+  EXPECT_EQ(inner.store()->quarantined_cluster_count(),
+            report->quarantined_units);
+  EXPECT_EQ(trace.size(), 0u);
 }
 
 // -- Seeded media torture ---------------------------------------------

@@ -18,6 +18,7 @@
 #include "sim/fault_injector.h"
 #include "sim/media_fault.h"
 #include "util/random.h"
+#include "workload/trace.h"
 
 namespace lor {
 namespace core {
@@ -330,15 +331,18 @@ TEST(FsRepositoryTest, KeysContainingTmpSurviveMount) {
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->clean());
 
-  // Keys of the temp form itself are refused before any I/O.
+  // Keys of the temp form itself are refused before any I/O, and before
+  // the op scope opens: a refusal inside one would record a 0-latency op.
   const double now = repo.now();
   const uint64_t writes = repo.device_stats().writes;
+  const std::string latencies = repo.latency_recorder()->ToString();
   EXPECT_TRUE(repo.Put("x.tmp3", 4 * kKiB).IsInvalidArgument());
   EXPECT_TRUE(repo.SafeWrite("x.tmp3", 4 * kKiB).IsInvalidArgument());
   EXPECT_TRUE(repo.OpenForWrite("x.tmp3").status().IsInvalidArgument());
   EXPECT_FALSE(repo.Exists("x.tmp3"));
   EXPECT_EQ(repo.now(), now);
   EXPECT_EQ(repo.device_stats().writes, writes);
+  EXPECT_EQ(repo.latency_recorder()->ToString(), latencies);
 }
 
 // -- Decision pin --------------------------------------------------------
@@ -609,6 +613,24 @@ TEST(RepositoryPinTest, RepositoryDecisionsArePinned) {
     }
   }
   EXPECT_EQ(hash.value(), 0xb6c04d1bc313b215ull);
+}
+
+TEST(RecordingRepositoryTest, ForwardsTheSharedSpindleFence) {
+  // A recorder around a shard on a shared spindle must report the plane
+  // and carry the phase fence to it: at qd 8 one write sits in the
+  // owner's undelivered batch until SettleIo fences the plane.
+  PinCase c;
+  c.shared_plane = true;
+  std::unique_ptr<ObjectRepository> inner = MakePinned(c);
+  workload::Trace trace;
+  workload::RecordingRepository recorder(inner.get(), &trace);
+  EXPECT_TRUE(recorder.shared_spindle());
+  ASSERT_TRUE(recorder.SetQueueDepth(8).ok());
+  ASSERT_TRUE(recorder.SafeWrite("obj", 64 * kKiB).ok());
+  const double before = inner->now();
+  ASSERT_TRUE(recorder.SettleIo().ok());
+  EXPECT_GT(inner->now(), before);
+  EXPECT_EQ(trace.size(), 1u);
 }
 
 }  // namespace
