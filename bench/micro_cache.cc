@@ -18,7 +18,7 @@
 //
 // Retain-mode passes verify every payload byte against the written
 // pattern; any mismatch (stale frame, recycled-buffer leak) exits
-// nonzero and fails the run_all REQUIRED gate.
+// nonzero, which fails run_all.
 //
 // The 8 MiB region holds 128 frames, so the pool's index and frame
 // records sit in cache there. A last phase runs at bench shape instead:

@@ -91,7 +91,7 @@ uint64_t RunOffset(uint64_t i, uint64_t r, uint64_t objects) {
 /// `Device` is sim::BlockDevice or sim::ReferenceBlockDevice (same
 /// request surface).
 /// Returns false on any device error or retain-mode payload mismatch,
-/// so the bench exits nonzero and fails the run_all REQUIRED gate.
+/// so the bench exits nonzero, which fails run_all.
 template <typename Device>
 bool RunPlane(Device* dev, uint64_t region, uint64_t objects,
               uint64_t write_passes, uint64_t read_passes, bool vectored,
