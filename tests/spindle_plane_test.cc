@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -147,10 +148,27 @@ uint64_t ScatteredOffset(uint32_t owner, uint32_t i) {
 }
 
 TEST(SpindlePlaneDeterminismTest, SameSeedSameOutcomeAcrossRunsAndSchedules) {
-  for (SchedPolicy policy : {SchedPolicy::kFifo, SchedPolicy::kSptf}) {
+  // The 4-owner service order is pinned as well as self-consistent:
+  // a change to how chains are built, moved or consumed must not move
+  // the interleave, the round count or the hub clock by a bit.
+  struct Pin {
+    SchedPolicy policy;
+    uint64_t service_hash;
+    uint64_t rounds;
+    uint64_t hub_clock_bits;
+  };
+  constexpr Pin kPins[] = {
+      {SchedPolicy::kFifo, 0x5a776ab443cb8af1ull, 16u, 0x400b0e73f3bd4d9aull},
+      {SchedPolicy::kSptf, 0xfce3655cb86da8c4ull, 16u, 0x4002dbd785f84d46ull},
+  };
+  for (const Pin& pin : kPins) {
+    const SchedPolicy policy = pin.policy;
     const PlaneRun baseline = DrivePlane(policy, /*seed=*/7, /*owners=*/4,
                                          /*depth=*/4, /*batches=*/16,
                                          ScatteredOffset, /*stagger=*/false);
+    EXPECT_EQ(baseline.service_hash, pin.service_hash);
+    EXPECT_EQ(baseline.rounds, pin.rounds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(baseline.hub_clock), pin.hub_clock_bits);
     const PlaneRun repeat = DrivePlane(policy, 7, 4, 4, 16, ScatteredOffset,
                                        /*stagger=*/false);
     const PlaneRun perturbed = DrivePlane(policy, 7, 4, 4, 16,
