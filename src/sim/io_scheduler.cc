@@ -213,7 +213,7 @@ void IoScheduler::SealCurrentOp() {
   if (!building_open_) return;
   building_open_ = false;
   SettleFront(&building_);
-  if (building_.chain.empty()) {
+  if (building_.done()) {
     CompleteOp(building_);
     return;
   }
@@ -228,8 +228,8 @@ void IoScheduler::Enqueue(Request r) {
 }
 
 void IoScheduler::SettleFront(Op* op) {
-  while (!op->chain.empty()) {
-    Request& front = op->chain.front();
+  for (; !op->done(); ++op->head) {
+    const Request& front = op->chain[op->head];
     switch (front.kind) {
       case Request::Kind::kCpu:
         op->ready += front.cpu_s;
@@ -255,7 +255,6 @@ void IoScheduler::SettleFront(Op* op) {
       case Request::Kind::kFlush:
         return;  // Device work: left for ServiceOne.
     }
-    op->chain.pop_front();
   }
 }
 
@@ -272,7 +271,7 @@ bool IoScheduler::ServiceOne() {
   // Reap ops whose chains are already settled empty (pure-CPU ops).
   for (auto it = pending_.begin(); it != pending_.end();) {
     SettleFront(&*it);
-    if (it->chain.empty()) {
+    if (it->done()) {
       CompleteOp(*it);
       it = pending_.erase(it);
     } else {
@@ -293,7 +292,7 @@ bool IoScheduler::ServiceOne() {
   uint64_t pick_seq = std::numeric_limits<uint64_t>::max();
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     if (it->ready > dispatch) continue;
-    const Request& front = it->chain.front();
+    const Request& front = it->chain[it->head];
     double cost = 0.0;
     if (policy_ == SchedPolicy::kSptf &&
         front.kind == Request::Kind::kIo) {
@@ -312,8 +311,7 @@ bool IoScheduler::ServiceOne() {
   }
   assert(pick != pending_.end());
 
-  const Request front = pick->chain.front();
-  pick->chain.pop_front();
+  const Request front = pick->chain[pick->head++];
   const double start = std::max(device_free_, pick->ready);
   const double service =
       front.kind == Request::Kind::kFlush
@@ -327,7 +325,7 @@ bool IoScheduler::ServiceOne() {
   device_->NoteWriteServiced(front.tag);
 
   SettleFront(&*pick);
-  if (pick->chain.empty()) {
+  if (pick->done()) {
     CompleteOp(*pick);
     pending_.erase(pick);
   }

@@ -58,7 +58,6 @@
 #define LOREPO_SIM_IO_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <queue>
 #include <vector>
@@ -186,7 +185,17 @@ class IoScheduler {
     double ready = 0.0;        // completion time of the serviced prefix
     double busy = 0.0;         // serviced seconds (device + cpu + penalties)
     double window_base = 0.0;  // `busy` at the open stream window's start
-    std::deque<Request> chain;
+    /// Requests in submission order; `chain[head]` is the first
+    /// unserviced one. A flat vector consumed through a cursor, not a
+    /// deque: an op is built on its owner's thread, moved into batches
+    /// and rounds, and freed on whichever thread serviced it, and a
+    /// deque allocates a map and a node on every construction and every
+    /// move, while an empty vector allocates nothing. The head stays 0
+    /// on the port path, where the plane replays the whole chain.
+    std::vector<Request> chain;
+    size_t head = 0;
+
+    bool done() const { return head == chain.size(); }
   };
 
   // -- Charge intake from the device (async mode only) -----------------

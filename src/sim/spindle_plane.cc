@@ -326,8 +326,10 @@ void SpindlePlane::ServiceRound(std::vector<RoundOp>* round) {
     for (const std::deque<size_t>& q : fronts) {
       if (q.empty()) continue;
       const size_t i = q.front();
+      const IoScheduler::Op& op = ops[i].op;
       double cost = 0.0;
-      for (const IoScheduler::Request& r : ops[i].op.chain) {
+      for (size_t k = op.head; k < op.chain.size(); ++k) {
+        const IoScheduler::Request& r = op.chain[k];
         if (r.kind == IoScheduler::Request::Kind::kIo) {
           cost = states_[ops[i].owner].view->PeekPositioningCost(r.offset);
           break;
@@ -354,13 +356,14 @@ void SpindlePlane::ServiceChain(RoundOp* rop) {
   // The synchronous path's own Apply, chain-contiguous: a single owner
   // at depth 1 is therefore bit-identical to the dedicated path.
   double win_t0 = 0.0;
-  for (const IoScheduler::Request& r : rop->op.chain) {
+  IoScheduler::Op& op = rop->op;
+  for (; !op.done(); ++op.head) {
+    const IoScheduler::Request& r = op.chain[op.head];
     view->Apply(r, &win_t0);
     using Kind = IoScheduler::Request::Kind;
     if (r.kind == Kind::kIo || r.kind == Kind::kFlush) ++rop->device_reqs;
   }
   rop->completion = clk.now();
-  rop->op.chain.clear();
 }
 
 void SpindlePlane::PublishRoundLocked(std::vector<RoundOp>* round) {
