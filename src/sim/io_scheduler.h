@@ -186,12 +186,13 @@ class IoScheduler {
     double busy = 0.0;         // serviced seconds (device + cpu + penalties)
     double window_base = 0.0;  // `busy` at the open stream window's start
     /// Requests in submission order; `chain[head]` is the first
-    /// unserviced one. A flat vector consumed through a cursor, not a
+    /// unserviced one. A flat vector read through a cursor, not a
     /// deque: an op is built on its owner's thread, moved into batches
     /// and rounds, and freed on whichever thread serviced it, and a
-    /// deque allocates a map and a node on every construction and every
-    /// move, while an empty vector allocates nothing. The head stays 0
-    /// on the port path, where the plane replays the whole chain.
+    /// libstdc++ deque allocates a map and a node on every construction
+    /// and every move, while an empty vector allocates nothing. On the
+    /// port path the owner consumes nothing, so the plane reads the
+    /// chain from head 0.
     std::vector<Request> chain;
     size_t head = 0;
 
