@@ -58,14 +58,24 @@ struct PlaneRun {
   std::vector<uint64_t> completed_ops;
 };
 
+/// How DrivePlane perturbs the host schedule; the simulated outcome
+/// must not notice any of them.
+enum class Stagger {
+  kNone,
+  /// Every thread sleeps a pseudo-random few microseconds between ops.
+  kJitter,
+  /// The last owner starts late and pauses every 16 ops, so its peers
+  /// fill their queues to the backpressure window and block there.
+  kSlowOwner,
+};
+
 /// Drives `owners` concurrent owners, each submitting `batches` batches
 /// of `depth` single-write ops at `offset_of(owner, i)`, then settling
-/// and phase-settling. With `stagger`, each thread sleeps a pseudo-
-/// random few microseconds between ops to perturb the host schedule —
-/// the simulated outcome must not notice.
+/// and phase-settling. Depth 1 never calls Engage, like a bulk load:
+/// the owners stay at the port path's default of one op per batch.
 PlaneRun DrivePlane(SchedPolicy policy, uint64_t seed, uint32_t owners,
                     uint32_t depth, uint32_t batches,
-                    const OffsetFn& offset_of, bool stagger) {
+                    const OffsetFn& offset_of, Stagger stagger) {
   SpindlePlane::Params params;
   params.region_bytes = kRegion;
   params.owners = owners;
@@ -89,8 +99,12 @@ PlaneRun DrivePlane(SchedPolicy policy, uint64_t seed, uint32_t owners,
     threads.emplace_back([&, o] {
       // Engage fences, so it must run symmetrically on the owners'
       // threads (the plane pops one fence per active owner at a time).
-      ASSERT_TRUE(scheds[o]->Engage(depth, policy).ok());
+      if (depth > 1) {
+        ASSERT_TRUE(scheds[o]->Engage(depth, policy).ok());
+      }
       std::mt19937 jitter(seed ^ (o + 1));
+      const bool slow = stagger == Stagger::kSlowOwner && o + 1 == owners;
+      if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(5));
       for (uint32_t i = 0; i < batches * depth; ++i) {
         scheds[o]->BeginOp(OpClass::kPut);
         IoScheduler::Request write;
@@ -99,9 +113,12 @@ PlaneRun DrivePlane(SchedPolicy policy, uint64_t seed, uint32_t owners,
         write.len = kBlock;
         scheds[o]->Enqueue(write);
         scheds[o]->EndOp();
-        if (stagger && (jitter() & 3u) == 0) {
+        if (stagger == Stagger::kJitter && (jitter() & 3u) == 0) {
           std::this_thread::sleep_for(
               std::chrono::microseconds(jitter() % 200));
+        }
+        if (slow && i % 16 == 15) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
       }
       scheds[o]->Settle();
@@ -165,14 +182,14 @@ TEST(SpindlePlaneDeterminismTest, SameSeedSameOutcomeAcrossRunsAndSchedules) {
     const SchedPolicy policy = pin.policy;
     const PlaneRun baseline = DrivePlane(policy, /*seed=*/7, /*owners=*/4,
                                          /*depth=*/4, /*batches=*/16,
-                                         ScatteredOffset, /*stagger=*/false);
+                                         ScatteredOffset, Stagger::kNone);
     EXPECT_EQ(baseline.service_hash, pin.service_hash);
     EXPECT_EQ(baseline.rounds, pin.rounds);
     EXPECT_EQ(std::bit_cast<uint64_t>(baseline.hub_clock), pin.hub_clock_bits);
     const PlaneRun repeat = DrivePlane(policy, 7, 4, 4, 16, ScatteredOffset,
-                                       /*stagger=*/false);
+                                       Stagger::kNone);
     const PlaneRun perturbed = DrivePlane(policy, 7, 4, 4, 16,
-                                          ScatteredOffset, /*stagger=*/true);
+                                          ScatteredOffset, Stagger::kJitter);
     for (const PlaneRun* other : {&repeat, &perturbed}) {
       EXPECT_EQ(baseline.service_hash, other->service_hash);
       EXPECT_EQ(baseline.rounds, other->rounds);
@@ -193,10 +210,116 @@ TEST(SpindlePlaneDeterminismTest, SeedChangesTheFifoInterleave) {
   // seeds interleave the owners differently (equal work, different
   // service order and therefore different head movement).
   const PlaneRun a = DrivePlane(SchedPolicy::kFifo, 1, 4, 4, 16,
-                                ScatteredOffset, false);
+                                ScatteredOffset, Stagger::kNone);
   const PlaneRun b = DrivePlane(SchedPolicy::kFifo, 2, 4, 4, 16,
-                                ScatteredOffset, false);
+                                ScatteredOffset, Stagger::kNone);
   EXPECT_NE(a.service_hash, b.service_hash);
+}
+
+TEST(SpindlePlaneDeterminismTest, BulkLoadShapeIsPinnedUnderBackpressure) {
+  // The bulk-load shape: four owners that never Engage (one op per
+  // batch), each submitting well past four backpressure windows (64
+  // batches) before it settles. The service order, round count and hub
+  // clock are pinned, and hold when one owner lags so that its peers
+  // block at the window again and again.
+  struct Pin {
+    SchedPolicy policy;
+    uint64_t service_hash;
+    uint64_t rounds;
+    uint64_t hub_clock_bits;
+  };
+  constexpr uint32_t kBatches = 4 * 64 + 44;
+  constexpr Pin kPins[] = {
+      {SchedPolicy::kFifo, 0xf25dcd15f5c73bf9ull, 300u, 0x4030c8486108ca2full},
+      {SchedPolicy::kSptf, 0xf14982f324af3f5bull, 300u, 0x402ab002ccb5e7b2ull},
+  };
+  for (const Pin& pin : kPins) {
+    const PlaneRun baseline =
+        DrivePlane(pin.policy, /*seed=*/42, /*owners=*/4, /*depth=*/1,
+                   kBatches, ScatteredOffset, Stagger::kNone);
+    EXPECT_EQ(baseline.service_hash, pin.service_hash);
+    EXPECT_EQ(baseline.rounds, pin.rounds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(baseline.hub_clock), pin.hub_clock_bits);
+    const PlaneRun lagging = DrivePlane(pin.policy, 42, 4, 1, kBatches,
+                                        ScatteredOffset, Stagger::kSlowOwner);
+    EXPECT_EQ(lagging.service_hash, pin.service_hash);
+    EXPECT_EQ(lagging.rounds, pin.rounds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(lagging.hub_clock), pin.hub_clock_bits);
+    for (uint32_t o = 0; o < 4; ++o) {
+      EXPECT_EQ(baseline.completed_ops[o], kBatches);
+      ExpectSameStats(baseline.view_stats[o], lagging.view_stats[o]);
+      EXPECT_EQ(lagging.completed_ops[o], kBatches);
+    }
+  }
+}
+
+TEST(SpindlePlaneRetireTest, UndeliveredBatchesCompleteThroughRetire) {
+  // Schedulers destroyed without settling: whatever each owner still
+  // holds (full batches and a partial one) or has queued but not seen
+  // serviced is handed over at retirement and serviced solo, in owner
+  // order. Submission is single-threaded and stays under the window,
+  // so nothing is serviced before the first retirement and the outcome
+  // is a pinned function of the submissions.
+  constexpr uint32_t kOwners = 4;
+  constexpr uint32_t kOps = 41;  // at depth 4: ten full batches, one partial
+  // Solo drains service each owner's chains contiguously in program
+  // order, so neither the policy nor the depth moves the outcome.
+  constexpr uint64_t kServiceHash = 0xb6e25145616a2bccull;
+  constexpr uint64_t kHubClockBits = 0x3ff6ec3812c58d55ull;
+  for (uint32_t depth : {1u, 4u}) {
+    for (SchedPolicy policy : {SchedPolicy::kFifo, SchedPolicy::kSptf}) {
+      SpindlePlane::Params params;
+      params.region_bytes = kRegion;
+      params.owners = kOwners;
+      params.policy = policy;
+      params.seed = 7;
+      SpindlePlane plane(params);
+      std::vector<std::unique_ptr<BlockDevice>> views;
+      std::vector<std::unique_ptr<LatencyRecorder>> recorders;
+      std::vector<std::unique_ptr<IoScheduler>> scheds;
+      for (uint32_t o = 0; o < kOwners; ++o) {
+        views.push_back(plane.CreateOwnerDevice(o));
+        recorders.push_back(std::make_unique<LatencyRecorder>());
+        scheds.push_back(std::make_unique<IoScheduler>(views[o].get(),
+                                                       recorders[o].get()));
+        scheds[o]->AttachSpindle(&plane, o);
+      }
+      if (depth > 1) {
+        // Engage fences in lockstep, so every owner engages on its own
+        // thread; the submissions below then run on this one.
+        std::vector<std::thread> threads;
+        for (uint32_t o = 0; o < kOwners; ++o) {
+          threads.emplace_back([&, o] {
+            ASSERT_TRUE(scheds[o]->Engage(depth, policy).ok());
+          });
+        }
+        for (std::thread& t : threads) t.join();
+      }
+      for (uint32_t o = 0; o < kOwners; ++o) {
+        for (uint32_t i = 0; i < kOps; ++i) {
+          scheds[o]->BeginOp(OpClass::kPut);
+          IoScheduler::Request write;
+          write.write = true;
+          write.offset = ScatteredOffset(o, i);
+          write.len = kBlock;
+          scheds[o]->Enqueue(write);
+          scheds[o]->EndOp();
+        }
+      }
+      EXPECT_EQ(plane.rounds(), 0u);
+      scheds.clear();
+      EXPECT_EQ(plane.rounds(), 0u);
+      EXPECT_EQ(plane.service_hash(), kServiceHash);
+      EXPECT_EQ(std::bit_cast<uint64_t>(plane.hub()->clock().now()),
+                kHubClockBits);
+      for (uint32_t o = 0; o < kOwners; ++o) {
+        const IoStats& st = views[o]->stats();
+        EXPECT_EQ(st.seeks + st.sequential_hits, kOps);  // serviced requests
+        EXPECT_EQ(recorders[o]->total_count(), kOps);
+      }
+      views.clear();
+    }
+  }
 }
 
 TEST(SpindlePlaneSptfFairnessTest, AdversarialInterleaveBoundedRounds) {
@@ -213,7 +336,7 @@ TEST(SpindlePlaneSptfFairnessTest, AdversarialInterleaveBoundedRounds) {
   };
   const PlaneRun run = DrivePlane(SchedPolicy::kSptf, 7, /*owners=*/2,
                                   kDepth, kBatches, adversarial,
-                                  /*stagger=*/false);
+                                  Stagger::kNone);
 
   // No starvation: every op of both owners completed (their phase
   // fences returned, and the per-owner counters agree). Each serviced
