@@ -17,10 +17,9 @@ IoScheduler::IoScheduler(BlockDevice* device, LatencyRecorder* recorder)
 
 IoScheduler::~IoScheduler() {
   if (plane_ != nullptr) {
-    // Retirement delivers any leftover ops and excludes this owner from
-    // future rounds; the plane services stragglers in its endgame once
-    // every owner has retired (repositories are destroyed serially).
-    if (op_depth_ == 0) plane_->Retire(port_owner_, std::move(batch_));
+    // Retirement hands over every held op and excludes this owner from
+    // future rounds; the plane services the owner's stragglers solo.
+    if (op_depth_ == 0) plane_->Retire(port_owner_, &held_, queue_depth_);
     return;
   }
   // Never leave queued work uncharged: a scheduler destroyed mid-flight
@@ -88,23 +87,22 @@ double IoScheduler::Now() const {
   return device_->clock().now();
 }
 
-void IoScheduler::DeliverBatch() {
-  if (batch_.empty()) return;
-  plane_->Deliver(port_owner_, std::move(batch_));
-  batch_.clear();
+void IoScheduler::HandOver() {
+  if (held_.empty()) return;
+  plane_->Deliver(port_owner_, &held_, queue_depth_, &spare_chains_);
 }
 
 void IoScheduler::Settle() {
   if (plane_ == nullptr) return;
   assert(op_depth_ == 0 && "Settle inside an op scope");
-  DeliverBatch();
+  HandOver();
   plane_->Fence(port_owner_, /*phase_end=*/false);
 }
 
 void IoScheduler::SettlePhase() {
   if (plane_ == nullptr) return;
   assert(op_depth_ == 0 && "SettlePhase inside an op scope");
-  DeliverBatch();
+  HandOver();
   plane_->Fence(port_owner_, /*phase_end=*/true);
 }
 
@@ -145,7 +143,7 @@ void IoScheduler::Abandon() {
 
 uint32_t IoScheduler::inflight_ops() const {
   if (plane_ != nullptr) {
-    return static_cast<uint32_t>(batch_.size()) + (building_open_ ? 1u : 0u);
+    return static_cast<uint32_t>(held_.size()) + (building_open_ ? 1u : 0u);
   }
   const uint32_t queued =
       static_cast<uint32_t>(pending_.size()) + (building_open_ ? 1u : 0u);
@@ -160,6 +158,11 @@ void IoScheduler::BeginOp(OpClass cls) {
     // service round.
     building_ = Op{};
     building_.cls = cls;
+    if (!spare_chains_.empty()) {
+      building_.chain = std::move(spare_chains_.back());
+      building_.chain.clear();
+      spare_chains_.pop_back();
+    }
     building_open_ = true;
     return;
   }
@@ -195,9 +198,13 @@ void IoScheduler::EndOp() {
   if (--op_depth_ > 0) return;
   if (plane_ != nullptr) {
     building_open_ = false;
-    batch_.push_back(std::move(building_));
+    held_.push_back(std::move(building_));
     building_ = Op{};
-    if (batch_.size() >= queue_depth_) DeliverBatch();
+    // Hand over whole batches only: a batch is one owner's share of a
+    // service round, so it never splits across calls.
+    if (held_.size() >= kHandoffOps && held_.size() % queue_depth_ == 0) {
+      HandOver();
+    }
     return;
   }
   if (!engaged_) {

@@ -41,15 +41,17 @@
 //
 // Port mode (shared spindles): `AttachSpindle` re-homes the scheduler
 // onto a device-owned sim::SpindlePlane as owner `owner`. Ops are then
-// ALWAYS queued (even at depth 1): each sealed op chain joins a local
-// batch, batches of `queue_depth` ops are delivered to the plane, and
-// the plane services interleaved rounds — one batch per owner — against
-// the shared head with a deterministic (seed, round) interleave. The
-// thread-confinement contract relaxes to: submission stays on the
-// owner's thread; servicing happens under the plane's lock on whichever
-// owner thread drives it. `Settle`/`SettlePhase` are the port-mode
-// drain: deliver the partial batch, fence, and wait until the plane has
-// serviced everything this owner submitted. The plane replays each
+// ALWAYS queued (even at depth 1): sealed ops are held in batches of
+// `queue_depth` ops and handed to the plane in one call once at least
+// kHandoffOps are held, and the plane services interleaved rounds — one
+// batch per owner — against the shared head with a deterministic
+// (seed, round) interleave. The hand-over size only moves *when* a
+// round forms, never what it holds. The thread-confinement contract
+// relaxes to: submission stays on the owner's thread; servicing
+// happens under the plane's baton on whichever owner thread drives it.
+// `Settle`/`SettlePhase` are the port-mode drain: hand over every held
+// op (the last batch may be partial), fence, and wait until the plane
+// has serviced everything this owner submitted. The plane replays each
 // chain through BlockDevice::Apply — the synchronous path's own
 // charging function — so a single owner at depth 1 is bit-identical to
 // a dedicated spindle by construction.
@@ -158,7 +160,9 @@ class IoScheduler {
 
   uint64_t completed_ops() const { return completed_ops_; }
   uint64_t serviced_requests() const { return serviced_requests_; }
-  /// Ops admitted and not yet completed.
+  /// Ops admitted and not yet completed. In port mode: the ops this
+  /// owner still holds — the open op, the partial batch and the full
+  /// batches not yet handed to the plane.
   uint32_t inflight_ops() const;
 
   // -- Wire types (shared with BlockDevice and SpindlePlane) ----------
@@ -178,6 +182,9 @@ class IoScheduler {
     uint64_t tag = 0;     // fault-injector tag (0 = untracked)
   };
 
+  /// An op's request storage; port mode recycles it through the plane.
+  using Chain = std::vector<Request>;
+
   /// One in-flight operation and its request chain.
   struct Op {
     OpClass cls = OpClass::kControl;
@@ -187,17 +194,24 @@ class IoScheduler {
     double window_base = 0.0;  // `busy` at the open stream window's start
     /// Requests in submission order; `chain[head]` is the first
     /// unserviced one. A flat vector read through a cursor, not a
-    /// deque: an op is built on its owner's thread, moved into batches
-    /// and rounds, and freed on whichever thread serviced it, and a
-    /// libstdc++ deque allocates a map and a node on every construction
-    /// and every move, while an empty vector allocates nothing. On the
-    /// port path the owner consumes nothing, so the plane reads the
-    /// chain from head 0.
-    std::vector<Request> chain;
+    /// deque: an op is built on its owner's thread and moved into
+    /// batches and rounds, and a libstdc++ deque allocates a map and a
+    /// node on every construction and every move, while an empty vector
+    /// allocates nothing. On the port path the owner consumes nothing,
+    /// so the plane reads the chain from head 0, then hands its storage
+    /// back to the owner for a later op.
+    Chain chain;
     size_t head = 0;
 
     bool done() const { return head == chain.size(); }
   };
+
+  /// Port mode: sealed ops an owner accumulates, in whole batches,
+  /// before it hands them to the plane in one call. Taking the plane's
+  /// lock once per 16 ops rather than once per op is what keeps a
+  /// depth-1 bulk load from paying a lock hand-off (and a wake-up of
+  /// blocked peers) per op.
+  static constexpr size_t kHandoffOps = 16;
 
   // -- Charge intake from the device (async mode only) -----------------
 
@@ -208,9 +222,9 @@ class IoScheduler {
  private:
   friend class SpindlePlane;  // Publishes completion counters at service.
 
-  /// Port mode: hands the accumulated batch to the plane (no-op when
-  /// empty).
-  void DeliverBatch();
+  /// Port mode: hands every held op to the plane, in batches of
+  /// queue_depth_ ops, and takes back spent chain storage.
+  void HandOver();
 
   /// Consumes any non-device entries at the chain front (CPU, window
   /// markers): they extend the op without occupying the device.
@@ -256,7 +270,12 @@ class IoScheduler {
   // Port-mode state.
   SpindlePlane* plane_ = nullptr;
   uint32_t port_owner_ = 0;
-  std::vector<Op> batch_;  // sealed ops awaiting delivery to the plane
+  /// Sealed ops not yet handed to the plane: whole batches of
+  /// queue_depth_ ops, then the partial one being filled.
+  std::vector<Op> held_;
+  /// Storage of serviced chains, reused by the next ops this owner
+  /// builds (cleared, capacity kept).
+  std::vector<Chain> spare_chains_;
 };
 
 /// RAII op-boundary marker for repository operations. Constructing with

@@ -15,6 +15,14 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 /// Batches an owner may have queued before Deliver blocks (and drives
 /// service itself). Bounds memory and keeps owners loosely in step.
 constexpr size_t kBackpressureWindow = 64;
+/// Queue length a blocked Deliver waits down to before it resumes.
+/// Resuming at half the window rather than one below it lets a blocked
+/// owner sleep once per 32 serviced batches instead of once per batch.
+constexpr size_t kBackpressureResume = kBackpressureWindow / 2;
+/// Spent chains kept per owner for its next Deliver to take back; a
+/// few hand-overs' worth covers an owner's steady state, and the cap
+/// keeps a burst of service from parking storage for a whole window.
+constexpr size_t kSpentChainsKept = 4 * IoScheduler::kHandoffOps;
 
 uint64_t SplitMix64(uint64_t x) {
   x += kGolden;
@@ -70,6 +78,7 @@ void SpindlePlane::EnsureInitLocked() {
   const double t0 = hub_->clock().now();
   for (OwnerState& st : states_) {
     st.base = t0;
+    st.frontier = t0;
     st.last_completion = t0;
   }
 }
@@ -92,16 +101,38 @@ uint64_t SpindlePlane::service_hash() const {
   return service_hash_;
 }
 
-void SpindlePlane::Deliver(uint32_t owner, std::vector<IoScheduler::Op> ops) {
-  if (ops.empty()) return;
+void SpindlePlane::Deliver(uint32_t owner, std::vector<IoScheduler::Op>* ops,
+                           uint32_t batch_ops,
+                           std::vector<IoScheduler::Chain>* spare_chains) {
   std::unique_lock<std::mutex> lk(mu_);
   EnsureInitLocked();
   OwnerState& st = states_[owner];
-  WaitLocked(lk, [&] { return st.queue.size() < kBackpressureWindow; });
+  const size_t n = ops->size();
+  for (size_t first = 0; first < n; first += batch_ops) {
+    if (st.queue.size() >= kBackpressureWindow) {
+      WaitLocked(lk, [&] { return st.queue.size() <= kBackpressureResume; });
+    }
+    QueueBatchLocked(&st, ops, first, std::min<size_t>(n, first + batch_ops));
+  }
+  ops->clear();
+  if (spare_chains->empty()) {
+    spare_chains->swap(st.spent_chains);
+  } else {
+    for (IoScheduler::Chain& c : st.spent_chains) {
+      spare_chains->push_back(std::move(c));
+    }
+    st.spent_chains.clear();
+  }
+  NotifyLocked();
+}
+
+void SpindlePlane::QueueBatchLocked(OwnerState* st,
+                                    std::vector<IoScheduler::Op>* ops,
+                                    size_t first, size_t end) {
   Item item;
-  item.ops = std::move(ops);
-  st.queue.push_back(std::move(item));
-  cv_.notify_all();
+  item.ops = static_cast<uint32_t>(end - first);
+  st->queue.push_back(item);
+  for (size_t i = first; i < end; ++i) st->ops.push_back(std::move((*ops)[i]));
 }
 
 void SpindlePlane::Fence(uint32_t owner, bool phase_end) {
@@ -111,9 +142,9 @@ void SpindlePlane::Fence(uint32_t owner, bool phase_end) {
   Item f;
   f.is_fence = true;
   f.is_phase = phase_end;
-  st.queue.push_back(std::move(f));
+  st.queue.push_back(f);
   const uint64_t my_seq = ++st.fences_pushed;
-  cv_.notify_all();
+  NotifyLocked();
   if (!phase_end) {
     WaitLocked(lk, [&] { return st.fences_popped >= my_seq; });
     return;
@@ -128,17 +159,19 @@ void SpindlePlane::Fence(uint32_t owner, bool phase_end) {
 }
 
 void SpindlePlane::Retire(uint32_t owner,
-                          std::vector<IoScheduler::Op> leftovers) {
+                          std::vector<IoScheduler::Op>* leftovers,
+                          uint32_t batch_ops) {
   std::unique_lock<std::mutex> lk(mu_);
   OwnerState& st = states_[owner];
   if (!st.bound || st.retired) return;
   while (servicing_) cv_.wait(lk);
-  if (!leftovers.empty()) {
-    EnsureInitLocked();
-    Item item;
-    item.ops = std::move(leftovers);
-    st.queue.push_back(std::move(item));
+  const size_t n = leftovers->size();
+  if (n > 0) EnsureInitLocked();
+  for (size_t first = 0; first < n; first += batch_ops) {
+    QueueBatchLocked(&st, leftovers, first,
+                     std::min<size_t>(n, first + batch_ops));
   }
+  leftovers->clear();
   st.retired = true;
   st.parked = false;
   // Stragglers are serviced solo, now, while this owner's scheduler and
@@ -146,6 +179,7 @@ void SpindlePlane::Retire(uint32_t owner,
   // other owners may already be gone). Normal flows settle before
   // destruction, so the queue is almost always empty here.
   DrainOwnerLocked(&st);
+  st.spent_chains = {};
   MaybeEpochResetLocked();
   cv_.notify_all();
 }
@@ -155,11 +189,23 @@ void SpindlePlane::SetOwnerDepth(uint32_t owner, uint32_t depth) {
   states_[owner].depth = depth == 0 ? 1 : depth;
 }
 
-bool SpindlePlane::AdvanceLocked(std::unique_lock<std::mutex>& lk) {
+bool SpindlePlane::DrainLocked(std::unique_lock<std::mutex>& lk) {
   assert(!servicing_);
-  if (TryPhasePopsLocked()) return true;
-  if (TryFenceLayerLocked()) return true;
-  return TryRoundLocked(lk);
+  servicing_ = true;
+  bool progress = false;
+  while (TryPhasePopsLocked() || TryFenceLayerLocked() || TryRoundsLocked(lk)) {
+    progress = true;
+  }
+  servicing_ = false;
+  if (progress) cv_.notify_all();
+  return progress;
+}
+
+void SpindlePlane::NotifyLocked() {
+  // A baton holder re-examines every queue before it lets go and wakes
+  // the waiters once when it does, so waking them now would only make
+  // them sleep again.
+  if (!servicing_) cv_.notify_all();
 }
 
 void SpindlePlane::MaybeEpochResetLocked() {
@@ -179,6 +225,7 @@ void SpindlePlane::MaybeEpochResetLocked() {
     st.allocated = 0;
     st.slots = {};
     st.base = t;
+    st.frontier = t;
     st.last_completion = t;
   }
 }
@@ -198,10 +245,7 @@ bool SpindlePlane::TryPhasePopsLocked() {
       progress = again = true;
     }
   }
-  if (progress) {
-    MaybeEpochResetLocked();
-    cv_.notify_all();
-  }
+  if (progress) MaybeEpochResetLocked();
   return progress;
 }
 
@@ -227,11 +271,10 @@ bool SpindlePlane::TryFenceLayerLocked() {
     st.slots = {};
     st.base = t;
   }
-  cv_.notify_all();
   return true;
 }
 
-double SpindlePlane::NextArrivalLocked(OwnerState* st) {
+double SpindlePlane::NextArrival(OwnerState* st) {
   if (st->allocated < st->depth) {
     ++st->allocated;
     return st->base;
@@ -244,108 +287,143 @@ double SpindlePlane::NextArrivalLocked(OwnerState* st) {
   return arrival;
 }
 
-bool SpindlePlane::TryRoundLocked(std::unique_lock<std::mutex>& lk) {
+bool SpindlePlane::TryRoundsLocked(std::unique_lock<std::mutex>& lk) {
   bool any_active = false;
   bool any_batch = false;
+  bool all_batch = true;
   for (const OwnerState& st : states_) {
     if (!active(st)) continue;
     any_active = true;
-    if (st.queue.empty()) return false;  // round gates on every owner
-    if (!st.queue.front().is_fence) any_batch = true;
+    if (st.queue.empty()) return false;  // rounds gate on every owner
+    if (st.queue.front().is_fence) {
+      all_batch = false;
+    } else {
+      any_batch = true;
+    }
   }
   if (!any_active || !any_batch) return false;
 
-  ++round_counter_;
-  const uint64_t salt = SplitMix64(seed_ ^ round_counter_);
-  std::vector<RoundOp> round;
-  uint64_t idx = 0;
-  for (uint32_t o = 0; o < states_.size(); ++o) {
-    OwnerState& st = states_[o];
-    if (!active(st) || st.queue.front().is_fence) continue;
-    Item item = std::move(st.queue.front());
-    st.queue.pop_front();
-    for (IoScheduler::Op& op : item.ops) {
-      RoundOp rop;
-      rop.owner = o;
-      rop.key = SplitMix64(salt ^ (static_cast<uint64_t>(o) * kGolden) ^ idx);
-      rop.arrival = NextArrivalLocked(&st);
-      rop.op = std::move(op);
-      round.push_back(std::move(rop));
-      ++idx;
+  // While every active owner's front is a batch, the next rounds are
+  // already fixed: round j takes each active owner's j-th leading
+  // batch, and nothing can pop a fence or change the active set before
+  // the shortest run of leading batches ends. Take them all at once.
+  size_t rounds = 1;
+  if (all_batch) {
+    rounds = std::numeric_limits<size_t>::max();
+    for (const OwnerState& st : states_) {
+      if (!active(st)) continue;
+      size_t lead = 0;
+      while (lead < rounds && lead < st.queue.size() &&
+             !st.queue[lead].is_fence) {
+        ++lead;
+      }
+      rounds = lead;
     }
+  }
+  round_.clear();
+  round_ends_.clear();
+  for (size_t j = 0; j < rounds; ++j) {
+    for (uint32_t o = 0; o < states_.size(); ++o) {
+      const OwnerState& st = states_[o];
+      if (active(st) && !st.queue.front().is_fence) TakeBatchLocked(o);
+    }
+    round_ends_.push_back(round_.size());
   }
 
   // Replay against the hub with the lock released: other owners keep
   // doing host-side work (and queueing) while the spindle turns. The
-  // baton flag keeps state advances serialized.
-  servicing_ = true;
+  // caller's baton keeps state advances serialized.
   lk.unlock();
-  ServiceRound(&round);
+  size_t begin = 0;
+  for (size_t end : round_ends_) {
+    ++rounds_serviced_;
+    const uint64_t salt = SplitMix64(seed_ ^ rounds_serviced_);
+    for (size_t i = begin; i < end; ++i) {
+      RoundOp& rop = round_[i];
+      rop.key = SplitMix64(salt ^ (static_cast<uint64_t>(rop.owner) * kGolden) ^
+                           static_cast<uint64_t>(i - begin));
+      rop.arrival = NextArrival(&states_[rop.owner]);
+    }
+    ServiceRound(begin, end);
+    PublishRound();
+    begin = end;
+  }
   lk.lock();
-  PublishRoundLocked(&round);
-  servicing_ = false;
-  cv_.notify_all();
+  CommitLocked();
   return true;
 }
 
-void SpindlePlane::ServiceRound(std::vector<RoundOp>* round) {
-  std::vector<RoundOp>& ops = *round;
-  const size_t n = ops.size();
-  uint64_t seq = 0;
+void SpindlePlane::TakeBatchLocked(uint32_t owner) {
+  OwnerState& st = states_[owner];
+  const uint32_t n = st.queue.front().ops;
+  st.queue.pop_front();
+  for (uint32_t i = 0; i < n; ++i) {
+    RoundOp& rop = round_.emplace_back();
+    rop.owner = owner;
+    rop.op = std::move(st.ops.front());
+    st.ops.pop_front();
+  }
+}
+
+void SpindlePlane::ServiceRound(size_t begin, size_t end) {
+  // Each owner's ops sit contiguously in the round, in program order;
+  // next_[o] is its earliest unserviced one and stop_[o] one past its
+  // last. Only an owner's earliest op is ever a candidate, so no owner's
+  // ops reorder against each other under either policy.
+  next_.assign(states_.size(), 0);
+  stop_.assign(states_.size(), 0);
+  for (size_t i = end; i-- > begin;) {
+    next_[round_[i].owner] = i;
+    if (stop_[round_[i].owner] == 0) stop_[round_[i].owner] = i + 1;
+  }
+  served_.clear();
+  auto serve = [&](uint32_t owner) {
+    const size_t i = next_[owner]++;
+    served_.push_back(i);
+    ServiceChain(&round_[i]);
+  };
   if (policy_ == SchedPolicy::kFifo) {
     // Salted slot shuffle: permute positions by key, then refill each
     // owner's positions with its ops in program order. A single owner
     // holds every position, so its ops service in submission order
     // regardless of the salt.
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return ops[a].key < ops[b].key;
+    order_.resize(end - begin);
+    for (size_t i = begin; i < end; ++i) order_[i - begin] = i;
+    std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+      return round_[a].key < round_[b].key;
     });
-    std::vector<std::deque<size_t>> per_owner(states_.size());
-    for (size_t i = 0; i < n; ++i) per_owner[ops[i].owner].push_back(i);
-    for (size_t pos : order) {
-      std::deque<size_t>& q = per_owner[ops[pos].owner];
-      RoundOp* rop = &ops[q.front()];
-      q.pop_front();
-      rop->seq = seq++;
-      ServiceChain(rop);
-    }
+    for (size_t pos : order_) serve(round_[pos].owner);
     return;
   }
   // SPTF: among the owners' earliest unserviced ops, pick the one whose
   // first device request has the cheapest positioning from the current
-  // head; the salted key breaks ties. Per-owner program order is
-  // preserved because only each owner's front is ever a candidate.
-  std::vector<std::deque<size_t>> fronts(states_.size());
-  for (size_t i = 0; i < n; ++i) fronts[ops[i].owner].push_back(i);
-  for (size_t served = 0; served < n; ++served) {
-    size_t pick = n;
+  // head; the salted key breaks ties.
+  const uint32_t owners = static_cast<uint32_t>(states_.size());
+  for (size_t served = begin; served < end; ++served) {
+    uint32_t pick = owners;
     double pick_cost = std::numeric_limits<double>::infinity();
     uint64_t pick_key = std::numeric_limits<uint64_t>::max();
-    for (const std::deque<size_t>& q : fronts) {
-      if (q.empty()) continue;
-      const size_t i = q.front();
-      const IoScheduler::Op& op = ops[i].op;
+    for (uint32_t o = 0; o < owners; ++o) {
+      if (next_[o] == stop_[o]) continue;
+      const RoundOp& rop = round_[next_[o]];
+      const IoScheduler::Op& op = rop.op;
       double cost = 0.0;
       for (size_t k = op.head; k < op.chain.size(); ++k) {
         const IoScheduler::Request& r = op.chain[k];
         if (r.kind == IoScheduler::Request::Kind::kIo) {
-          cost = states_[ops[i].owner].view->PeekPositioningCost(r.offset);
+          cost = states_[o].view->PeekPositioningCost(r.offset);
           break;
         }
         if (r.kind == IoScheduler::Request::Kind::kFlush) break;
       }
-      if (cost < pick_cost || (cost == pick_cost && ops[i].key < pick_key)) {
-        pick = i;
+      if (cost < pick_cost || (cost == pick_cost && rop.key < pick_key)) {
+        pick = o;
         pick_cost = cost;
-        pick_key = ops[i].key;
+        pick_key = rop.key;
       }
     }
-    assert(pick < n);
-    fronts[ops[pick].owner].pop_front();
-    ops[pick].seq = seq++;
-    ServiceChain(&ops[pick]);
+    assert(pick < owners);
+    serve(pick);
   }
 }
 
@@ -366,19 +444,14 @@ void SpindlePlane::ServiceChain(RoundOp* rop) {
   rop->completion = clk.now();
 }
 
-void SpindlePlane::PublishRoundLocked(std::vector<RoundOp>* round) {
-  // Publish in service order so the fingerprint (and float
-  // accumulation) reflect the actual interleave.
-  std::vector<size_t> by_seq(round->size());
-  for (size_t i = 0; i < round->size(); ++i) by_seq[i] = i;
-  std::sort(by_seq.begin(), by_seq.end(), [&](size_t a, size_t b) {
-    return (*round)[a].seq < (*round)[b].seq;
-  });
-  for (size_t i : by_seq) {
-    RoundOp& rop = (*round)[i];
+void SpindlePlane::PublishRound() {
+  // In service order, so the fingerprint (and float accumulation)
+  // reflect the actual interleave.
+  for (size_t i : served_) {
+    RoundOp& rop = round_[i];
     OwnerState& st = states_[rop.owner];
     st.slots.push(rop.completion);
-    st.last_completion = std::max(st.last_completion, rop.completion);
+    st.frontier = std::max(st.frontier, rop.completion);
     st.view->stats_.queue_wait_s += rop.start - rop.arrival;
     if (st.sched != nullptr) {
       ++st.sched->completed_ops_;
@@ -388,36 +461,50 @@ void SpindlePlane::PublishRoundLocked(std::vector<RoundOp>* round) {
         rec->Record(rop.op.cls, rop.completion - rop.arrival);
       }
     }
-    service_hash_ = (service_hash_ ^ rop.owner) * kFnvPrime;
+    hash_ = (hash_ ^ rop.owner) * kFnvPrime;
     uint64_t bits = 0;
     std::memcpy(&bits, &rop.completion, sizeof(bits));
-    service_hash_ = (service_hash_ ^ bits) * kFnvPrime;
+    hash_ = (hash_ ^ bits) * kFnvPrime;
+    // The chain's storage goes back to its owner for the next op it
+    // builds, so chains are mostly allocated and freed on the owner's
+    // thread rather than freed on whichever thread serviced them.
+    if (st.spent.size() < kSpentChainsKept) {
+      st.spent.push_back(std::move(rop.op.chain));
+    }
+  }
+}
+
+void SpindlePlane::CommitLocked() {
+  round_counter_ = rounds_serviced_;
+  service_hash_ = hash_;
+  for (OwnerState& st : states_) {
+    st.last_completion = st.frontier;
+    for (IoScheduler::Chain& chain : st.spent) {
+      if (st.spent_chains.size() == kSpentChainsKept) break;
+      st.spent_chains.push_back(std::move(chain));
+    }
+    st.spent.clear();
   }
 }
 
 void SpindlePlane::DrainOwnerLocked(OwnerState* st) {
   assert(!servicing_);
+  const uint32_t owner = static_cast<uint32_t>(st - states_.data());
   while (!st->queue.empty()) {
-    Item item = std::move(st->queue.front());
-    st->queue.pop_front();
-    if (item.is_fence) {
+    if (st->queue.front().is_fence) {
+      st->queue.pop_front();
       ++st->fences_popped;
       continue;
     }
-    std::vector<RoundOp> round;
-    const uint32_t owner = static_cast<uint32_t>(st - states_.data());
-    for (IoScheduler::Op& op : item.ops) {
-      RoundOp rop;
-      rop.owner = owner;
-      rop.arrival = NextArrivalLocked(st);
-      rop.op = std::move(op);
-      round.push_back(std::move(rop));
-    }
+    round_.clear();
+    TakeBatchLocked(owner);
+    for (RoundOp& rop : round_) rop.arrival = NextArrival(st);
     // Single-owner rounds service in program order under both policies;
     // holding the lock is fine — nothing else can be servicing.
-    ServiceRound(&round);
-    PublishRoundLocked(&round);
+    ServiceRound(0, round_.size());
+    PublishRound();
   }
+  CommitLocked();
 }
 
 }  // namespace sim

@@ -60,17 +60,33 @@
 // from the owner's next submissions); regular fences should likewise
 // be issued symmetrically across owners (the workload runners do both).
 //
-// Threading. All plane state is guarded by one mutex; rounds are
-// serviced with the mutex *released* under a baton flag by whichever
-// owner thread trips the condition, so other owners' host-side work
-// (object assembly, cache lookups, verification) overlaps the spindle
-// replay — that overlap is the wall-clock win the contended figures
-// measure. Payload bytes still move at submission time on the owners'
-// threads into disjoint, pre-allocated slab sets of the hub arena.
+// Threading. Owners and the service meet under one mutex: each
+// owner's queue of batches and fences, the fence counters and park
+// flags, and the published results (completion frontiers, round count,
+// fingerprint, spent chain storage). Service runs under a *baton*: an
+// owner thread that must wait (its queue at the backpressure window,
+// or its fence not yet popped) and finds the baton free takes it and
+// advances the plane for as long as anything can advance — phase pops,
+// fence layers, rounds — then releases it and wakes the waiters once.
+// Rounds are taken off the queues under the mutex, every round already
+// determined at once (while every active owner's front is a batch,
+// round j takes each owner's j-th leading batch), serviced with the
+// mutex released against state only the baton holder touches (the
+// closed loops, the round scratch), and committed under the mutex. So
+// other owners' host-side work (object assembly, cache lookups,
+// verification) and their hand-overs overlap the spindle replay — that
+// overlap is the wall-clock win the contended figures measure. Owners
+// hand work over in bulk (IoScheduler::kHandoffOps ops a call), a
+// blocked owner resumes only once its queue is half drained, and a
+// push wakes nobody while the baton is out, so a depth-1 bulk load
+// pays neither a lock hand-off nor a wake-up per op. Payload bytes
+// still move at submission time on the owners' threads into disjoint,
+// pre-allocated slab sets of the hub arena.
 //
-// Destruction. A scheduler being destroyed retires its owner:
-// leftovers are delivered, the owner leaves the active set, and the
-// last retirement drains any stragglers solo in owner order.
+// Destruction. A scheduler being destroyed retires its owner: every op
+// it still holds is handed over, the owner leaves the active set, and
+// everything it has queued is serviced solo, in program order, before
+// the scheduler is gone.
 
 #ifndef LOREPO_SIM_SPINDLE_PLANE_H_
 #define LOREPO_SIM_SPINDLE_PLANE_H_
@@ -135,9 +151,18 @@ class SpindlePlane {
 
   // -- Submission protocol (called by ported IoSchedulers) -------------
 
-  /// Queues a batch of sealed ops. Blocks (driving service) while the
-  /// owner's queue is at the backpressure window.
-  void Deliver(uint32_t owner, std::vector<IoScheduler::Op> ops);
+  /// Queues the ops in `*ops` as consecutive batches of `batch_ops`
+  /// ops (the last may be shorter), one queue entry each, and clears
+  /// `*ops` (its capacity stays with the owner). An owner whose queue is
+  /// at the backpressure window blocks — driving service itself while
+  /// it can — until the queue is down to half the window, then queues
+  /// the rest. Appends to `*spare_chains` the chain storage of the
+  /// owner's ops serviced since its last call. Wakes blocked peers once
+  /// per call, and not at all while a baton holder is servicing (it
+  /// wakes them itself).
+  void Deliver(uint32_t owner, std::vector<IoScheduler::Op>* ops,
+               uint32_t batch_ops,
+               std::vector<IoScheduler::Chain>* spare_chains);
 
   /// Queues a fence and blocks until the plane has popped it — i.e.
   /// every op this owner submitted before the fence has been serviced.
@@ -147,10 +172,13 @@ class SpindlePlane {
   /// deterministic regardless of which owner arrived last.
   void Fence(uint32_t owner, bool phase_end);
 
-  /// Owner teardown: queues `leftovers` (if any), removes the owner
-  /// from the active set, and — on the last retirement — services any
-  /// remaining queued work solo in owner order.
-  void Retire(uint32_t owner, std::vector<IoScheduler::Op> leftovers);
+  /// Owner teardown: queues `*leftovers` (every op the owner still
+  /// held, in batches of `batch_ops` like Deliver), removes the owner
+  /// from the active set, and services everything it has queued solo,
+  /// in program order, before returning — the owner's scheduler and
+  /// view are still alive then.
+  void Retire(uint32_t owner, std::vector<IoScheduler::Op>* leftovers,
+              uint32_t batch_ops);
 
   /// Updates the owner's closed-loop width (callers fence first:
   /// IoScheduler::Engage/Disengage settle before calling this).
@@ -168,37 +196,55 @@ class SpindlePlane {
  private:
   /// Queue entry: a delivered batch or a fence marker.
   struct Item {
+    uint32_t ops = 0;       // batch size: its ops lead OwnerState::ops
     bool is_fence = false;
-    bool is_phase = false;                // phase fences park the owner
-    std::vector<IoScheduler::Op> ops;     // batch payload
+    bool is_phase = false;  // phase fences park the owner
   };
 
+  /// Per-owner state. The first group is guarded by mu_: owners and
+  /// the service meet there. The second belongs to the service and is
+  /// touched only by the baton holder (or by a retirement, which holds
+  /// mu_ while no baton is out), so a holder may service with mu_
+  /// released. `depth` is the one crossing: SetOwnerDepth writes it
+  /// under mu_, but only between the owner's fence pop and its next
+  /// delivery, when no round can hold this owner's ops.
   struct OwnerState {
+    // -- Guarded by mu_ ------------------------------------------------
     std::deque<Item> queue;
+    /// The queued batches' ops, oldest first: a batch entry at the
+    /// queue's front owns the first `Item::ops` of them.
+    std::deque<IoScheduler::Op> ops;
+    /// Chain storage of serviced ops, handed back at the owner's next
+    /// Deliver.
+    std::vector<IoScheduler::Chain> spent_chains;
     uint64_t fences_pushed = 0;
     uint64_t fences_popped = 0;
     bool bound = false;
     bool parked = false;
     bool retired = false;
+    double last_completion = 0.0;  ///< Published completion frontier.
+    IoScheduler* sched = nullptr;
+    BlockDevice* view = nullptr;
+
+    // -- The service's (baton) -----------------------------------------
     uint32_t depth = 1;
     /// Closed-loop state: slots allocated this epoch and the completion
     /// times of freed, not-yet-reused slots.
     uint32_t allocated = 0;
     std::priority_queue<double, std::vector<double>, std::greater<double>>
         slots;
-    double base = 0.0;             ///< Arrival floor for this epoch.
-    double last_completion = 0.0;  ///< The owner's completion frontier.
-    IoScheduler* sched = nullptr;
-    BlockDevice* view = nullptr;
+    double base = 0.0;      ///< Arrival floor for this epoch.
+    double frontier = 0.0;  ///< Completion frontier, up to date.
+    /// Chains serviced since the last commit to spent_chains.
+    std::vector<IoScheduler::Chain> spent;
   };
 
   /// One op extracted into a service round.
   struct RoundOp {
     uint32_t owner = 0;
     uint64_t key = 0;       // salted shuffle / tie-break key
-    uint64_t seq = 0;       // position in the round's service order
     uint32_t device_reqs = 0;  // kIo/kFlush entries serviced
-    double arrival = 0.0;   // assigned at extraction (closed loop)
+    double arrival = 0.0;   // closed-loop arrival, assigned before service
     double start = 0.0;     // head reached the chain (filled at service)
     double completion = 0.0;
     IoScheduler::Op op;
@@ -213,10 +259,15 @@ class SpindlePlane {
   /// this instant is deterministic).
   void EnsureInitLocked();
 
-  /// Tries one step of progress (phase pops → fence layer → round).
-  /// Releases and reacquires `lk` around round service. Returns true
-  /// when anything advanced.
-  bool AdvanceLocked(std::unique_lock<std::mutex>& lk);
+  /// Takes the baton and advances while anything can (phase pops →
+  /// fence layer → round, repeated), then releases it and wakes the
+  /// waiters once. Releases and reacquires `lk` around each round's
+  /// service. Returns true when anything advanced.
+  bool DrainLocked(std::unique_lock<std::mutex>& lk);
+
+  /// Wakes the waiters after a queue push, unless a baton holder is
+  /// servicing (it re-examines every queue and wakes them when done).
+  void NotifyLocked();
 
   /// Fires the epoch reset (unpark everyone, re-base the closed loops
   /// at the hub clock) once every live owner is parked.
@@ -230,34 +281,49 @@ class SpindlePlane {
   /// fronts are fences, resetting each popped owner's closed loop.
   bool TryFenceLayerLocked();
 
-  /// Extracts and services a round when every active owner has queued
-  /// work and at least one front is a batch.
-  bool TryRoundLocked(std::unique_lock<std::mutex>& lk);
+  /// When every active owner has queued work and at least one front is
+  /// a batch: takes the batches of every round already determined (one
+  /// round when some front is a fence, else as many as the shortest run
+  /// of leading batches), services them in order with `lk` released,
+  /// and commits the results.
+  bool TryRoundsLocked(std::unique_lock<std::mutex>& lk);
 
-  /// Blocks until `pred()` holds, driving AdvanceLocked while progress
-  /// is possible.
+  /// Appends `*ops`' ops from first to end to `*st`'s queue as one
+  /// batch.
+  void QueueBatchLocked(OwnerState* st, std::vector<IoScheduler::Op>* ops,
+                        size_t first, size_t end);
+
+  /// Pops the batch at `owner`'s queue front onto round_.
+  void TakeBatchLocked(uint32_t owner);
+
+  /// Blocks until `pred()` holds, draining whenever the baton is free.
   template <typename Pred>
   void WaitLocked(std::unique_lock<std::mutex>& lk, Pred pred) {
     while (!pred()) {
-      if (!servicing_ && AdvanceLocked(lk)) continue;
+      if (!servicing_ && DrainLocked(lk)) continue;
       cv_.wait(lk);
     }
   }
 
-  /// Services the round against the hub (caller holds the baton; the
-  /// mutex may be held or released).
-  void ServiceRound(std::vector<RoundOp>* round);
+  /// Services the round round_[begin, end) against the hub, recording
+  /// the service order in served_ (baton; mu_ may be held or not).
+  void ServiceRound(size_t begin, size_t end);
 
   /// Replays one op's chain contiguously on the hub clock with the
   /// synchronous charging arithmetic; fills start/completion.
   void ServiceChain(RoundOp* rop);
 
-  /// Publishes a serviced round under the lock: slots, frontiers,
-  /// latency records, queue waits, counters.
-  void PublishRoundLocked(std::vector<RoundOp>* round);
+  /// Applies the serviced round to the service's state, in service
+  /// order: slots, frontiers, latency records, queue waits, counters,
+  /// fingerprint, spent chains (baton).
+  void PublishRound();
 
-  /// Pops the closed-loop arrival for the next op of `st`.
-  double NextArrivalLocked(OwnerState* st);
+  /// Publishes the service's results to the mu_-guarded state: round
+  /// count, fingerprint, completion frontiers and spent chains.
+  void CommitLocked();
+
+  /// Pops the closed-loop arrival for the next op of `st` (baton).
+  double NextArrival(OwnerState* st);
 
   /// Services everything `st` still has queued, solo (retirement path;
   /// the owner's scheduler and view are still alive at that point).
@@ -271,11 +337,22 @@ class SpindlePlane {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  bool servicing_ = false;   // baton: a round is being replayed unlocked
+  bool servicing_ = false;   // baton: one thread is advancing the plane
   bool initialized_ = false;
-  uint64_t round_counter_ = 0;
+  uint64_t round_counter_ = 0;  // committed copies of the two below
   uint64_t service_hash_ = 1469598103934665603ull;  // FNV offset basis
   std::vector<OwnerState> states_;
+
+  // The service's (baton): counters ahead of their commit, and round
+  // scratch reused across rounds.
+  uint64_t rounds_serviced_ = 0;
+  uint64_t hash_ = 1469598103934665603ull;
+  std::vector<RoundOp> round_;  // the taken rounds' ops, round after round
+  std::vector<size_t> round_ends_;  // one past each taken round's last op
+  std::vector<size_t> order_;   // FIFO: positions sorted by key
+  std::vector<size_t> next_;    // per owner: earliest unserviced op
+  std::vector<size_t> stop_;    // per owner: one past its last op
+  std::vector<size_t> served_;  // round_ indices in service order
 };
 
 }  // namespace sim
