@@ -280,6 +280,41 @@ TEST(IoSchedulerTest, InflightNeverExceedsQueueDepth) {
   EXPECT_EQ(sched.completed_ops(), 8u);
 }
 
+TEST(IoSchedulerTest, PortedInflightCountsHeldOps) {
+  // A ported owner holds sealed ops until it can hand over whole
+  // batches carrying at least kHandoffOps ops; until then they are in
+  // flight from the scheduler's point of view, as is the open op.
+  for (uint32_t depth : {1u, 3u}) {
+    SpindlePlane::Params params;
+    params.region_bytes = 64 * kMiB;
+    params.owners = 1;
+    SpindlePlane plane(params);
+    std::unique_ptr<BlockDevice> view = plane.CreateOwnerDevice(0);
+    IoScheduler sched(view.get(), nullptr);
+    view->AttachScheduler(&sched);
+    sched.AttachSpindle(&plane, 0);
+    if (depth > 1) {
+      ASSERT_TRUE(sched.Engage(depth).ok());
+    }
+    uint32_t held = 0;
+    for (uint32_t i = 0; i < 100; ++i) {
+      {
+        OpScope scope(&sched, OpClass::kGet);
+        ASSERT_TRUE(view->Read((i * 97 + 1) * kMiB % (60 * kMiB), 4 * kKiB)
+                        .ok());
+        EXPECT_EQ(sched.inflight_ops(), held + 1);
+      }
+      ++held;
+      if (held >= IoScheduler::kHandoffOps && held % depth == 0) held = 0;
+      EXPECT_EQ(sched.inflight_ops(), held) << "depth " << depth << " op " << i;
+    }
+    EXPECT_GT(held, 0u);  // the last hand-over left ops behind
+    sched.Settle();
+    EXPECT_EQ(sched.inflight_ops(), 0u);
+    EXPECT_EQ(sched.completed_ops(), 100u);
+  }
+}
+
 // Issues `n` single-read ops at scattered offsets through a scheduler
 // engaged at `depth` and returns the recorder.
 LatencyRecorder RunScatteredReads(uint32_t depth, int n) {
