@@ -25,6 +25,9 @@ size_t RecycleClass(uint64_t capacity) {
 // most 2^20 of them, so the directory stays a few MiB at any volume.
 constexpr uint32_t kMinGranuleShift = 16;
 constexpr uint32_t kMaxGranuleBits = 20;
+/// CLOCK ring entries a domain may hold per resident frame (plus one)
+/// before its stale entries are merged into hole runs.
+constexpr uint64_t kRingEntriesPerFrame = 4;
 
 uint64_t Bit(size_t i) { return uint64_t{1} << (i % 64); }
 
@@ -259,9 +262,60 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
   Shard& sh = shards_[shard];
   sh.used_bytes += len;
   cached_bytes_ += len;
-  sh.clock_ring.push_back({slot, st.seq});
+  ++sh.frames;
+  ++sh.length;
+  sh.ahead.push_back({slot, st.seq});
+  // Each frame has one live entry, so past kRingEntriesPerFrame
+  // entries per frame most are stale; merging them into hole runs
+  // leaves at most two entries per frame (plus two), so the ring's
+  // memory follows frames, not installs, at O(1) amortized per install.
+  if (sh.behind.size() + sh.ahead.size() >
+      kRingEntriesPerFrame * (sh.frames + 1)) {
+    CompactRing(&sh.behind);
+    CompactRing(&sh.ahead);
+  }
   *out = slot;
   return Status::OK();
+}
+
+void BufferPool::CompactRing(std::deque<RingEntry>* ring) const {
+  size_t out = 0;
+  for (size_t i = 0; i < ring->size(); ++i) {
+    RingEntry e = (*ring)[i];
+    if (Stale(e) && !e.hole()) e = {1, 0};
+    if (e.hole() && out > 0 && (*ring)[out - 1].hole()) {
+      (*ring)[out - 1].slot += e.slot;
+      continue;
+    }
+    (*ring)[out++] = e;
+  }
+  ring->resize(out);
+}
+
+void BufferPool::ReplaceAtHand(Shard* sh) {
+  std::deque<RingEntry>& ahead = sh->ahead;
+  --sh->length;
+  if (ahead.front().hole() && ahead.front().slot > 1) {
+    --ahead.front().slot;
+  } else {
+    ahead.pop_front();
+  }
+  if (ahead.empty()) return;  // The hand's entry was the ring's last.
+  RingEntry& back = ahead.back();
+  RingEntry moved = back;
+  if (back.hole()) {
+    moved.slot = 1;
+    if (--back.slot == 0) ahead.pop_back();
+  } else {
+    ahead.pop_back();
+  }
+  ahead.push_front(moved);
+}
+
+uint64_t BufferPool::clock_ring_entries() const {
+  uint64_t entries = 0;
+  for (const Shard& sh : shards_) entries += sh.behind.size() + sh.ahead.size();
+  return entries;
 }
 
 Status BufferPool::EvictFor(uint32_t shard, uint64_t incoming) {
@@ -285,27 +339,23 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   Shard& sh = shards_[shard];
   // Sweep the ring, clearing reference bits; pinned frames are
   // skipped, stale entries (seq mismatch: the frame was dropped and
-  // its slot freed or reused) removed in passing. Two full sweeps
-  // bound the scan when every frame is referenced.
+  // its slot freed or reused) replaced in passing by the ring's last
+  // entry. Two full sweeps bound the scan when every frame is
+  // referenced.
   size_t scanned = 0;
-  const size_t limit = sh.clock_ring.size() * 2 + 2;
-  while (!sh.clock_ring.empty() && scanned < limit) {
-    if (sh.hand >= sh.clock_ring.size()) sh.hand = 0;
-    const RingEntry entry = sh.clock_ring[sh.hand];
+  const size_t limit = sh.length * 2 + 2;
+  while (sh.length > 0 && scanned < limit) {
+    if (sh.ahead.empty()) sh.ahead.swap(sh.behind);  // The hand wraps.
+    const RingEntry entry = sh.ahead.front();
+    if (Stale(entry)) {
+      ReplaceAtHand(&sh);
+      continue;
+    }
     FrameState& st = state(entry.slot);
-    if (st.seq != entry.seq) {
-      sh.clock_ring[sh.hand] = sh.clock_ring.back();
-      sh.clock_ring.pop_back();
-      continue;
-    }
-    if (st.pinned()) {
-      ++sh.hand;
-      ++scanned;
-      continue;
-    }
-    if ((st.flags & kReferenced) != 0) {
-      st.flags &= ~kReferenced;
-      ++sh.hand;
+    if (st.pinned() || (st.flags & kReferenced) != 0) {
+      if (!st.pinned()) st.flags &= ~kReferenced;
+      sh.behind.push_back(entry);
+      sh.ahead.pop_front();
       ++scanned;
       continue;
     }
@@ -313,8 +363,7 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
       LOR_RETURN_IF_ERROR(WriteBackFrame(entry.slot));
     }
     DropFrame(entry.slot);
-    sh.clock_ring[sh.hand] = sh.clock_ring.back();
-    sh.clock_ring.pop_back();
+    ReplaceAtHand(&sh);
     ++stats_.evictions;
     *evicted = true;
     return Status::OK();
@@ -326,7 +375,9 @@ void BufferPool::DropFrame(uint32_t slot) {
   const FrameSpan& sp = span(slot);
   FrameState& st = state(slot);
   const uint64_t len = sp.length();
-  shards_[ShardOf(sp.offset)].used_bytes -= len;
+  Shard& sh = shards_[ShardOf(sp.offset)];
+  sh.used_bytes -= len;
+  --sh.frames;
   cached_bytes_ -= len;
   if ((st.flags & kDirty) != 0) dirty_bytes_ -= len;
   if (retain_) {

@@ -55,9 +55,14 @@
 //     slice and clock hand. Every install stamps the frame with a fresh
 //     sequence number; ring entries are (slot, install seq) pairs, so an
 //     entry whose frame was dropped (its slot freed or reused) is
-//     recognised as stale by one compare and removed as the hand passes
-//     it. Pinned frames are never evicted — when a domain is entirely
-//     pinned the pool grows past its slice and counts the refusal.
+//     recognised as stale by one compare and replaced by the ring's
+//     last entry as the hand passes it. A domain whose ring is mostly
+//     stale (invalidate/reinstall churn that never evicts) merges its
+//     stale entries into hole runs in place, so the ring's memory
+//     follows resident frames, not installs, and every eviction
+//     decision stays as it was. Pinned frames are never evicted — when
+//     a domain is entirely pinned the pool grows past its slice and
+//     counts the refusal.
 //   * Pin/Unpin operate on the frames resident in a byte range; the
 //     handle layer pins an object's cached frames for the open window.
 //
@@ -74,6 +79,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -248,6 +254,8 @@ class BufferPool {
   uint64_t cached_bytes() const { return cached_bytes_; }
   uint64_t dirty_bytes() const { return dirty_bytes_; }
   uint64_t frame_count() const { return frame_count_; }
+  /// CLOCK ring entries across domains, stale ones included (tests).
+  uint64_t clock_ring_entries() const;
   BlockDevice* device() { return device_; }
 
  private:
@@ -298,6 +306,9 @@ class BufferPool {
     FrameState& state(uint32_t slot) {
       return chunks_[slot >> kChunkShift]->states[slot & kChunkMask];
     }
+    const FrameState& state(uint32_t slot) const {
+      return chunks_[slot >> kChunkShift]->states[slot & kChunkMask];
+    }
     /// A free slot, reusing the most recently freed one first.
     uint32_t Allocate();
     void Free(uint32_t slot);
@@ -345,16 +356,23 @@ class BufferPool {
   };
 
   /// CLOCK ring entry: stale once the slot's frame has another seq.
+  /// Seq 0 (installs start at 1) marks a *hole run* instead: `slot`
+  /// consecutive stale entries, merged by CompactRing.
   struct RingEntry {
     uint32_t slot;
     uint64_t seq;
+    bool hole() const { return seq == 0; }
   };
 
-  /// Per-domain eviction state.
+  /// Per-domain eviction state. The CLOCK ring is `behind` followed by
+  /// `ahead`; the hand is at the front of `ahead`, and wraps by swapping
+  /// the two when `ahead` runs out.
   struct Shard {
     uint64_t used_bytes = 0;
-    std::vector<RingEntry> clock_ring;
-    size_t hand = 0;
+    uint64_t frames = 0;  ///< Resident frames: the ring's live entries.
+    uint64_t length = 0;  ///< Ring entries, each hole in a run counted.
+    std::deque<RingEntry> behind;
+    std::deque<RingEntry> ahead;
   };
 
   uint32_t ShardOf(uint64_t offset) const {
@@ -423,6 +441,21 @@ class BufferPool {
   /// Evicts one unpinned frame from `shard`; `*evicted` reports whether
   /// one existed.
   Status EvictOne(uint32_t shard, bool* evicted);
+
+  /// True when `e` is a hole run or its frame has been dropped.
+  bool Stale(const RingEntry& e) const {
+    return e.hole() || arena_.state(e.slot).seq != e.seq;
+  }
+
+  /// The ring step that retires the entry at the hand: the ring's last
+  /// entry (or one hole of a trailing run) takes its place.
+  static void ReplaceAtHand(Shard* sh);
+
+  /// Merges each run of stale entries in `ring` into one hole run.
+  /// Every entry keeps its position, so the hand's future sweeps (which
+  /// pull the ring's last entry into each stale slot they reach) are
+  /// exactly those of the uncompacted ring.
+  void CompactRing(std::deque<RingEntry>* ring) const;
 
   /// Removes the frame in `slot` from the directory and eviction state,
   /// recycling its buffer and its slot. Does not write anything back —

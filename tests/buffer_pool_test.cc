@@ -229,6 +229,28 @@ TEST(BufferPoolTest, EvictionRecyclesFrameBuffers) {
   EXPECT_LE(pool.cached_bytes(), options.capacity_bytes);
 }
 
+TEST(BufferPoolTest, ClockRingStaysBoundedUnderInvalidateChurn) {
+  // Invalidate/reinstall churn under capacity never evicts, so no hand
+  // ever sweeps the ring; its stale entries must still not pile up with
+  // every install. 1M installs over 32 live frames.
+  BlockDevice dev(SmallDisk(64 * kMiB));
+  BufferPool pool(&dev, {.capacity_bytes = 16 * kMiB, .shards = 4});
+  constexpr uint64_t kFrames = 32;
+  constexpr uint64_t kInstalls = 1'000'000;
+  for (uint64_t i = 0; i < kInstalls; ++i) {
+    const uint64_t offset = (i % kFrames) * kFrame;
+    if (i >= kFrames) pool.Invalidate(offset, kFrame);
+    const std::vector<CacheSlice> r = {Slice(offset, kFrame, nullptr, nullptr)};
+    ASSERT_TRUE(pool.ReadThrough(r).ok());
+    if (i % 4096 == 0 || i + 1 == kInstalls) {
+      ASSERT_LE(pool.clock_ring_entries(), 4 * (pool.frame_count() + 4)) << i;
+    }
+  }
+  EXPECT_EQ(pool.frame_count(), kFrames);
+  EXPECT_EQ(pool.stats().fills, kInstalls);
+  EXPECT_EQ(pool.stats().evictions, 0u);
+}
+
 TEST(BufferPoolTest, PinnedFramesRefuseEviction) {
   BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
   BufferPoolOptions options;
