@@ -115,14 +115,10 @@ void SpindlePlane::Deliver(uint32_t owner, std::vector<IoScheduler::Op>* ops,
     QueueBatchLocked(&st, ops, first, std::min<size_t>(n, first + batch_ops));
   }
   ops->clear();
-  if (spare_chains->empty()) {
-    spare_chains->swap(st.spent_chains);
-  } else {
-    for (IoScheduler::Chain& c : st.spent_chains) {
-      spare_chains->push_back(std::move(c));
-    }
-    st.spent_chains.clear();
+  for (IoScheduler::Chain& chain : st.spent_chains) {
+    spare_chains->push_back(std::move(chain));
   }
+  st.spent_chains.clear();
   NotifyLocked();
 }
 
