@@ -8,8 +8,9 @@
 // slab size) and hands each owner a view device (`CreateOwnerDevice`)
 // aliasing its region. Each owner's IoScheduler is re-homed onto the
 // plane with IoScheduler::AttachSpindle: sealed op chains accumulate
-// into batches of `queue_depth` ops and are *delivered* to the plane
-// instead of being serviced against a private device.
+// into batches of `queue_depth` ops, which the owner *delivers* to the
+// plane several at a time instead of servicing them against a private
+// device.
 //
 // Service model — rounds. The plane services *rounds*: one delivered
 // batch from every active owner whose queue front is a batch. A round
