@@ -14,6 +14,8 @@
 //     for bit (samples, device stats, latency histograms);
 //   * interference attribution — cross-owner seeks are charged only
 //     when spindles are actually shared;
+//   * retirement — schedulers destroyed before settling still see
+//     every op they submitted serviced;
 //   * phase fusion — AgeAndMeasure equals the barrier-separated
 //     AgeTo + MeasureReadThroughput.
 
