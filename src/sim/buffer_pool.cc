@@ -264,57 +264,74 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
   cached_bytes_ += len;
   ++sh.frames;
   ++sh.length;
-  sh.ahead.push_back({slot, st.seq});
+  sh.ring.PushBack({slot, st.seq});
   // Each frame has one live entry, so past kRingEntriesPerFrame
   // entries per frame most are stale; merging them into hole runs
   // leaves at most two entries per frame (plus two), so the ring's
   // memory follows frames, not installs, at O(1) amortized per install.
-  if (sh.behind.size() + sh.ahead.size() >
-      kRingEntriesPerFrame * (sh.frames + 1)) {
-    CompactRing(&sh.behind);
-    CompactRing(&sh.ahead);
+  if (sh.ring.entries() > kRingEntriesPerFrame * (sh.frames + 1)) {
+    CompactRing(&sh.ring, 0, &sh.ring.behind);
+    CompactRing(&sh.ring, sh.ring.hand, &sh.ring.end);
   }
   *out = slot;
   return Status::OK();
 }
 
-void BufferPool::CompactRing(std::deque<RingEntry>* ring) const {
-  size_t out = 0;
-  for (size_t i = 0; i < ring->size(); ++i) {
-    RingEntry e = (*ring)[i];
+void BufferPool::CompactRing(ClockRing* ring, size_t first,
+                             size_t* end) const {
+  std::vector<RingEntry>& slots = ring->slots;
+  size_t out = first;
+  for (size_t i = first; i < *end; ++i) {
+    RingEntry e = slots[i];
     if (Stale(e) && !e.hole()) e = {1, 0};
-    if (e.hole() && out > 0 && (*ring)[out - 1].hole()) {
-      (*ring)[out - 1].slot += e.slot;
+    if (e.hole() && out > first && slots[out - 1].hole()) {
+      slots[out - 1].slot += e.slot;
       continue;
     }
-    (*ring)[out++] = e;
+    slots[out++] = e;
   }
-  ring->resize(out);
+  *end = out;
 }
 
-void BufferPool::ReplaceAtHand(Shard* sh) {
-  std::deque<RingEntry>& ahead = sh->ahead;
-  --sh->length;
-  if (ahead.front().hole() && ahead.front().slot > 1) {
-    --ahead.front().slot;
-  } else {
-    ahead.pop_front();
+void BufferPool::ClockRing::PushFront(RingEntry e) {
+  if (behind == hand) {
+    // No gap: move [hand, end) up by at least its own length, so
+    // repeated pushes cost O(1) each, amortized.
+    const size_t shift = std::max<size_t>(16, end - hand);
+    if (slots.size() < end + shift) slots.resize(end + shift);
+    std::move_backward(slots.begin() + static_cast<ptrdiff_t>(hand),
+                       slots.begin() + static_cast<ptrdiff_t>(end),
+                       slots.begin() + static_cast<ptrdiff_t>(end + shift));
+    hand += shift;
+    end += shift;
   }
-  if (ahead.empty()) return;  // The hand's entry was the ring's last.
-  RingEntry& back = ahead.back();
-  RingEntry moved = back;
-  if (back.hole()) {
-    moved.slot = 1;
-    if (--back.slot == 0) ahead.pop_back();
+  slots[--hand] = e;
+}
+
+void BufferPool::ReplaceAtHandInRun(ClockRing* ring) {
+  RingEntry& at_hand = ring->slots[ring->hand];
+  // Take the ring's last entry; one hole of a trailing run is a hole.
+  RingEntry& back = ring->slots[ring->end - 1];
+  RingEntry last = back;
+  if (last.hole_run()) {
+    --back.slot;
+    last.slot = 1;
   } else {
-    ahead.pop_back();
+    --ring->end;
   }
-  ahead.push_front(moved);
+  if (!at_hand.hole_run()) {
+    at_hand = last;
+  } else if (!last.hole()) {
+    // The hand's hole leaves, the rest of its run stays right after.
+    --at_hand.slot;
+    ring->PushFront(last);
+  }
+  // Else a hole replaced a hole in a run: the run is unchanged.
 }
 
 uint64_t BufferPool::clock_ring_entries() const {
   uint64_t entries = 0;
-  for (const Shard& sh : shards_) entries += sh.behind.size() + sh.ahead.size();
+  for (const Shard& sh : shards_) entries += sh.ring.entries();
   return entries;
 }
 
@@ -345,17 +362,20 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   size_t scanned = 0;
   const size_t limit = sh.length * 2 + 2;
   while (sh.length > 0 && scanned < limit) {
-    if (sh.ahead.empty()) sh.ahead.swap(sh.behind);  // The hand wraps.
-    const RingEntry entry = sh.ahead.front();
-    if (Stale(entry)) {
+    if (sh.ring.hand == sh.ring.end) sh.ring.Wrap();
+    const RingEntry entry = sh.ring.slots[sh.ring.hand];
+    if (entry.hole()) {
       ReplaceAtHand(&sh);
       continue;
     }
     FrameState& st = state(entry.slot);
+    if (st.seq != entry.seq) {
+      ReplaceAtHand(&sh);
+      continue;
+    }
     if (st.pinned() || (st.flags & kReferenced) != 0) {
       if (!st.pinned()) st.flags &= ~kReferenced;
-      sh.behind.push_back(entry);
-      sh.ahead.pop_front();
+      sh.ring.Advance();
       ++scanned;
       continue;
     }

@@ -79,7 +79,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -362,17 +361,53 @@ class BufferPool {
     uint32_t slot;
     uint64_t seq;
     bool hole() const { return seq == 0; }
+    bool hole_run() const { return seq == 0 && slot > 1; }
   };
 
-  /// Per-domain eviction state. The CLOCK ring is `behind` followed by
-  /// `ahead`; the hand is at the front of `ahead`, and wraps by swapping
-  /// the two when `ahead` runs out.
+  /// One domain's CLOCK ring, kept as a gap buffer in one vector: the
+  /// entries the hand has passed this lap at [0, behind), the hand's
+  /// entry and those after it at [hand, end). Usually there is no gap
+  /// (behind == hand) and the ring is a plain vector with a hand index;
+  /// PushFront opens one when an entry must go in front of the hand
+  /// (before the rest of a hole run there), and the next wrap closes it.
+  struct ClockRing {
+    std::vector<RingEntry> slots;
+    size_t behind = 0;
+    size_t hand = 0;
+    size_t end = 0;
+
+    size_t entries() const { return behind + (end - hand); }
+    /// Moves the hand one entry on. There is no gap to copy across
+    /// unless PushFront opened one this lap.
+    void Advance() {
+      if (behind != hand) slots[behind] = slots[hand];
+      ++behind;
+      ++hand;
+    }
+    /// The hand passed the last entry: start the next lap.
+    void Wrap() {
+      hand = 0;
+      end = behind;
+      behind = 0;
+    }
+    void PushBack(RingEntry e) {
+      if (end == slots.size()) {
+        slots.push_back(e);
+      } else {
+        slots[end] = e;
+      }
+      ++end;
+    }
+    /// Puts `e` at the hand, before the hand's entry.
+    void PushFront(RingEntry e);
+  };
+
+  /// Per-domain eviction state.
   struct Shard {
     uint64_t used_bytes = 0;
     uint64_t frames = 0;  ///< Resident frames: the ring's live entries.
     uint64_t length = 0;  ///< Ring entries, each hole in a run counted.
-    std::deque<RingEntry> behind;
-    std::deque<RingEntry> ahead;
+    ClockRing ring;
   };
 
   uint32_t ShardOf(uint64_t offset) const {
@@ -449,13 +484,27 @@ class BufferPool {
 
   /// The ring step that retires the entry at the hand: the ring's last
   /// entry (or one hole of a trailing run) takes its place.
-  static void ReplaceAtHand(Shard* sh);
+  static void ReplaceAtHand(Shard* sh) {
+    ClockRing& ring = sh->ring;
+    --sh->length;
+    RingEntry& at_hand = ring.slots[ring.hand];
+    const RingEntry& last = ring.slots[ring.end - 1];
+    if (at_hand.hole_run() || last.hole_run()) {
+      ReplaceAtHandInRun(&ring);
+      return;
+    }
+    at_hand = last;  // A self-copy when the hand's entry is the last.
+    --ring.end;
+  }
+  /// ReplaceAtHand when the hand's entry or the last one is a hole run.
+  static void ReplaceAtHandInRun(ClockRing* ring);
 
-  /// Merges each run of stale entries in `ring` into one hole run.
-  /// Every entry keeps its position, so the hand's future sweeps (which
-  /// pull the ring's last entry into each stale slot they reach) are
-  /// exactly those of the uncompacted ring.
-  void CompactRing(std::deque<RingEntry>* ring) const;
+  /// Merges each run of stale entries in `ring`'s [first, *end) into
+  /// one hole run, moving `*end` down. Every entry keeps its position,
+  /// so the hand's future sweeps (which pull the ring's last entry into
+  /// each stale slot they reach) are exactly those of the uncompacted
+  /// ring.
+  void CompactRing(ClockRing* ring, size_t first, size_t* end) const;
 
   /// Removes the frame in `slot` from the directory and eviction state,
   /// recycling its buffer and its slot. Does not write anything back —
