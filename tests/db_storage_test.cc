@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <iterator>
 #include <memory>
 
 #include "db/blob_btree.h"
 #include "db/lob_allocation_unit.h"
 #include "db/metadata_table.h"
 #include "db/page_file.h"
+#include "sim/buffer_pool.h"
+#include "util/fnv.h"
 #include "util/random.h"
 
 namespace lor {
@@ -282,6 +286,119 @@ TEST(BlobBtreeTest, InvalidArguments) {
   EXPECT_TRUE(BlobBtree::Write(&rig.file, &rig.unit, 100, tiny, 64 * kKiB, {})
                   .status()
                   .IsInvalidArgument());
+}
+
+// -- Blob write exactness ---------------------------------------------
+//
+// Pins what BlobBtree::Write decides and charges: the page runs, a
+// digest of the device's request counters and time bits, and the unit
+// and GAM counters after every blob of a seeded churn, at request sizes
+// from 16 KiB to 1 MiB (some not a multiple of the 8,096-byte page
+// payload), with the buffer pool off and on, plus a volume that runs out
+// of space mid-blob.
+
+uint64_t Fold(uint64_t hash, uint64_t value) {
+  return (hash ^ value) * kFnvPrime;
+}
+
+uint64_t FoldBlob(uint64_t h, const Result<BlobLayout>& layout,
+                  sim::BlockDevice* dev, const BlobRig& rig) {
+  h = Fold(h, static_cast<uint64_t>(layout.status().code()));
+  if (layout.ok()) {
+    for (const alloc::Extent& run : layout->data_runs) {
+      h = Fold(Fold(h, run.start), run.length);
+    }
+    for (const uint64_t page : layout->pointer_pages) h = Fold(h, page);
+  }
+  const sim::IoStats& io = dev->stats();
+  for (const uint64_t v :
+       {std::bit_cast<uint64_t>(dev->clock().now()), io.writes,
+        io.bytes_written, io.seeks, io.sequential_hits, io.vectored_requests,
+        io.coalesced_runs, std::bit_cast<uint64_t>(io.transfer_time_s)}) {
+    h = Fold(h, v);
+  }
+  for (const uint64_t v :
+       {rig.unit.allocated_pages(), rig.unit.reserved_free_pages(),
+        rig.unit.owned_extents(), rig.file.free_extents(),
+        rig.file.pending_free_extents(), rig.file.file_extents(),
+        rig.file.stats().growths, rig.file.stats().extents_allocated}) {
+    h = Fold(h, v);
+  }
+  return h;
+}
+
+uint64_t BlobWriteDigest(uint64_t request_bytes, uint64_t pool_bytes) {
+  auto dev = MakeDevice();
+  sim::BufferPoolOptions pool_options;
+  pool_options.capacity_bytes = pool_bytes;
+  sim::BufferPool pool(dev.get(), pool_options);
+  dev->AttachBufferPool(&pool);
+  BlobRig rig(dev.get());
+  Rng rng(request_bytes + pool_bytes);
+  const uint64_t sizes[] = {10 * kMiB, kMiB + 77, 300 * kKiB, 8000,
+                            2 * kMiB};
+  std::vector<BlobLayout> live;
+  uint64_t h = kFnvBasis;
+  for (int step = 0; step < 80; ++step) {
+    const uint64_t size = sizes[rng.Uniform(std::size(sizes))];
+    auto layout =
+        BlobBtree::Write(&rig.file, &rig.unit, size, {}, request_bytes, {});
+    EXPECT_TRUE(layout.ok()) << "step " << step;
+    h = FoldBlob(h, layout, dev.get(), rig);
+    if (layout.ok()) live.push_back(*std::move(layout));
+    if (live.size() > 10) {
+      const size_t victim = rng.Uniform(live.size());
+      EXPECT_TRUE(BlobBtree::Free(&rig.unit, live[victim]).ok());
+      live[victim] = std::move(live.back());
+      live.pop_back();
+    }
+  }
+  EXPECT_TRUE(rig.unit.CheckConsistency().ok());
+  return h;
+}
+
+uint64_t NoSpaceMidBlobDigest() {
+  auto dev = MakeDevice();
+  PageFileOptions opts;
+  opts.initial_bytes = 8 * kMiB;
+  opts.max_bytes = 12 * kMiB;
+  BlobRig rig(dev.get(), opts);
+  uint64_t h = kFnvBasis;
+  std::vector<BlobLayout> live;
+  for (const uint64_t size : {3 * kMiB, 3 * kMiB, 3 * kMiB}) {
+    auto layout =
+        BlobBtree::Write(&rig.file, &rig.unit, size, {}, 64 * kKiB, {});
+    EXPECT_TRUE(layout.ok());
+    h = FoldBlob(h, layout, dev.get(), rig);
+    live.push_back(*std::move(layout));
+  }
+  // Frees open holes in the middle of the file; the next blob fills
+  // them and then runs out of space part way.
+  EXPECT_TRUE(BlobBtree::Free(&rig.unit, live[1]).ok());
+  auto failed =
+      BlobBtree::Write(&rig.file, &rig.unit, 6 * kMiB, {}, 64 * kKiB, {});
+  EXPECT_TRUE(failed.status().IsNoSpace());
+  h = FoldBlob(h, failed, dev.get(), rig);
+  EXPECT_TRUE(rig.unit.CheckConsistency().ok());
+  // The space the failed blob took is back: a blob that fits succeeds.
+  auto fits =
+      BlobBtree::Write(&rig.file, &rig.unit, 2 * kMiB, {}, 64 * kKiB, {});
+  EXPECT_TRUE(fits.ok());
+  h = FoldBlob(h, fits, dev.get(), rig);
+  EXPECT_TRUE(rig.unit.CheckConsistency().ok());
+  return h;
+}
+
+TEST(BlobBtreeTest, WriteDecisionsArePinned) {
+  uint64_t pin = kFnvBasis;
+  for (const uint64_t request :
+       {16 * kKiB, 64 * kKiB, 64 * kKiB + 3000, uint64_t{100000}, kMiB}) {
+    for (const uint64_t pool : {uint64_t{0}, 8 * kMiB}) {
+      pin = Fold(pin, BlobWriteDigest(request, pool));
+    }
+  }
+  pin = Fold(pin, NoSpaceMidBlobDigest());
+  EXPECT_EQ(pin, 0x935a949ea531e416ull) << std::hex << pin;
 }
 
 TEST(LobAllocationUnitTest, SharesExtentsBetweenAllocations) {

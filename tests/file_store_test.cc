@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <iterator>
 #include <memory>
 
 #include "alloc/buddy_allocator.h"
 #include "alloc/policy_allocator.h"
+#include "alloc/run_cache_allocator.h"
 #include "fs/defragmenter.h"
 #include "fs/file_store.h"
 #include "fs/zoned_placement.h"
 #include "sim/block_device.h"
+#include "util/fnv.h"
 #include "util/random.h"
 
 namespace lor {
@@ -594,6 +599,174 @@ TEST(FileStoreHandleTest, DeleteAndReplaceSourceInvalidateEveryHandle) {
   EXPECT_TRUE(*store.HandleBound(*dst));
   EXPECT_EQ(*store.GetSize(*dst), 5000u);
   EXPECT_TRUE(store.CheckConsistency().ok());
+}
+
+// -- Stream append exactness ------------------------------------------
+//
+// AppendStream must lay a file out, and charge the clock, exactly as one
+// Append per request does, under every allocator: the default run cache,
+// the run cache with extension hints ignored, a first-fit policy
+// allocator and the buddy system (which ignores hints), on a fresh and
+// an aged volume. The digest pins the extents and clock bits of both
+// paths.
+
+using MakeAllocator =
+    std::function<std::unique_ptr<alloc::ExtentAllocator>(uint64_t clusters,
+                                                          uint64_t reserved)>;
+
+struct StreamPinCase {
+  const char* name;
+  MakeAllocator make;
+  /// Whether files are deleted (the buddy system frees only whole
+  /// blocks, which coalesced file extents are not).
+  bool deletes;
+};
+
+std::vector<StreamPinCase> StreamPinCases() {
+  return {
+      {"run-cache",
+       [](uint64_t clusters, uint64_t reserved) {
+         return std::make_unique<alloc::RunCacheAllocator>(
+             clusters, alloc::RunCacheOptions{}, reserved);
+       },
+       true},
+      {"run-cache-no-extension",
+       [](uint64_t clusters, uint64_t reserved) {
+         return std::make_unique<alloc::RunCacheAllocator>(
+             clusters, alloc::RunCacheOptions{.allow_extension = false},
+             reserved);
+       },
+       true},
+      {"first-fit",
+       [](uint64_t clusters, uint64_t reserved) {
+         return std::make_unique<alloc::PolicyAllocator>(
+             clusters,
+             alloc::PolicyAllocatorOptions{
+                 .policy = alloc::FitPolicy::kFirstFit},
+             reserved);
+       },
+       true},
+      {"buddy",
+       [](uint64_t clusters, uint64_t /*reserved*/) {
+         return std::make_unique<alloc::BuddyAllocator>(clusters);
+       },
+       false},
+  };
+}
+
+uint64_t Fold(uint64_t hash, uint64_t value) {
+  return (hash ^ value) * kFnvPrime;
+}
+
+/// Writes a seeded mix of files (sizes and request sizes that are and
+/// are not cluster multiples) through AppendStream, or through one
+/// Append per request when `per_request`, and folds every file's extents
+/// and the clock bits into a digest. `aged` first churns the volume with
+/// single-request appends and deletes (or, for a case without deletes,
+/// churns the allocator before the store takes it).
+uint64_t StreamPinDigest(const StreamPinCase& c, bool aged, bool per_request) {
+  auto dev = MakeDevice();
+  const FileStoreOptions options;
+  const uint64_t clusters = kVolume / options.cluster_bytes;
+  const uint64_t reserved = static_cast<uint64_t>(
+      static_cast<double>(clusters) * options.mft_zone_fraction);
+  std::unique_ptr<alloc::ExtentAllocator> allocator =
+      c.make(clusters, reserved);
+  Rng rng(29);
+  if (aged && !c.deletes) {
+    alloc::ExtentList held;
+    for (int i = 0; i < 400; ++i) {
+      alloc::ExtentList block;
+      if (!allocator->Allocate(1 + rng.Uniform(64), alloc::kNoHint, &block)
+               .ok()) {
+        break;
+      }
+      if (rng.Bernoulli(0.5)) {
+        held.insert(held.end(), block.begin(), block.end());
+      } else {
+        EXPECT_TRUE(allocator->Free(block.front()).ok());
+      }
+    }
+  }
+  FileStore store(dev.get(), options, std::move(allocator));
+  std::vector<std::string> live;
+  int next_name = 0;
+  if (aged && c.deletes) {
+    for (int i = 0; i < 300; ++i) {
+      const std::string name = "age" + std::to_string(next_name++);
+      EXPECT_TRUE(store.Create(name).ok());
+      const uint64_t requests = 1 + rng.Uniform(24);
+      for (uint64_t r = 0; r < requests; ++r) {
+        EXPECT_TRUE(store.Append(name, 4 * kKiB + rng.Uniform(60 * kKiB))
+                        .ok());
+      }
+      live.push_back(name);
+      if (live.size() > 120 || rng.Bernoulli(0.4)) {
+        const size_t victim = rng.Uniform(live.size());
+        EXPECT_TRUE(store.Delete(live[victim]).ok());
+        live[victim] = live.back();
+        live.pop_back();
+      }
+      store.allocator()->Tick();
+    }
+  }
+
+  const uint64_t sizes[] = {10 * kMiB, kMiB + 5000, 300 * kKiB, 64 * kKiB,
+                            4 * kMiB + 123, 2 * kMiB};
+  const uint64_t requests[] = {16 * kKiB, 64 * kKiB, 64 * kKiB, kMiB,
+                               60 * kKiB + 1000};
+  uint64_t digest = kFnvBasis;
+  const int files = c.deletes ? 60 : 16;
+  for (int i = 0; i < files; ++i) {
+    const std::string name = "f" + std::to_string(next_name++);
+    const uint64_t size = sizes[rng.Uniform(std::size(sizes))];
+    const uint64_t request = requests[rng.Uniform(std::size(requests))];
+    EXPECT_TRUE(store.Create(name).ok());
+    if (per_request) {
+      for (uint64_t done = 0; done < size;) {
+        const uint64_t chunk = std::min(request, size - done);
+        EXPECT_TRUE(store.Append(name, chunk).ok()) << c.name << " " << name;
+        done += chunk;
+      }
+    } else {
+      EXPECT_TRUE(store.AppendStream(name, size, request).ok())
+          << c.name << " " << name;
+    }
+    auto extents = store.GetExtents(name);
+    EXPECT_TRUE(extents.ok());
+    digest = Fold(digest, extents->size());
+    for (const alloc::Extent& e : *extents) {
+      digest = Fold(Fold(digest, e.start), e.length);
+    }
+    digest = Fold(digest, std::bit_cast<uint64_t>(dev->clock().now()));
+    live.push_back(name);
+    if (c.deletes && live.size() > 12) {
+      const size_t victim = rng.Uniform(live.size());
+      EXPECT_TRUE(store.Delete(live[victim]).ok());
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    store.allocator()->Tick();
+  }
+  digest = Fold(digest, store.allocator()->free_clusters());
+  digest = Fold(digest, dev->stats().writes);
+  if (c.deletes) {
+    EXPECT_TRUE(store.CheckConsistency().ok()) << c.name;
+  }
+  return digest;
+}
+
+TEST(FileStoreStreamTest, StreamAppendMatchesPerRequestAppends) {
+  uint64_t pin = kFnvBasis;
+  for (const StreamPinCase& c : StreamPinCases()) {
+    for (const bool aged : {false, true}) {
+      const uint64_t stream = StreamPinDigest(c, aged, /*per_request=*/false);
+      const uint64_t single = StreamPinDigest(c, aged, /*per_request=*/true);
+      EXPECT_EQ(stream, single) << c.name << (aged ? " aged" : " fresh");
+      pin = Fold(pin, stream);
+    }
+  }
+  EXPECT_EQ(pin, 0x59c1bcdf346e3545ull) << std::hex << pin;
 }
 
 }  // namespace
