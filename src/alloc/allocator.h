@@ -34,6 +34,13 @@ class ExtentAllocator {
   virtual Status Allocate(uint64_t length, uint64_t extend_hint,
                           ExtentList* out) = 0;
 
+  /// True when Allocate honours `extend_hint` as its contract says:
+  /// whatever of the request the free run starting at the hint holds
+  /// is taken from there, before any other run is picked. Then k
+  /// requests the run holds whole may be taken in one call with the
+  /// same result as k calls (FileStore::AppendStream relies on it).
+  virtual bool extends_at_hint() const { return true; }
+
   /// Releases an extent. Depending on the implementation the space may
   /// not be reusable until the next Tick/commit.
   virtual Status Free(const Extent& extent) = 0;

@@ -33,6 +33,7 @@ class BuddyAllocator : public ExtentAllocator {
   /// is tracked via `internal_waste_clusters()`.
   Status Allocate(uint64_t length, uint64_t extend_hint,
                   ExtentList* out) override;
+  bool extends_at_hint() const override { return false; }
 
   /// Frees a block previously returned by Allocate (must match exactly).
   Status Free(const Extent& extent) override;

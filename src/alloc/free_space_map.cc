@@ -339,6 +339,11 @@ uint64_t FreeSpaceMap::ExtendAt(uint64_t start, uint64_t max_length) {
   return take;
 }
 
+uint64_t FreeSpaceMap::FreeRunFrom(uint64_t start) const {
+  const Pos at = Containing(start);
+  return at == runs_.end() ? 0 : runs_[at].end() - start;
+}
+
 bool FreeSpaceMap::IsFree(const Extent& extent) const {
   if (extent.empty()) return false;
   const Pos at = Containing(extent.start);

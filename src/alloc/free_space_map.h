@@ -125,6 +125,10 @@ class FreeSpaceMap {
   /// `start` is not free).
   uint64_t ExtendAt(uint64_t start, uint64_t max_length);
 
+  /// Free clusters from `start` to the end of the run holding it (0 if
+  /// `start` is not free): how many ExtendAt(start, ...) can claim.
+  uint64_t FreeRunFrom(uint64_t start) const;
+
   /// True if every cluster of `extent` is free.
   bool IsFree(const Extent& extent) const;
 

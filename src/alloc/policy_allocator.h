@@ -37,6 +37,7 @@ class PolicyAllocator : public ExtentAllocator {
 
   Status Allocate(uint64_t length, uint64_t extend_hint,
                   ExtentList* out) override;
+  bool extends_at_hint() const override { return options_.allow_extension; }
   Status Free(const Extent& extent) override;
   void Tick() override;
   void CommitPending() override;

@@ -76,11 +76,19 @@ Result<BlobLayout> BlobBtree::Write(PageFile* file, LobAllocationUnit* unit,
 
   file->device()->BeginStreamWindow();
 
-  // Stream the blob in client write-request slices; pages are
-  // allocated from the unit as each slice arrives.
+  // Stream the blob in client write-request slices. Pages come from
+  // the unit all at once when it certainly holds the blob, else as each
+  // slice arrives; either way into layout.data_runs, in slice order.
+  const bool ahead = unit->pages_without_growth() >= total_pages;
+  if (ahead) {
+    // Certain to succeed; AllocatePages rolls back any failure itself.
+    LOR_RETURN_IF_ERROR(unit->AllocatePages(total_pages, &layout.data_runs));
+  }
   uint64_t pages_done = 0;
   uint64_t bytes_done = 0;
-  std::vector<alloc::Extent> slice_runs;  // Page runs, reused per slice.
+  size_t run_index = 0;      // Position of page pages_done in
+  uint64_t page_in_run = 0;  // layout.data_runs.
+  std::vector<alloc::Extent> slice_runs;  // Per-slice allocation scratch.
   // Vectored batch plan, borrowed from the PageFile's reusable scratch
   // (no allocation per call; PageFile calls never read it).
   std::vector<PageFile::PageRun>& page_runs = file->plan_scratch();
@@ -90,13 +98,18 @@ Result<BlobLayout> BlobBtree::Write(PageFile* file, LobAllocationUnit* unit,
     const uint64_t end_pages =
         std::min(total_pages, (bytes_done + slice + payload - 1) / payload);
 
-    slice_runs.clear();
-    Status allocated = unit->AllocatePages(end_pages - pages_done,
-                                           &slice_runs);
-    if (!allocated.ok()) {
-      // AllocatePages rolled its own pages back; release prior slices.
-      free_partial();
-      return allocated;
+    if (!ahead) {
+      slice_runs.clear();
+      Status allocated = unit->AllocatePages(end_pages - pages_done,
+                                             &slice_runs);
+      if (!allocated.ok()) {
+        // AllocatePages rolled its own pages back; release prior slices.
+        free_partial();
+        return allocated;
+      }
+      for (const alloc::Extent& run : slice_runs) {
+        alloc::AppendCoalescing(&layout.data_runs, run);
+      }
     }
 
     // Write the slice's pages: one vectored submission carrying one
@@ -104,20 +117,23 @@ Result<BlobLayout> BlobBtree::Write(PageFile* file, LobAllocationUnit* unit,
     // up after the loop, once the full logical-to-physical mapping is
     // known.
     page_runs.clear();
-    for (const alloc::Extent& run : slice_runs) {
-      page_runs.push_back({run.start, run.length, nullptr, nullptr});
+    for (uint64_t left = end_pages - pages_done; left > 0;) {
+      // Step over a used-up run only now: the next slice's pages may
+      // still coalesce into the last one.
+      if (page_in_run == layout.data_runs[run_index].length) {
+        ++run_index;
+        page_in_run = 0;
+      }
+      const alloc::Extent& run = layout.data_runs[run_index];
+      const uint64_t take = std::min(left, run.length - page_in_run);
+      page_runs.push_back({run.start + page_in_run, take, nullptr, nullptr});
+      left -= take;
+      page_in_run += take;
     }
     Status s = file->WritePagesV(page_runs);
     if (!s.ok()) {
-      for (const alloc::Extent& r2 : slice_runs) {
-        Status undo = unit->FreePages(r2);
-        (void)undo;
-      }
       free_partial();
       return s;
-    }
-    for (const alloc::Extent& run : slice_runs) {
-      alloc::AppendCoalescing(&layout.data_runs, run);
     }
     pages_done = end_pages;
     bytes_done += slice;

@@ -83,9 +83,14 @@ class BlobBtree {
   ///
   /// `data` may be empty (timing-only) or exactly `nbytes`. The write is
   /// performed in `write_request_bytes` slices, as the client streams
-  /// it; pages are allocated per slice, so the write request size
-  /// shapes the physical layout (paper §5.4). `costs` provides the
-  /// client-stack bandwidth cap.
+  /// it, one vectored page write per slice; pages come from the unit
+  /// in slice order, so the write request size shapes the physical
+  /// layout (paper §5.4). When the unit and the GAM certainly hold the
+  /// blob, its pages are allocated in one call — the unit changes only
+  /// through AllocatePages, so the page sequence is the per-slice one —
+  /// otherwise slice by slice, so growth and NoSpace land where they
+  /// always did. A failed write frees every page the blob took.
+  /// `costs` provides the client-stack bandwidth cap.
   static Result<BlobLayout> Write(PageFile* file, LobAllocationUnit* unit,
                                   uint64_t nbytes,
                                   std::span<const uint8_t> data,

@@ -57,6 +57,16 @@ class LobAllocationUnit {
   /// pages acquired by this call are rolled back and `out` is untouched.
   Status AllocatePages(uint64_t count, alloc::ExtentList* out);
 
+  /// Pages AllocatePages is certain to hand out without growing the
+  /// data file: the free pages of owned extents (which PickExtent
+  /// reaches before any fresh extent, unless in sequential fill) plus
+  /// the GAM's free extents. A file growth charges a device write, so
+  /// below this bound allocating early changes no charge.
+  uint64_t pages_without_growth() const {
+    return (sequential_fill_ ? 0 : reserved_free_) +
+           file_->free_extents() * pages_per_extent_;
+  }
+
   /// Frees one page; returns the extent to the GAM once it is entirely
   /// free.
   Status FreePage(uint64_t page_id);

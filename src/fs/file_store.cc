@@ -595,10 +595,15 @@ Status FileStore::AppendStreamResolved(FileInfo* file, uint64_t length,
   // Per-request tracker syncs would re-count the whole extent list per
   // chunk (quadratic in extents for a fragmented stream); sync once at
   // the end instead — nothing reads the tracker mid-stream.
+  const uint64_t held = file->allocated_clusters;
   Status status = Status::OK();
   uint64_t written = 0;
   while (written < length) {
     const uint64_t chunk = std::min(request_bytes, length - written);
+    if (ClustersFor(file->size_bytes + chunk) > file->allocated_clusters) {
+      status = ExtendStreamRun(file, length - written, request_bytes);
+      if (!status.ok()) break;
+    }
     std::span<const uint8_t> slice =
         data.empty() ? std::span<const uint8_t>()
                      : data.subspan(written, chunk);
@@ -606,8 +611,54 @@ Status FileStore::AppendStreamResolved(FileInfo* file, uint64_t length,
     if (!status.ok()) break;
     written += chunk;
   }
+  if (!status.ok()) {
+    // Give back what was taken ahead for requests never written.
+    Status trimmed = TrimClusters(
+        file, std::max(held, ClustersFor(file->size_bytes)));
+    (void)trimmed;
+  }
   SyncTracker(file);
   return status;
+}
+
+Status FileStore::ExtendStreamRun(FileInfo* file, uint64_t remaining,
+                                  uint64_t request_bytes) {
+  alloc::FreeSpaceMap* map = allocator_->free_map();
+  if (file->extents.empty() || map == nullptr ||
+      !allocator_->extends_at_hint()) {
+    return Status::OK();
+  }
+  // The clusters just before the hint are the file's, so a free run
+  // holding the hint starts there and Allocate extends into it: k
+  // requests it holds whole take the same clusters in one call as in k.
+  const uint64_t hint = file->extents.back().end();
+  const uint64_t room =
+      (file->allocated_clusters + map->FreeRunFrom(hint)) *
+          options_.cluster_bytes -
+      file->size_bytes;
+  if (room < std::min(request_bytes, remaining)) return Status::OK();
+  const uint64_t take =
+      room < remaining ? room / request_bytes * request_bytes : remaining;
+  const uint64_t needed = ClustersFor(file->size_bytes + take);
+  LOR_RETURN_IF_ERROR(allocator_->Allocate(
+      needed - file->allocated_clusters, hint, &file->extents));
+  file->allocated_clusters = needed;
+  return Status::OK();
+}
+
+Status FileStore::TrimClusters(FileInfo* file, uint64_t keep) {
+  uint64_t have = file->allocated_clusters;
+  while (have > keep && !file->extents.empty()) {
+    alloc::Extent& tail = file->extents.back();
+    const uint64_t drop = std::min(tail.length, have - keep);
+    InvalidateExtents({{tail.end() - drop, drop}});
+    LOR_RETURN_IF_ERROR(FreeExtent({tail.end() - drop, drop}));
+    tail.length -= drop;
+    have -= drop;
+    file->allocated_clusters = have;
+    if (tail.length == 0) file->extents.pop_back();
+  }
+  return Status::OK();
 }
 
 Status FileStore::AppendToFile(FileInfo* file, uint64_t length,
@@ -867,18 +918,7 @@ Status FileStore::Truncate(const std::string& name, uint64_t new_size) {
   if (new_size > file->size_bytes) {
     return Status::InvalidArgument("truncate cannot grow a file");
   }
-  const uint64_t keep = ClustersFor(new_size);
-  uint64_t have = file->allocated_clusters;
-  while (have > keep && !file->extents.empty()) {
-    alloc::Extent& tail = file->extents.back();
-    const uint64_t drop = std::min(tail.length, have - keep);
-    InvalidateExtents({{tail.end() - drop, drop}});
-    LOR_RETURN_IF_ERROR(FreeExtent({tail.end() - drop, drop}));
-    tail.length -= drop;
-    have -= drop;
-    if (tail.length == 0) file->extents.pop_back();
-  }
-  file->allocated_clusters = have;
+  LOR_RETURN_IF_ERROR(TrimClusters(file, ClustersFor(new_size)));
   stats_.live_bytes -= file->size_bytes - new_size;
   if (new_size != file->size_bytes) {
     // A truncated-to-empty file restarts the hash stream; a mid-file

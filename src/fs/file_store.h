@@ -263,6 +263,11 @@ class FileStore {
   /// append requests — byte-for-byte the same allocation and charging
   /// behaviour as the equivalent Append loop, with one name lookup
   /// instead of one per request (the safe-write streaming hot path).
+  /// Where the allocator extends at the hint, the whole requests the
+  /// free run at the file's tail holds take their clusters in one
+  /// Allocate call, which ends in the same layout and allocator state
+  /// as one call per request. A stream that fails part way keeps the
+  /// clusters of the bytes it wrote and releases the rest it took.
   Status AppendStream(const std::string& name, uint64_t length,
                       uint64_t request_bytes,
                       std::span<const uint8_t> data = {});
@@ -455,6 +460,17 @@ class FileStore {
   Status AppendStreamResolved(FileInfo* file, uint64_t length,
                               uint64_t request_bytes,
                               std::span<const uint8_t> data);
+
+  /// Called when the next stream request must grow `file`: where the
+  /// allocator extends at the hint, takes the clusters of every request
+  /// of the `remaining` bytes that the free run at the tail holds
+  /// whole, in one Allocate call. Takes nothing when the run cannot
+  /// hold the next request; its own Allocate then leaves the run.
+  Status ExtendStreamRun(FileInfo* file, uint64_t remaining,
+                         uint64_t request_bytes);
+
+  /// Frees `file`'s tail clusters beyond the first `keep`.
+  Status TrimClusters(FileInfo* file, uint64_t keep);
 
   /// Re-reports `file`'s fragment count and size to the tracker after a
   /// layout or size mutation.

@@ -221,7 +221,7 @@ double BlockDevice::ServiceRequest(bool /*write*/, uint64_t offset,
       stats_.interference_seek_time_s += seek + rot;
     }
   }
-  const double transfer = hub->model_.TransferTime(phys, len);
+  const double transfer = hub->MemoTransferTime(phys, len);
   stats_.transfer_time_s += transfer;
   t += transfer;
   if (media_ != nullptr) {
@@ -239,6 +239,22 @@ double BlockDevice::ServiceRequest(bool /*write*/, uint64_t offset,
   hub->head_valid_ = true;
   if (spindle_ != nullptr) hub->last_owner_ = spindle_owner_;
   return t;
+}
+
+double BlockDevice::MemoTransferTime(uint64_t phys, uint64_t len) {
+  TransferMemo& memo =
+      transfer_memo_[(len * 0x9E3779B97F4A7C15ull) >> 60];
+  if (len == memo.len && phys >= memo.zone_begin &&
+      phys + len <= memo.zone_end) {
+    return memo.seconds;
+  }
+  const double seconds = model_.TransferTime(phys, len);
+  const uint64_t zone = model_.zone_size_bytes();
+  const uint64_t zone_begin = phys / zone * zone;
+  if (phys + len <= zone_begin + zone) {
+    memo = {zone_begin, zone_begin + zone, len, seconds};
+  }
+  return seconds;
 }
 
 double BlockDevice::ServiceFlush() {

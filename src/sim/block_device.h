@@ -71,6 +71,7 @@
 #ifndef LOREPO_SIM_BLOCK_DEVICE_H_
 #define LOREPO_SIM_BLOCK_DEVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -342,6 +343,8 @@ class BlockDevice {
   double ServiceRequest(bool write, uint64_t offset, uint64_t len);
   /// Flush twin of ServiceRequest (invalidates sequentiality).
   double ServiceFlush();
+  /// Hub-side DiskModel::TransferTime through the memo below.
+  double MemoTransferTime(uint64_t phys, uint64_t len);
   /// True when an engaged scheduler should absorb timing charges.
   bool AsyncActive() const;
   /// Validates, admits (reads) and charges a vectored batch: the shared
@@ -389,6 +392,19 @@ class BlockDevice {
   double window_t0_ = 0.0;  ///< Synchronous stream-window start.
   uint64_t head_ = 0;
   bool head_valid_ = false;
+  /// Hub-side transfer-time memo, direct-mapped by length. A transfer
+  /// that stays inside one zone costs its length over that zone's
+  /// bandwidth, so an entry answers any request of its length inside
+  /// [zone_begin, zone_end) with the very double DiskModel computed.
+  /// Like head_, it changes only in ServiceRequest, one request at a
+  /// time (under the SpindlePlane's lock for owner views).
+  struct TransferMemo {
+    uint64_t zone_begin = 0;
+    uint64_t zone_end = 0;
+    uint64_t len = 0;  ///< 0: empty (requests are never zero-length).
+    double seconds = 0.0;
+  };
+  std::array<TransferMemo, 16> transfer_memo_{};
   /// Owner-view wiring: non-null `spindle_` makes this device an alias
   /// of [spindle_base_, spindle_base_ + capacity()) on the hub.
   BlockDevice* spindle_ = nullptr;

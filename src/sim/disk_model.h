@@ -82,6 +82,11 @@ class DiskModel {
   /// Zone index (0 = outermost/fastest) of `byte_offset`.
   uint32_t ZoneOf(uint64_t byte_offset) const;
 
+  /// Bytes per zone: TransferTime splits a transfer at every multiple
+  /// of this, so one that stays between two multiples costs its length
+  /// over that zone's bandwidth.
+  uint64_t zone_size_bytes() const { return zone_size_bytes_; }
+
   /// Seconds for one full revolution.
   double RevolutionTime() const;
 

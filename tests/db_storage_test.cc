@@ -389,6 +389,39 @@ uint64_t NoSpaceMidBlobDigest() {
   return h;
 }
 
+// A blob whose pages were all taken ahead and whose write fails part
+// way frees every one of them. The unit allocates from a large file
+// while the blob is written to a smaller one, so the first slice whose
+// pages lie past the smaller file's end fails.
+TEST(BlobBtreeTest, FailedWriteReleasesPagesTakenAhead) {
+  auto big_dev = MakeDevice(256 * kMiB);
+  auto small_dev = MakeDevice(16 * kMiB);
+  PageFileOptions opts;
+  opts.initial_bytes = 64 * kMiB;
+  opts.deferred_free_allocations = 0;
+  PageFile big(big_dev.get(), opts);
+  PageFile small(small_dev.get(), opts);
+  LobAllocationUnit unit(&big);
+  auto first =
+      BlobBtree::Write(&big, &unit, 12 * kMiB, {}, 64 * kKiB, {});
+  ASSERT_TRUE(first.ok());
+  const uint64_t pages = unit.allocated_pages();
+  const uint64_t free_extents = big.free_extents();
+  const uint64_t writes = small_dev->stats().writes;
+  ASSERT_GE(unit.pages_without_growth(),
+            BlobBtree::DataPagesFor(big, 8 * kMiB));
+  auto failed =
+      BlobBtree::Write(&small, &unit, 8 * kMiB, {}, 64 * kKiB, {});
+  EXPECT_TRUE(failed.status().IsInvalidArgument());
+  EXPECT_GT(small_dev->stats().writes, writes);  // Failed part way.
+  EXPECT_EQ(unit.allocated_pages(), pages);
+  EXPECT_EQ(big.free_extents(), free_extents);
+  EXPECT_TRUE(unit.CheckConsistency().ok());
+  ASSERT_TRUE(BlobBtree::Free(&unit, *first).ok());
+  EXPECT_EQ(unit.allocated_pages(), 0u);
+  EXPECT_TRUE(unit.CheckConsistency().ok());
+}
+
 TEST(BlobBtreeTest, WriteDecisionsArePinned) {
   uint64_t pin = kFnvBasis;
   for (const uint64_t request :

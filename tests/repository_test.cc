@@ -10,6 +10,7 @@
 #include <memory>
 #include <ostream>
 
+#include "alloc/policy_allocator.h"
 #include "core/db_repository.h"
 #include "core/fragmentation.h"
 #include "core/fs_repository.h"
@@ -631,6 +632,124 @@ TEST(RecordingRepositoryTest, ForwardsTheSharedSpindleFence) {
   ASSERT_TRUE(recorder.SettleIo().ok());
   EXPECT_GT(inner->now(), before);
   EXPECT_EQ(trace.size(), 1u);
+}
+
+// -- Streams that fail part way ---------------------------------------
+
+/// A first-fit allocator whose map runs kOverhang clusters past the
+/// device's end and keeps them out of the accounting. A stream handed
+/// clusters there fails part way, at the first request that crosses the
+/// end (a device write beyond capacity), after taking clusters ahead
+/// for requests it never writes.
+class OverhangAllocator : public alloc::ExtentAllocator {
+ public:
+  static constexpr uint64_t kOverhang = 4096;
+
+  OverhangAllocator(uint64_t clusters, uint64_t reserved)
+      : inner_(clusters + kOverhang,
+               {.policy = alloc::FitPolicy::kFirstFit}, reserved) {}
+
+  Status Allocate(uint64_t length, uint64_t extend_hint,
+                  alloc::ExtentList* out) override {
+    return inner_.Allocate(length, extend_hint, out);
+  }
+  Status Free(const alloc::Extent& extent) override {
+    return inner_.Free(extent);
+  }
+  uint64_t free_clusters() const override {
+    return inner_.free_clusters() - kOverhang;
+  }
+  alloc::FreeSpaceStats FreeStats() const override {
+    return inner_.FreeStats();
+  }
+  alloc::FreeSpaceMap* free_map() override { return inner_.free_map(); }
+  std::string name() const override { return "overhang"; }
+
+ private:
+  alloc::PolicyAllocator inner_;
+};
+
+TEST(StreamFailureTest, FsStreamFailingPartWayReleasesClustersTakenAhead) {
+  FsRepositoryConfig config;
+  config.volume_bytes = 64 * kMiB;
+  config.data_mode = sim::DataMode::kRetain;
+  const uint64_t cluster = config.store.cluster_bytes;
+  const uint64_t clusters = config.volume_bytes / cluster;
+  FsRepository repo(
+      config, std::make_unique<OverhangAllocator>(
+                  clusters, static_cast<uint64_t>(
+                                static_cast<double>(clusters) *
+                                config.store.mft_zone_fraction)));
+  // First fit fills the volume from the front, so the free run at the
+  // end of it runs on past the device's end.
+  for (int i = 0; i < 13; ++i) {
+    const std::vector<uint8_t> data = Pattern(4 * kMiB, i);
+    ASSERT_TRUE(repo.Put("fill" + std::to_string(i), data.size(), data).ok());
+  }
+  ASSERT_LT(repo.free_bytes(), 12 * kMiB);
+
+  // The store keeps the clusters of the requests it wrote and releases
+  // the rest of what it took.
+  fs::FileStore* store = repo.store();
+  const uint64_t free_before = store->allocator()->free_clusters();
+  ASSERT_TRUE(store->Create("partial").ok());
+  EXPECT_TRUE(store->AppendStream("partial", 16 * kMiB, 64 * kKiB)
+                  .IsInvalidArgument());
+  auto size = store->GetSize("partial");
+  ASSERT_TRUE(size.ok());
+  EXPECT_GT(*size, 0u);
+  EXPECT_EQ(*size % (64 * kKiB), 0u);
+  auto extents = store->GetExtents("partial");
+  ASSERT_TRUE(extents.ok());
+  EXPECT_EQ(alloc::TotalLength(*extents), *size / cluster);
+  EXPECT_EQ(store->allocator()->free_clusters(),
+            free_before - *size / cluster);
+  EXPECT_TRUE(store->CheckConsistency().ok());
+  ASSERT_TRUE(store->Delete("partial").ok());
+  EXPECT_EQ(store->allocator()->free_clusters(), free_before);
+
+  // Through the repository: the failed safe write leaves nothing behind.
+  const uint64_t free_bytes = repo.free_bytes();
+  const std::vector<uint8_t> big = Pattern(16 * kMiB, 99);
+  EXPECT_TRUE(repo.Put("big", big.size(), big).IsInvalidArgument());
+  EXPECT_EQ(repo.free_bytes(), free_bytes);
+  EXPECT_TRUE(repo.CheckConsistency().ok());
+  auto fsck = repo.Fsck();
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck->clean());
+  const std::vector<uint8_t> small = Pattern(2 * kMiB, 100);
+  ASSERT_TRUE(repo.Put("small", small.size(), small).ok());
+  fsck = repo.Fsck();
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck->clean());
+}
+
+TEST(StreamFailureTest, DbBlobRunningOutOfSpaceReleasesItsPages) {
+  DbRepositoryConfig config;
+  config.volume_bytes = 32 * kMiB;
+  config.data_mode = sim::DataMode::kRetain;
+  DbRepository repo(config);
+  Status last = Status::OK();
+  int stored = 0;
+  for (; stored < 64; ++stored) {
+    const std::vector<uint8_t> data = Pattern(3 * kMiB, stored);
+    last = repo.Put("obj" + std::to_string(stored), data.size(), data);
+    if (!last.ok()) break;
+  }
+  EXPECT_TRUE(last.IsNoSpace());
+  EXPECT_GT(stored, 4);
+  EXPECT_TRUE(repo.CheckConsistency().ok());
+  auto fsck = repo.Fsck();
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck->clean());
+  // Deletes make room; a blob that fits is written and verifies.
+  ASSERT_TRUE(repo.Delete("obj0").ok());
+  ASSERT_TRUE(repo.Delete("obj1").ok());
+  const std::vector<uint8_t> data = Pattern(2 * kMiB, 77);
+  ASSERT_TRUE(repo.Put("after", data.size(), data).ok());
+  fsck = repo.Fsck();
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck->clean());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "sim/block_device.h"
@@ -328,28 +329,33 @@ TEST(DiskModelTest, CapacityNotDivisibleByZonesClampsToLastZone) {
   EXPECT_DOUBLE_EQ(m.BandwidthAt(p.capacity_bytes - 1), p.inner_bandwidth);
 }
 
+/// Uncached transfer time: the per-chunk BandwidthAt sum, split at
+/// every multiple of the zone size.
+double ReferenceTransferTime(const DiskModel& m, uint64_t offset,
+                             uint64_t nbytes) {
+  const DiskParams& p = m.params();
+  const uint64_t zone_size =
+      std::max<uint64_t>(1, p.capacity_bytes / p.num_zones);
+  double total = 0.0;
+  uint64_t pos = offset;
+  uint64_t remaining = nbytes;
+  while (remaining > 0) {
+    const uint64_t zone_end = (pos / zone_size + 1) * zone_size;
+    const uint64_t chunk = std::min(remaining, zone_end - pos);
+    total += static_cast<double>(chunk) / m.BandwidthAt(pos);
+    pos += chunk;
+    remaining -= chunk;
+  }
+  return total;
+}
+
 // TransferTime reads zone bandwidths from a table built at
 // construction; it must equal the per-chunk BandwidthAt sum bit for bit:
 // across every zone boundary, in the tail a non-divisible capacity
 // leaves, and past the last zone, whose bandwidth every later chunk
 // shares.
 TEST(DiskModelTest, TransferTimeTableIsBitExact) {
-  auto reference = [](const DiskModel& m, uint64_t offset, uint64_t nbytes) {
-    const DiskParams& p = m.params();
-    const uint64_t zone_size =
-        std::max<uint64_t>(1, p.capacity_bytes / p.num_zones);
-    double total = 0.0;
-    uint64_t pos = offset;
-    uint64_t remaining = nbytes;
-    while (remaining > 0) {
-      const uint64_t zone_end = (pos / zone_size + 1) * zone_size;
-      const uint64_t chunk = std::min(remaining, zone_end - pos);
-      total += static_cast<double>(chunk) / m.BandwidthAt(pos);
-      pos += chunk;
-      remaining -= chunk;
-    }
-    return total;
-  };
+  const auto reference = ReferenceTransferTime;
   std::vector<DiskParams> disks = {SmallDisk(), DiskParams::St3400832as()};
   DiskParams odd = SmallDisk();
   odd.capacity_bytes = kGiB + 12345;  // Not a multiple of 16 zones.
@@ -389,6 +395,65 @@ TEST(DiskModelTest, TransferTimeTableIsBitExact) {
     }
   }
   EXPECT_GT(checked, 1000u);
+}
+
+// The hub device memoizes transfer times per (zone, length); every
+// request must still be charged the uncached sum bit for bit: a length
+// repeated inside a zone and in other zones, changes of length,
+// requests that cross a zone boundary, the tail a non-divisible
+// capacity leaves past the last zone, and two owner views sharing the
+// hub's memo. Each device's accumulated transfer time is compared with
+// the reference accumulated in the same order.
+TEST(BlockDeviceTest, TransferMemoIsBitExact) {
+  DiskParams p = SmallDisk();
+  p.capacity_bytes = 64 * kMiB + 5;
+  p.num_zones = 7;
+  const uint64_t zone_size = p.capacity_bytes / p.num_zones;
+  const uint64_t half = 32 * kMiB;
+  BlockDevice hub(p);
+  std::unique_ptr<BlockDevice> views[] = {
+      hub.CreateOwnerView(0, 0, half),
+      hub.CreateOwnerView(1, half, p.capacity_bytes - half)};
+  double expected[3] = {0.0, 0.0, 0.0};  // hub, view 0, view 1
+  const uint64_t lengths[] = {4096, 4096, 64 * kKiB, 4096, 73728,
+                              1,    2,    zone_size - 1, zone_size + 3};
+  uint64_t requests = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const uint64_t len : lengths) {
+      std::vector<uint64_t> offsets = {0, p.capacity_bytes - len,
+                                       p.capacity_bytes - len - 7};
+      for (uint64_t z = 1; z <= p.num_zones; ++z) {
+        for (const uint64_t at : {z * zone_size - len / 2, z * zone_size,
+                                  z * zone_size - len, z * zone_size + 12345,
+                                  z * zone_size - 3 * len}) {
+          offsets.push_back(at);
+        }
+      }
+      for (const uint64_t phys : offsets) {
+        if (phys > p.capacity_bytes || len > p.capacity_bytes - phys) continue;
+        // Alternate owners where the request fits one view's region.
+        int who = 0;
+        uint64_t offset = phys;
+        if (requests % 3 == 1 && phys + len <= half) {
+          who = 1;
+        } else if (requests % 3 == 2 && phys >= half) {
+          who = 2;
+          offset = phys - half;
+        }
+        BlockDevice& dev = who == 0 ? hub : *views[who - 1];
+        ASSERT_TRUE((requests % 2 == 0 ? dev.Write(offset, len)
+                                       : dev.Read(offset, len))
+                        .ok());
+        expected[who] += ReferenceTransferTime(hub.model(), phys, len);
+        ASSERT_EQ(std::bit_cast<uint64_t>(dev.stats().transfer_time_s),
+                  std::bit_cast<uint64_t>(expected[who]))
+            << "request " << requests << " owner " << who << " at " << phys
+            << " length " << len;
+        ++requests;
+      }
+    }
+  }
+  EXPECT_GT(requests, 200u);
 }
 
 }  // namespace
