@@ -9,9 +9,9 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "alloc/buddy_allocator.h"
-#include "alloc/policy_allocator.h"
 #include "alloc/run_cache_allocator.h"
 #include "core/fragmentation.h"
 #include "core/fs_repository.h"
@@ -37,9 +37,6 @@ void Run(const Options& options) {
   const uint64_t volume = options.ScaleBytes(40 * kGiB);
   const std::vector<double> ages = {2.0, 4.0, 8.0};
 
-  using alloc::FitPolicy;
-  using alloc::PolicyAllocator;
-  using alloc::PolicyAllocatorOptions;
   using alloc::RunCacheAllocator;
   using alloc::RunCacheOptions;
   using alloc::RunSelection;
@@ -67,15 +64,15 @@ void Run(const Options& options) {
                         o.selection = RunSelection::kCursorSweep;
                         return std::make_unique<RunCacheAllocator>(n, o, r);
                       }});
-  for (FitPolicy policy : {FitPolicy::kFirstFit, FitPolicy::kBestFit,
-                           FitPolicy::kWorstFit, FitPolicy::kNextFit}) {
-    variants.push_back(
-        {std::string(alloc::FitPolicyName(policy)) + " (immediate)",
-         [policy](uint64_t n, uint64_t r) {
-           PolicyAllocatorOptions o;
-           o.policy = policy;
-           return std::make_unique<PolicyAllocator>(n, o, r);
-         }});
+  for (const auto& [fit, label] :
+       {std::pair{RunSelection::kFirstFit, "first-fit (immediate)"},
+        std::pair{RunSelection::kBestFit, "best-fit (immediate)"},
+        std::pair{RunSelection::kWorstFit, "worst-fit (immediate)"},
+        std::pair{RunSelection::kNextFit, "next-fit (immediate)"}}) {
+    const RunCacheOptions o{.selection = fit, .deferred_free = false};
+    variants.push_back({label, [o](uint64_t n, uint64_t r) {
+                          return std::make_unique<RunCacheAllocator>(n, o, r);
+                        }});
   }
 
   TableWriter table({"allocator", "frag @2", "frag @4", "frag @8",

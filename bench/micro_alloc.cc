@@ -8,7 +8,6 @@
 
 #include "alloc/buddy_allocator.h"
 #include "alloc/free_space_map.h"
-#include "alloc/policy_allocator.h"
 #include "alloc/run_cache_allocator.h"
 #include "db/gam.h"
 #include "util/random.h"

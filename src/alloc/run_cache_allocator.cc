@@ -4,6 +4,23 @@
 
 namespace lor {
 namespace alloc {
+namespace {
+
+constexpr bool IsTextbookFit(RunSelection selection) {
+  return selection >= RunSelection::kFirstFit;
+}
+
+/// The FitPolicy a textbook-fit selection names.
+constexpr FitPolicy TextbookFit(RunSelection selection) {
+  return static_cast<FitPolicy>(static_cast<int>(selection) -
+                                static_cast<int>(RunSelection::kFirstFit));
+}
+static_assert(TextbookFit(RunSelection::kFirstFit) == FitPolicy::kFirstFit);
+static_assert(TextbookFit(RunSelection::kBestFit) == FitPolicy::kBestFit);
+static_assert(TextbookFit(RunSelection::kWorstFit) == FitPolicy::kWorstFit);
+static_assert(TextbookFit(RunSelection::kNextFit) == FitPolicy::kNextFit);
+
+}  // namespace
 
 RunCacheAllocator::RunCacheAllocator(uint64_t clusters,
                                      RunCacheOptions options,
@@ -114,8 +131,12 @@ Status RunCacheAllocator::Allocate(uint64_t length, uint64_t extend_hint,
     }
   }
 
+  const bool textbook = IsTextbookFit(options_.selection);
   while (remaining > 0) {
-    Extent e = TakeRun(remaining, new_stream);
+    Extent e = textbook
+                   ? map_.AllocateUpTo(remaining,
+                                       TextbookFit(options_.selection))
+                   : TakeRun(remaining, new_stream);
     if (e.empty()) {
       for (const Extent& a : acquired) {
         Status s = map_.Free(a);
@@ -150,6 +171,13 @@ void RunCacheAllocator::Tick() {
 void RunCacheAllocator::CommitPending() {
   Status s = deferred_.Commit(&map_);
   (void)s;
+}
+
+std::string RunCacheAllocator::name() const {
+  if (IsTextbookFit(options_.selection)) {
+    return std::string(FitPolicyName(TextbookFit(options_.selection)));
+  }
+  return "ntfs-run-cache";
 }
 
 }  // namespace alloc

@@ -53,6 +53,14 @@ enum class RunSelection {
   /// run-cache description). Ablation; too conservative to reproduce
   /// the paper's aging curves on its own.
   kLargestFirst,
+  /// The textbook fits of the theory literature (paper §3.2), in
+  /// FitPolicy's order: every run is served by
+  /// FreeSpaceMap::AllocateUpTo over the whole map, skipping the outer
+  /// band and the run cache. Ablation baselines.
+  kFirstFit,
+  kBestFit,
+  kWorstFit,
+  kNextFit,
 };
 
 /// Tuning knobs for the NTFS-like policy.
@@ -95,7 +103,7 @@ class RunCacheAllocator : public ExtentAllocator {
     return map_.free_clusters() + deferred_.pending_clusters();
   }
   FreeSpaceStats FreeStats() const override { return map_.Stats(); }
-  std::string name() const override { return "ntfs-run-cache"; }
+  std::string name() const override;
 
   const FreeSpaceMap& map() const { return map_; }
   /// Exposed for fault-injection experiments (pre-fragmenting a volume).
@@ -103,7 +111,8 @@ class RunCacheAllocator : public ExtentAllocator {
   FreeSpaceMap* free_map() override { return &map_; }
 
  private:
-  /// Picks the run to serve a request of `length` clusters:
+  /// Picks the run to serve a request of `length` clusters under the
+  /// run-cache selections (not the textbook fits):
   ///   1. the lowest-offset cached run inside the outer band that fits
   ///      the request entirely (the "outer band" attempt), else
   ///   2. per `RunSelection` (sweep cursor / best-fit / largest), else

@@ -1,5 +1,5 @@
-// Tests for PolicyAllocator, RunCacheAllocator, DeferredFreeQueue, and
-// BuddyAllocator.
+// Tests for RunCacheAllocator (its run-cache selections and the textbook
+// fits), DeferredFreeQueue, and BuddyAllocator.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "alloc/buddy_allocator.h"
 #include "alloc/deferred_free_queue.h"
-#include "alloc/policy_allocator.h"
 #include "alloc/run_cache_allocator.h"
 #include "util/fnv.h"
 #include "util/random.h"
@@ -21,8 +20,12 @@ namespace lor {
 namespace alloc {
 namespace {
 
-TEST(PolicyAllocatorTest, AllocatesAndFrees) {
-  PolicyAllocator a(1000, {.policy = FitPolicy::kBestFit});
+// The textbook fits share the run cache's path (extension, deferred or
+// immediate free, rollback) and differ only in how a run is picked.
+
+TEST(TextbookFitTest, AllocatesAndFrees) {
+  RunCacheAllocator a(1000, {.selection = RunSelection::kBestFit,
+                             .deferred_free = false});
   ExtentList out;
   ASSERT_TRUE(a.Allocate(100, kNoHint, &out).ok());
   EXPECT_EQ(TotalLength(out), 100u);
@@ -31,16 +34,19 @@ TEST(PolicyAllocatorTest, AllocatesAndFrees) {
   EXPECT_EQ(a.free_clusters(), 1000u);
 }
 
-TEST(PolicyAllocatorTest, ReservedZoneNeverAllocated) {
-  PolicyAllocator a(1000, {}, /*reserved=*/100);
+TEST(TextbookFitTest, ReservedZoneNeverAllocated) {
+  RunCacheAllocator a(1000, {.selection = RunSelection::kBestFit,
+                             .deferred_free = false},
+                      /*reserved=*/100);
   ExtentList out;
   ASSERT_TRUE(a.Allocate(900, kNoHint, &out).ok());
   for (const Extent& e : out) EXPECT_GE(e.start, 100u);
   EXPECT_TRUE(a.Allocate(1, kNoHint, &out).IsNoSpace());
 }
 
-TEST(PolicyAllocatorTest, HonoursExtendHint) {
-  PolicyAllocator a(1000, {.policy = FitPolicy::kBestFit});
+TEST(TextbookFitTest, HonoursExtendHint) {
+  RunCacheAllocator a(1000, {.selection = RunSelection::kBestFit,
+                             .deferred_free = false});
   ExtentList out;
   ASSERT_TRUE(a.Allocate(10, kNoHint, &out).ok());
   ASSERT_TRUE(a.Allocate(10, out.back().end(), &out).ok());
@@ -49,9 +55,10 @@ TEST(PolicyAllocatorTest, HonoursExtendHint) {
   EXPECT_EQ(out[0].length, 20u);
 }
 
-TEST(PolicyAllocatorTest, ExtensionDisabledIgnoresHint) {
-  PolicyAllocator a(1000, {.policy = FitPolicy::kWorstFit,
-                           .allow_extension = false});
+TEST(TextbookFitTest, ExtensionDisabledIgnoresHint) {
+  RunCacheAllocator a(1000, {.selection = RunSelection::kWorstFit,
+                             .allow_extension = false,
+                             .deferred_free = false});
   ExtentList out;
   ASSERT_TRUE(a.Allocate(10, kNoHint, &out).ok());
   // Carve a hole so worst-fit would choose the far run anyway; the
@@ -61,8 +68,9 @@ TEST(PolicyAllocatorTest, ExtensionDisabledIgnoresHint) {
   EXPECT_EQ(TotalLength(out2), 10u);
 }
 
-TEST(PolicyAllocatorTest, FragmentsAcrossRunsWhenNeeded) {
-  PolicyAllocator a(100, {.policy = FitPolicy::kFirstFit});
+TEST(TextbookFitTest, FragmentsAcrossRunsWhenNeeded) {
+  RunCacheAllocator a(100, {.selection = RunSelection::kFirstFit,
+                            .deferred_free = false});
   // Allocate everything, then free two separate holes of 10.
   ExtentList all;
   ASSERT_TRUE(a.Allocate(100, kNoHint, &all).ok());
@@ -75,8 +83,9 @@ TEST(PolicyAllocatorTest, FragmentsAcrossRunsWhenNeeded) {
   EXPECT_EQ(a.free_clusters(), 0u);
 }
 
-TEST(PolicyAllocatorTest, NoSpaceLeavesOutUntouched) {
-  PolicyAllocator a(100, {});
+TEST(TextbookFitTest, NoSpaceLeavesOutUntouched) {
+  RunCacheAllocator a(100, {.selection = RunSelection::kBestFit,
+                            .deferred_free = false});
   ExtentList out;
   ASSERT_TRUE(a.Allocate(50, kNoHint, &out).ok());
   const ExtentList before = out;
@@ -84,10 +93,10 @@ TEST(PolicyAllocatorTest, NoSpaceLeavesOutUntouched) {
   EXPECT_EQ(out, before);
 }
 
-TEST(PolicyAllocatorTest, DeferredFreeDelaysReuse) {
-  PolicyAllocator a(100, {.policy = FitPolicy::kFirstFit,
-                          .deferred_free = true,
-                          .commit_interval = 4});
+TEST(TextbookFitTest, DeferredFreeDelaysReuse) {
+  RunCacheAllocator a(100, {.selection = RunSelection::kFirstFit,
+                            .deferred_free = true,
+                            .commit_interval = 4});
   ExtentList out;
   ASSERT_TRUE(a.Allocate(100, kNoHint, &out).ok());
   ASSERT_TRUE(a.Free({0, 50}).ok());
@@ -97,8 +106,10 @@ TEST(PolicyAllocatorTest, DeferredFreeDelaysReuse) {
   EXPECT_EQ(a.free_clusters(), 50u);
 }
 
-TEST(PolicyAllocatorTest, SpacePressureForcesCommit) {
-  PolicyAllocator a(100, {.deferred_free = true, .commit_interval = 1000});
+TEST(TextbookFitTest, SpacePressureForcesCommit) {
+  RunCacheAllocator a(100, {.selection = RunSelection::kBestFit,
+                            .deferred_free = true,
+                            .commit_interval = 1000});
   ExtentList out;
   ASSERT_TRUE(a.Allocate(100, kNoHint, &out).ok());
   ASSERT_TRUE(a.Free({0, 100}).ok());
@@ -357,22 +368,24 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         AllocatorFactory{"firstfit",
                          [](uint64_t n) {
-                           return std::make_unique<PolicyAllocator>(
-                               n, PolicyAllocatorOptions{
-                                      .policy = FitPolicy::kFirstFit});
+                           return std::make_unique<RunCacheAllocator>(
+                               n, RunCacheOptions{
+                                      .selection = RunSelection::kFirstFit,
+                                      .deferred_free = false});
                          }},
         AllocatorFactory{"bestfit",
                          [](uint64_t n) {
-                           return std::make_unique<PolicyAllocator>(
-                               n, PolicyAllocatorOptions{
-                                      .policy = FitPolicy::kBestFit});
+                           return std::make_unique<RunCacheAllocator>(
+                               n, RunCacheOptions{
+                                      .selection = RunSelection::kBestFit,
+                                      .deferred_free = false});
                          }},
         AllocatorFactory{"bestfitdeferred",
                          [](uint64_t n) {
-                           return std::make_unique<PolicyAllocator>(
-                               n, PolicyAllocatorOptions{
-                                      .policy = FitPolicy::kBestFit,
-                                      .deferred_free = true});
+                           return std::make_unique<RunCacheAllocator>(
+                               n, RunCacheOptions{
+                                      .selection = RunSelection::kBestFit,
+                                      .commit_interval = 8});
                          }},
         AllocatorFactory{"runcache",
                          [](uint64_t n) {
@@ -594,15 +607,17 @@ TEST(AllocatorDecisionTest, AllocatorDecisionsArePinned) {
                         6000));
   }
 
-  for (const FitPolicy policy : kAllFitPolicies) {
+  for (const RunSelection fit :
+       {RunSelection::kFirstFit, RunSelection::kBestFit,
+        RunSelection::kWorstFit, RunSelection::kNextFit}) {
     for (const bool deferred : {false, true}) {
       // Next-fit runs without extension hints, the others with them.
-      PolicyAllocator a(kClusters,
-                        {.policy = policy,
-                         .allow_extension = policy != FitPolicy::kNextFit,
-                         .deferred_free = deferred,
-                         .commit_interval = 16},
-                        kReserved);
+      RunCacheAllocator a(kClusters,
+                          {.selection = fit,
+                           .allow_extension = fit != RunSelection::kNextFit,
+                           .deferred_free = deferred,
+                           .commit_interval = 16},
+                          kReserved);
       fold(AllocatorChurn(&a, a.map(), kClusters, seed++, 6000));
     }
   }

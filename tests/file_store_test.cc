@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "alloc/buddy_allocator.h"
-#include "alloc/policy_allocator.h"
 #include "alloc/run_cache_allocator.h"
 #include "fs/defragmenter.h"
 #include "fs/file_store.h"
@@ -227,11 +226,11 @@ TEST(FileStoreTest, FragmentedReadSlowerThanContiguous) {
   // Build one contiguous and one deliberately fragmented file of the
   // same size; the fragmented read must cost more simulated time.
   auto dev = MakeDevice();
-  alloc::PolicyAllocatorOptions popts;
-  popts.policy = alloc::FitPolicy::kFirstFit;
   FileStoreOptions opts;
-  auto allocator = std::make_unique<alloc::PolicyAllocator>(
-      dev->capacity() / opts.cluster_bytes, popts,
+  auto allocator = std::make_unique<alloc::RunCacheAllocator>(
+      dev->capacity() / opts.cluster_bytes,
+      alloc::RunCacheOptions{.selection = alloc::RunSelection::kFirstFit,
+                             .deferred_free = false},
       /*reserved=*/static_cast<uint64_t>(
           static_cast<double>(dev->capacity() / opts.cluster_bytes) *
           opts.mft_zone_fraction));
@@ -605,10 +604,9 @@ TEST(FileStoreHandleTest, DeleteAndReplaceSourceInvalidateEveryHandle) {
 //
 // AppendStream must lay a file out, and charge the clock, exactly as one
 // Append per request does, under every allocator: the default run cache,
-// the run cache with extension hints ignored, a first-fit policy
-// allocator and the buddy system (which ignores hints), on a fresh and
-// an aged volume. The digest pins the extents and clock bits of both
-// paths.
+// the run cache with extension hints ignored, first fit and the buddy
+// system (which ignores hints), on a fresh and an aged volume. The
+// digest pins the extents and clock bits of both paths.
 
 using MakeAllocator =
     std::function<std::unique_ptr<alloc::ExtentAllocator>(uint64_t clusters,
@@ -639,10 +637,11 @@ std::vector<StreamPinCase> StreamPinCases() {
        true},
       {"first-fit",
        [](uint64_t clusters, uint64_t reserved) {
-         return std::make_unique<alloc::PolicyAllocator>(
+         return std::make_unique<alloc::RunCacheAllocator>(
              clusters,
-             alloc::PolicyAllocatorOptions{
-                 .policy = alloc::FitPolicy::kFirstFit},
+             alloc::RunCacheOptions{
+                 .selection = alloc::RunSelection::kFirstFit,
+                 .deferred_free = false},
              reserved);
        },
        true},

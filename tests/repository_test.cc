@@ -10,7 +10,6 @@
 #include <memory>
 #include <ostream>
 
-#include "alloc/policy_allocator.h"
 #include "core/db_repository.h"
 #include "core/fragmentation.h"
 #include "core/fs_repository.h"
@@ -647,7 +646,9 @@ class OverhangAllocator : public alloc::ExtentAllocator {
 
   OverhangAllocator(uint64_t clusters, uint64_t reserved)
       : inner_(clusters + kOverhang,
-               {.policy = alloc::FitPolicy::kFirstFit}, reserved) {}
+               {.selection = alloc::RunSelection::kFirstFit,
+                .deferred_free = false},
+               reserved) {}
 
   Status Allocate(uint64_t length, uint64_t extend_hint,
                   alloc::ExtentList* out) override {
@@ -666,7 +667,7 @@ class OverhangAllocator : public alloc::ExtentAllocator {
   std::string name() const override { return "overhang"; }
 
  private:
-  alloc::PolicyAllocator inner_;
+  alloc::RunCacheAllocator inner_;
 };
 
 TEST(StreamFailureTest, FsStreamFailingPartWayReleasesClustersTakenAhead) {
