@@ -117,8 +117,10 @@ void Run(const Options& options) {
     // placed in one piece: pair it with the size-hint interface.
     config.preallocate_on_safe_write = true;
     const uint64_t clusters = volume / config.store.cluster_bytes;
+    const uint64_t reserved = static_cast<uint64_t>(
+        static_cast<double>(clusters) * config.store.mft_zone_fraction);
     auto repo = std::make_unique<core::FsRepository>(
-        config, std::make_unique<alloc::BuddyAllocator>(clusters));
+        config, std::make_unique<alloc::BuddyAllocator>(clusters, reserved));
     workload::WorkloadConfig wc = options.MakeWorkloadConfig();
     wc.sizes = workload::SizeDistribution::Constant(2 * kMiB);
     wc.target_occupancy = 0.4;

@@ -1,6 +1,7 @@
 #include "alloc/buddy_allocator.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace lor {
 namespace alloc {
@@ -11,21 +12,24 @@ uint32_t BuddyAllocator::OrderFor(uint64_t length) {
   return order;
 }
 
-BuddyAllocator::BuddyAllocator(uint64_t clusters) : capacity_(clusters) {
+BuddyAllocator::BuddyAllocator(uint64_t clusters, uint64_t reserved) {
   max_order_ = OrderFor(std::max<uint64_t>(clusters, 1));
-  rounded_capacity_ = 1ULL << max_order_;
   free_lists_.resize(max_order_ + 1);
   free_lists_[max_order_].insert(0);
-  free_clusters_ = rounded_capacity_;
+  free_clusters_ = BlockSize(max_order_);
+  // The reserved head and the phantom tail of the power-of-two envelope.
+  ClaimRange(0, std::min(reserved, clusters));
+  ClaimRange(clusters, BlockSize(max_order_));
+}
 
-  // Permanently claim the phantom tail [capacity_, rounded_capacity_):
-  // walk it as naturally-aligned power-of-two pieces and carve each one
-  // out of the free lists. These pieces are never freed.
-  uint64_t addr = capacity_;
-  while (addr < rounded_capacity_) {
+void BuddyAllocator::ClaimRange(uint64_t begin, uint64_t end) {
+  // Walk the range as naturally-aligned power-of-two pieces and carve
+  // each one out of the free lists. These pieces are never freed.
+  uint64_t addr = begin;
+  while (addr < end) {
     uint32_t order = 0;
     while (addr % BlockSize(order + 1) == 0 &&
-           addr + BlockSize(order + 1) <= rounded_capacity_) {
+           addr + BlockSize(order + 1) <= end) {
       ++order;
     }
     CarveBlock(addr, order);
@@ -81,36 +85,47 @@ Status BuddyAllocator::Allocate(uint64_t length, uint64_t /*extend_hint*/,
   free_clusters_ -= BlockSize(order);
   internal_waste_ += BlockSize(order) - length;
   live_[start] = {order, length};
-  AppendCoalescing(out, {start, BlockSize(order)});
+  AppendCoalescing(out, {start, length});
   return Status::OK();
 }
 
 Status BuddyAllocator::Free(const Extent& extent) {
   if (extent.empty()) return Status::OK();
-  auto it = live_.find(extent.start);
-  if (it == live_.end()) {
+  // Check the whole extent before freeing any of it. Only a block whose
+  // request filled it can be followed by the next one without a gap.
+  const auto first = live_.find(extent.start);
+  if (first == live_.end()) {
     return Status::InvalidArgument("free of unknown buddy block");
   }
-  uint32_t order = it->second.first;
-  if (extent.length != BlockSize(order)) {
+  auto it = first;
+  for (uint64_t at = extent.start + it->second.second; at < extent.end();
+       at += it->second.second) {
+    if (++it == live_.end() || it->first != at) {
+      return Status::InvalidArgument("free does not tile live buddy blocks");
+    }
+  }
+  const auto last = std::next(it);
+  if (it->first + it->second.second != extent.end()) {
     return Status::InvalidArgument("free length does not match block");
   }
-  internal_waste_ -= BlockSize(order) - it->second.second;
-  live_.erase(it);
 
-  uint64_t start = extent.start;
-  free_clusters_ += BlockSize(order);
-  // Merge with the buddy while it is free.
-  while (order < max_order_) {
-    const uint64_t buddy = start ^ BlockSize(order);
-    auto& fl = free_lists_[order];
-    auto bit = fl.find(buddy);
-    if (bit == fl.end()) break;
-    fl.erase(bit);
-    start = std::min(start, buddy);
-    ++order;
+  for (it = first; it != last; it = live_.erase(it)) {
+    uint32_t order = it->second.first;
+    uint64_t start = it->first;
+    internal_waste_ -= BlockSize(order) - it->second.second;
+    free_clusters_ += BlockSize(order);
+    // Merge with the buddy while it is free.
+    while (order < max_order_) {
+      const uint64_t buddy = start ^ BlockSize(order);
+      auto& fl = free_lists_[order];
+      auto bit = fl.find(buddy);
+      if (bit == fl.end()) break;
+      fl.erase(bit);
+      start = std::min(start, buddy);
+      ++order;
+    }
+    free_lists_[order].insert(start);
   }
-  free_lists_[order].insert(start);
   return Status::OK();
 }
 

@@ -18,32 +18,42 @@
 namespace lor {
 namespace alloc {
 
-/// Buddy-system allocator over [0, clusters).
+/// Buddy-system allocator over [reserved, clusters).
 ///
 /// Internally the space is rounded up to the next power of two; the
-/// phantom tail is permanently marked allocated. Each request is rounded
-/// up to a power-of-two order and served as one block.
+/// reserved head and the phantom tail are permanently marked allocated.
+/// Each request is rounded up to a power-of-two order and served as one
+/// block.
 class BuddyAllocator : public ExtentAllocator {
  public:
-  explicit BuddyAllocator(uint64_t clusters);
+  /// Manages clusters [reserved, clusters); [0, reserved) models the MFT
+  /// zone and is never allocated to file data.
+  explicit BuddyAllocator(uint64_t clusters, uint64_t reserved = 0);
 
   /// Allocates one block of at least `length` clusters (extend hints are
-  /// meaningless under the buddy discipline and are ignored). The
-  /// returned extent has the full rounded length; internal fragmentation
-  /// is tracked via `internal_waste_clusters()`.
+  /// meaningless under the buddy discipline and are ignored) and appends
+  /// its first `length` clusters, the ones the caller asked for. The
+  /// block's rounded-up rest stays with the allocator, counted by
+  /// `internal_waste_clusters()`.
   Status Allocate(uint64_t length, uint64_t extend_hint,
                   ExtentList* out) override;
   bool extends_at_hint() const override { return false; }
 
-  /// Frees a block previously returned by Allocate (must match exactly).
+  /// Frees an extent that exactly tiles the extents Allocate appended
+  /// for consecutive live blocks (a caller's coalesced extent list frees
+  /// as it stands). Anything else is InvalidArgument and frees nothing.
   Status Free(const Extent& extent) override;
 
   uint64_t free_clusters() const override { return free_clusters_; }
+  /// Free blocks plus the internal waste of live ones: every managed
+  /// cluster no caller holds.
+  uint64_t total_unused_clusters() const override {
+    return free_clusters_ + internal_waste_;
+  }
   FreeSpaceStats FreeStats() const override;
   std::string name() const override { return "buddy"; }
 
-  /// Clusters lost to power-of-two rounding across live allocations,
-  /// assuming callers asked for exactly what they needed.
+  /// Clusters lost to power-of-two rounding across live allocations.
   uint64_t internal_waste_clusters() const { return internal_waste_; }
 
   /// Checks the free lists for overlaps/duplicates.
@@ -59,8 +69,9 @@ class BuddyAllocator : public ExtentAllocator {
   /// free block of order >= `order`.
   void CarveBlock(uint64_t addr, uint32_t order);
 
-  uint64_t capacity_;          ///< Usable clusters.
-  uint64_t rounded_capacity_;  ///< Power-of-two envelope.
+  /// Permanently claims [begin, end) as naturally aligned blocks.
+  void ClaimRange(uint64_t begin, uint64_t end);
+
   uint32_t max_order_;
   uint64_t free_clusters_ = 0;
   uint64_t internal_waste_ = 0;

@@ -253,9 +253,11 @@ TEST(BuddyAllocatorTest, AllocateFreeRoundTrip) {
   ExtentList out;
   ASSERT_TRUE(a.Allocate(100, kNoHint, &out).ok());
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].length, 128u);  // Rounded up.
+  // The caller gets what it asked for; the block is rounded up.
+  EXPECT_EQ(out[0].length, 100u);
   EXPECT_EQ(a.internal_waste_clusters(), 28u);
   EXPECT_EQ(a.free_clusters(), 1024u - 128u);
+  EXPECT_EQ(a.total_unused_clusters(), 1024u - 100u);
   ASSERT_TRUE(a.Free(out[0]).ok());
   EXPECT_EQ(a.free_clusters(), 1024u);
   EXPECT_EQ(a.internal_waste_clusters(), 0u);
@@ -293,6 +295,45 @@ TEST(BuddyAllocatorTest, FreeUnknownBlockRejected) {
   ExtentList out;
   ASSERT_TRUE(a.Allocate(16, kNoHint, &out).ok());
   EXPECT_TRUE(a.Free({out[0].start, 8}).IsInvalidArgument());
+}
+
+TEST(BuddyAllocatorTest, ReservedZoneNeverAllocated) {
+  BuddyAllocator a(1000, /*reserved=*/100);
+  EXPECT_EQ(a.free_clusters(), 900u);
+  EXPECT_TRUE(a.CheckConsistency().ok());
+  ExtentList out;
+  while (a.Allocate(1, kNoHint, &out).ok()) {
+  }
+  EXPECT_EQ(TotalLength(out), 900u);
+  for (const Extent& e : out) {
+    EXPECT_GE(e.start, 100u);
+    EXPECT_LE(e.end(), 1000u);
+  }
+}
+
+TEST(BuddyAllocatorTest, FreesCoalescedExtentsItHandedOut) {
+  // A file's extent list coalesces consecutive blocks whose requests
+  // filled them; freeing the coalesced extents frees every block.
+  BuddyAllocator a(1024);
+  ExtentList file;
+  ASSERT_TRUE(a.Allocate(64, kNoHint, &file).ok());
+  ASSERT_TRUE(a.Allocate(64, kNoHint, &file).ok());
+  ASSERT_TRUE(a.Allocate(100, kNoHint, &file).ok());
+  ASSERT_EQ(file.size(), 1u);
+  EXPECT_EQ(file[0], (Extent{0, 228}));
+  EXPECT_EQ(a.free_clusters(), 1024u - 256u);
+
+  // Extents that do not tile the live requests free nothing.
+  for (const Extent& bad : {Extent{0, 100}, Extent{0, 229}, Extent{64, 100},
+                            Extent{0, 256}, Extent{32, 196}}) {
+    EXPECT_TRUE(a.Free(bad).IsInvalidArgument())
+        << bad.start << "+" << bad.length;
+    EXPECT_EQ(a.free_clusters(), 1024u - 256u);
+  }
+  ASSERT_TRUE(a.Free(file[0]).ok());
+  EXPECT_EQ(a.free_clusters(), 1024u);
+  EXPECT_EQ(a.internal_waste_clusters(), 0u);
+  EXPECT_TRUE(a.CheckConsistency().ok());
 }
 
 TEST(BuddyAllocatorTest, ObjectsNeverFragmentExternally) {
@@ -349,8 +390,7 @@ TEST_P(AllocatorPropertyTest, RandomChurnConservesClusters) {
       if (s.IsNoSpace()) continue;
       ASSERT_TRUE(s.ok()) << s.ToString();
       ASSERT_EQ(TotalLength(out), want);
-      // Buddy rounds up; account what was actually taken.
-      live_clusters += TotalLength(out);
+      live_clusters += want;
       live.push_back(std::move(out));
     } else {
       const size_t i = rng.Uniform(live.size());
@@ -396,6 +436,10 @@ INSTANTIATE_TEST_SUITE_P(
                          [](uint64_t n) {
                            return std::make_unique<RunCacheAllocator>(
                                n, RunCacheOptions{.deferred_free = false});
+                         }},
+        AllocatorFactory{"buddy",
+                         [](uint64_t n) {
+                           return std::make_unique<BuddyAllocator>(n);
                          }}),
     [](const auto& info) { return info.param.label; });
 

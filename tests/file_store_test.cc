@@ -412,6 +412,29 @@ TEST(FileStoreTest, PromoteToOuterZoneNotSupportedWithoutMap) {
   EXPECT_TRUE(store.PromoteToOuterZone("f").status().IsNotSupported());
 }
 
+TEST(FileStoreTest, BuddyAllocatorKeepsTheStoreContract) {
+  // The buddy system serves only the data zone, hands the store exactly
+  // the clusters it asked for and takes back the coalesced extents a
+  // delete frees.
+  auto dev = MakeDevice();
+  FileStoreOptions opts;
+  const uint64_t clusters = dev->capacity() / opts.cluster_bytes;
+  const uint64_t reserved = static_cast<uint64_t>(
+      static_cast<double>(clusters) * opts.mft_zone_fraction);
+  FileStore store(dev.get(), opts,
+                  std::make_unique<alloc::BuddyAllocator>(clusters, reserved));
+  const uint64_t free_before = store.allocator()->free_clusters();
+  ASSERT_TRUE(store.Create("f").ok());
+  ASSERT_TRUE(store.AppendStream("f", 100 * kKiB, 64 * kKiB).ok());
+  auto extents = store.GetExtents("f");
+  ASSERT_TRUE(extents.ok());
+  EXPECT_EQ(alloc::TotalLength(*extents), 100 * kKiB / opts.cluster_bytes);
+  EXPECT_TRUE(store.CheckConsistency().ok());
+  ASSERT_TRUE(store.Delete("f").ok());
+  EXPECT_TRUE(store.CheckConsistency().ok());
+  EXPECT_EQ(store.allocator()->free_clusters(), free_before);
+}
+
 TEST(ZonedPlacementTest, MigratesHottestFilesFirst) {
   auto dev = MakeDevice();
   FileStore store(dev.get());
@@ -615,9 +638,6 @@ using MakeAllocator =
 struct StreamPinCase {
   const char* name;
   MakeAllocator make;
-  /// Whether files are deleted (the buddy system frees only whole
-  /// blocks, which coalesced file extents are not).
-  bool deletes;
 };
 
 std::vector<StreamPinCase> StreamPinCases() {
@@ -626,15 +646,13 @@ std::vector<StreamPinCase> StreamPinCases() {
        [](uint64_t clusters, uint64_t reserved) {
          return std::make_unique<alloc::RunCacheAllocator>(
              clusters, alloc::RunCacheOptions{}, reserved);
-       },
-       true},
+       }},
       {"run-cache-no-extension",
        [](uint64_t clusters, uint64_t reserved) {
          return std::make_unique<alloc::RunCacheAllocator>(
              clusters, alloc::RunCacheOptions{.allow_extension = false},
              reserved);
-       },
-       true},
+       }},
       {"first-fit",
        [](uint64_t clusters, uint64_t reserved) {
          return std::make_unique<alloc::RunCacheAllocator>(
@@ -643,13 +661,11 @@ std::vector<StreamPinCase> StreamPinCases() {
                  .selection = alloc::RunSelection::kFirstFit,
                  .deferred_free = false},
              reserved);
-       },
-       true},
+       }},
       {"buddy",
-       [](uint64_t clusters, uint64_t /*reserved*/) {
-         return std::make_unique<alloc::BuddyAllocator>(clusters);
-       },
-       false},
+       [](uint64_t clusters, uint64_t reserved) {
+         return std::make_unique<alloc::BuddyAllocator>(clusters, reserved);
+       }},
   };
 }
 
@@ -661,36 +677,18 @@ uint64_t Fold(uint64_t hash, uint64_t value) {
 /// are not cluster multiples) through AppendStream, or through one
 /// Append per request when `per_request`, and folds every file's extents
 /// and the clock bits into a digest. `aged` first churns the volume with
-/// single-request appends and deletes (or, for a case without deletes,
-/// churns the allocator before the store takes it).
+/// single-request appends and deletes.
 uint64_t StreamPinDigest(const StreamPinCase& c, bool aged, bool per_request) {
   auto dev = MakeDevice();
   const FileStoreOptions options;
   const uint64_t clusters = kVolume / options.cluster_bytes;
   const uint64_t reserved = static_cast<uint64_t>(
       static_cast<double>(clusters) * options.mft_zone_fraction);
-  std::unique_ptr<alloc::ExtentAllocator> allocator =
-      c.make(clusters, reserved);
+  FileStore store(dev.get(), options, c.make(clusters, reserved));
   Rng rng(29);
-  if (aged && !c.deletes) {
-    alloc::ExtentList held;
-    for (int i = 0; i < 400; ++i) {
-      alloc::ExtentList block;
-      if (!allocator->Allocate(1 + rng.Uniform(64), alloc::kNoHint, &block)
-               .ok()) {
-        break;
-      }
-      if (rng.Bernoulli(0.5)) {
-        held.insert(held.end(), block.begin(), block.end());
-      } else {
-        EXPECT_TRUE(allocator->Free(block.front()).ok());
-      }
-    }
-  }
-  FileStore store(dev.get(), options, std::move(allocator));
   std::vector<std::string> live;
   int next_name = 0;
-  if (aged && c.deletes) {
+  if (aged) {
     for (int i = 0; i < 300; ++i) {
       const std::string name = "age" + std::to_string(next_name++);
       EXPECT_TRUE(store.Create(name).ok());
@@ -715,8 +713,7 @@ uint64_t StreamPinDigest(const StreamPinCase& c, bool aged, bool per_request) {
   const uint64_t requests[] = {16 * kKiB, 64 * kKiB, 64 * kKiB, kMiB,
                                60 * kKiB + 1000};
   uint64_t digest = kFnvBasis;
-  const int files = c.deletes ? 60 : 16;
-  for (int i = 0; i < files; ++i) {
+  for (int i = 0; i < 60; ++i) {
     const std::string name = "f" + std::to_string(next_name++);
     const uint64_t size = sizes[rng.Uniform(std::size(sizes))];
     const uint64_t request = requests[rng.Uniform(std::size(requests))];
@@ -739,7 +736,7 @@ uint64_t StreamPinDigest(const StreamPinCase& c, bool aged, bool per_request) {
     }
     digest = Fold(digest, std::bit_cast<uint64_t>(dev->clock().now()));
     live.push_back(name);
-    if (c.deletes && live.size() > 12) {
+    if (live.size() > 12) {
       const size_t victim = rng.Uniform(live.size());
       EXPECT_TRUE(store.Delete(live[victim]).ok());
       live[victim] = live.back();
@@ -749,9 +746,7 @@ uint64_t StreamPinDigest(const StreamPinCase& c, bool aged, bool per_request) {
   }
   digest = Fold(digest, store.allocator()->free_clusters());
   digest = Fold(digest, dev->stats().writes);
-  if (c.deletes) {
-    EXPECT_TRUE(store.CheckConsistency().ok()) << c.name;
-  }
+  EXPECT_TRUE(store.CheckConsistency().ok()) << c.name;
   return digest;
 }
 
@@ -765,7 +760,7 @@ TEST(FileStoreStreamTest, StreamAppendMatchesPerRequestAppends) {
       pin = Fold(pin, stream);
     }
   }
-  EXPECT_EQ(pin, 0x59c1bcdf346e3545ull) << std::hex << pin;
+  EXPECT_EQ(pin, 0x7adaec70c30295c6ull) << std::hex << pin;
 }
 
 }  // namespace
