@@ -36,7 +36,7 @@ RunCacheAllocator::RunCacheAllocator(uint64_t clusters,
                      options_.outer_band_fraction);
 }
 
-Extent RunCacheAllocator::TakeRun(uint64_t length, bool new_stream) {
+Extent RunCacheAllocator::TakeRun(uint64_t length) {
   // One allocation-free pass over the run cache (the `cache_size`
   // largest runs) computes every candidate the policy can pick:
   //   * outer: lowest-offset fitting run starting inside the outer band,
@@ -77,18 +77,15 @@ Extent RunCacheAllocator::TakeRun(uint64_t length, bool new_stream) {
   uint64_t chosen_start = outer_start;
   uint64_t take = length;
 
-  const bool sweep =
-      options_.selection == RunSelection::kCursorSweep ||
-      (options_.selection == RunSelection::kSweepThenBestFit && new_stream);
-  if (chosen_start == kNone && sweep) {
+  if (chosen_start == kNone &&
+      options_.selection == RunSelection::kCursorSweep) {
     Extent taken = map_.AllocateFrom(sweep_cursor_, length);
     if (!taken.empty()) sweep_cursor_ = taken.end();
     return taken;
   }
 
   if (chosen_start == kNone &&
-      (options_.selection == RunSelection::kBestFitCached ||
-       options_.selection == RunSelection::kSweepThenBestFit)) {
+      options_.selection == RunSelection::kBestFitCached) {
     chosen_start = best_start;
     // Nothing fits: fall through to consume the largest whole.
   }
@@ -121,7 +118,6 @@ Status RunCacheAllocator::Allocate(uint64_t length, uint64_t extend_hint,
   ExtentList& acquired = acquired_;
   acquired.clear();
   uint64_t remaining = length;
-  const bool new_stream = extend_hint == kNoHint;
 
   if (options_.allow_extension && extend_hint != kNoHint) {
     const uint64_t got = map_.ExtendAt(extend_hint, remaining);
@@ -136,7 +132,7 @@ Status RunCacheAllocator::Allocate(uint64_t length, uint64_t extend_hint,
     Extent e = textbook
                    ? map_.AllocateUpTo(remaining,
                                        TextbookFit(options_.selection))
-                   : TakeRun(remaining, new_stream);
+                   : TakeRun(remaining);
     if (e.empty()) {
       for (const Extent& a : acquired) {
         Status s = map_.Free(a);

@@ -46,9 +46,6 @@ enum class RunSelection {
   /// Bitmap scan from a moving cursor for every request (FindFreeRun
   /// from a volume hint). Ablation.
   kCursorSweep,
-  /// Cursor sweep for a file's first request, best-fit for spills.
-  /// Ablation.
-  kSweepThenBestFit,
   /// Serve from the largest cached run (the literal reading of the
   /// run-cache description). Ablation; too conservative to reproduce
   /// the paper's aging curves on its own.
@@ -117,10 +114,8 @@ class RunCacheAllocator : public ExtentAllocator {
   ///      the request entirely (the "outer band" attempt), else
   ///   2. per `RunSelection` (sweep cursor / best-fit / largest), else
   ///   3. the largest cached run, consumed whole — the file fragments.
-  /// `new_stream` marks the first request of a file (no extension hint
-  /// existed), which the default policy starts at the sweep cursor.
   /// Returns an empty extent when nothing is free.
-  Extent TakeRun(uint64_t length, bool new_stream);
+  Extent TakeRun(uint64_t length);
 
   RunCacheOptions options_;
   FreeSpaceMap map_;

@@ -635,7 +635,7 @@ TEST(AllocatorDecisionTest, AllocatorDecisionsArePinned) {
 
   for (const RunSelection selection :
        {RunSelection::kBestFitCached, RunSelection::kCursorSweep,
-        RunSelection::kSweepThenBestFit, RunSelection::kLargestFirst}) {
+        RunSelection::kLargestFirst}) {
     for (const uint32_t interval : {0u, 8u, 128u}) {
       RunCacheAllocator a(kClusters,
                           {.selection = selection,
@@ -666,7 +666,7 @@ TEST(AllocatorDecisionTest, AllocatorDecisionsArePinned) {
     }
   }
 
-  EXPECT_EQ(hash, 0x65e72a9fbc730d71ull) << std::hex << hash;
+  EXPECT_EQ(hash, 0x5a57cba47b80cb6dull) << std::hex << hash;
 }
 
 }  // namespace
