@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "alloc/run_cache_allocator.h"
+#include "alloc/allocator.h"
 #include "core/fragmentation.h"
 #include "core/fs_repository.h"
 #include "bench_common.h"
@@ -33,9 +33,7 @@ void Run(const Options& options) {
 
   // Shatter free space: claim alternating 64 KB stripes across the
   // whole data zone, bulk load into the gaps, then free the stripes.
-  auto* allocator =
-      static_cast<alloc::RunCacheAllocator*>(repo.store()->allocator());
-  alloc::FreeSpaceMap* map = allocator->mutable_map();
+  alloc::FreeSpaceMap* map = repo.store()->allocator()->free_map();
   const uint64_t stripe_clusters = 64 * kKiB / config.store.cluster_bytes;
   std::vector<alloc::Extent> pins;
   for (const alloc::Extent& run : map->Snapshot()) {

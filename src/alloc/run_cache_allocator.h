@@ -103,8 +103,6 @@ class RunCacheAllocator : public ExtentAllocator {
   std::string name() const override;
 
   const FreeSpaceMap& map() const { return map_; }
-  /// Exposed for fault-injection experiments (pre-fragmenting a volume).
-  FreeSpaceMap* mutable_map() { return &map_; }
   FreeSpaceMap* free_map() override { return &map_; }
 
  private:

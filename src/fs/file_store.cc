@@ -1238,9 +1238,6 @@ Result<RecoveryStats> FileStore::Recover(
   auto rebuilt = std::make_unique<alloc::RunCacheAllocator>(
       total_clusters_, options_.alloc, mft_clusters_);
   alloc::FreeSpaceMap* map = rebuilt->free_map();
-  if (map == nullptr) {
-    return Status::NotSupported("recovery requires a free-space map");
-  }
   for (auto& [name, file] : files_) {
     ChargeMftAccess(file.id, /*write=*/false);
     for (const alloc::Extent& e : file.extents) {
