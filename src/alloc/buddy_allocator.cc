@@ -1,7 +1,6 @@
 #include "alloc/buddy_allocator.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace lor {
 namespace alloc {
@@ -91,25 +90,21 @@ Status BuddyAllocator::Allocate(uint64_t length, uint64_t /*extend_hint*/,
 
 Status BuddyAllocator::Free(const Extent& extent) {
   if (extent.empty()) return Status::OK();
-  // Check the whole extent before freeing any of it. Only a block whose
-  // request filled it can be followed by the next one without a gap.
+  // Check the whole extent before freeing any of it: it must run
+  // through the requests of consecutive live blocks, ending with one.
+  // Only a block whose request filled it is followed without a gap.
   const auto first = live_.find(extent.start);
-  if (first == live_.end()) {
-    return Status::InvalidArgument("free of unknown buddy block");
+  auto last = first;
+  uint64_t at = extent.start;
+  while (at < extent.end() && last != live_.end() && last->first == at) {
+    at += last->second.second;
+    ++last;
   }
-  auto it = first;
-  for (uint64_t at = extent.start + it->second.second; at < extent.end();
-       at += it->second.second) {
-    if (++it == live_.end() || it->first != at) {
-      return Status::InvalidArgument("free does not tile live buddy blocks");
-    }
-  }
-  const auto last = std::next(it);
-  if (it->first + it->second.second != extent.end()) {
-    return Status::InvalidArgument("free length does not match block");
+  if (at != extent.end()) {
+    return Status::InvalidArgument("free does not tile live buddy blocks");
   }
 
-  for (it = first; it != last; it = live_.erase(it)) {
+  for (auto it = first; it != last; it = live_.erase(it)) {
     uint32_t order = it->second.first;
     uint64_t start = it->first;
     internal_waste_ -= BlockSize(order) - it->second.second;
