@@ -1,10 +1,11 @@
 // Ablation — allocation policy shoot-out over the paper's workload.
 //
-// DESIGN.md calls out four design decisions in the NTFS-like allocator:
-// the run-selection rule, the run-cache size, deferred (journal-delayed)
-// frees, and extension attempts. This bench swaps each out, and also
-// runs the textbook baselines (first/best/worst-fit and the DTSS buddy
-// system from §3.4) through the identical safe-write churn.
+// The paper's §2 describes NTFS's allocator: a run cache searched from
+// the outer band, extension of the file's last extent, and frees held
+// until the journal commits. This bench swaps out the run-selection
+// rule, the deferred frees and the extension attempts, and also runs
+// the baselines of §3.2 (the textbook first/best/worst/next fits) and
+// §3.4 (the DTSS buddy system) through the identical safe-write churn.
 
 #include <cstdio>
 #include <functional>
