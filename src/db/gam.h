@@ -60,9 +60,9 @@ class GamBitmap {
 
   /// Claims up to `count` *consecutive* free extents starting at the
   /// lowest free extent >= `from`; returns the run (possibly shorter
-  /// than `count`). Models SQL Server's preference for allocating runs
-  /// of extents to one object when they happen to be adjacent. Returns
-  /// {kNoExtent, 0} when nothing is free.
+  /// than `count`), or {kNoExtent, 0} when nothing is free. The run is
+  /// exactly what AllocateLowest would claim on successive calls, each
+  /// from just past the previous extent, until one is not adjacent.
   std::pair<uint64_t, uint64_t> AllocateRun(uint64_t count,
                                             uint64_t from = 0);
 

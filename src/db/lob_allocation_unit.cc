@@ -59,6 +59,25 @@ Status LobAllocationUnit::AllocatePages(uint64_t count,
   uint64_t remaining = count;
   while (remaining > 0) {
     uint64_t extent = PickExtent();
+    if (extent == kNoExtent && remaining >= pages_per_extent_) {
+      // A fresh extent drains whole, so PickExtent keeps failing while a
+      // whole extent's pages remain: take them all from the GAM as one
+      // run, owned and fully used from the start.
+      auto fresh = file_->AllocateExtentRun(remaining / pages_per_extent_);
+      if (!fresh.ok()) {
+        rollback();
+        return fresh.status();
+      }
+      const auto [first, length] = *fresh;
+      for (uint64_t e = first; e < first + length; ++e) bitmaps_[e] = 0;
+      const uint64_t pages = length * pages_per_extent_;
+      alloc::AppendCoalescing(out, {file_->ExtentFirstPage(first), pages});
+      owned_count_ += length;
+      allocated_pages_ += pages;
+      hint_extent_ = first + length - 1;
+      remaining -= pages;
+      continue;
+    }
     if (extent == kNoExtent) {
       auto fresh = file_->AllocateExtent();
       if (!fresh.ok()) {

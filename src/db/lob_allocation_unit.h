@@ -49,10 +49,14 @@ class LobAllocationUnit {
   /// acquiring a new extent from the GAM.
   Result<uint64_t> AllocatePage();
 
-  /// Allocates `count` pages — the identical page-id sequence `count`
-  /// AllocatePage calls would produce, batched: one extent pick per
-  /// extent, then the extent's free bits drained lowest-first as runs of
-  /// set bits (countr_zero/countr_one), one AppendCoalescing per run.
+  /// Allocates `count` pages — the identical page-id sequence, and the
+  /// identical unit and file state, that `count` AllocatePage calls
+  /// would produce, batched: one extent pick per owned extent, its free
+  /// bits drained lowest-first as runs of set bits (countr_zero/
+  /// countr_one), one AppendCoalescing per run. Once no owned extent has
+  /// a free page, the whole fresh extents still needed come from one
+  /// PageFile::AllocateExtentRun call (the same extents as that many
+  /// AllocateExtent calls) and the leftover pages from one more extent.
   /// Appends the pages to `out` as coalesced page runs. On failure the
   /// pages acquired by this call are rolled back and `out` is untouched.
   Status AllocatePages(uint64_t count, alloc::ExtentList* out);

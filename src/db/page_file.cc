@@ -95,6 +95,11 @@ Result<uint64_t> PageFile::AllocateExtent() {
 Result<std::pair<uint64_t, uint64_t>> PageFile::AllocateExtentRun(
     uint64_t count) {
   LOR_RETURN_IF_ERROR(ReleasePending(alloc_counter_));
+  // Stop before the next deferred free comes due: single calls would
+  // release it ahead of the allocation that reaches its due point.
+  if (!pending_.empty()) {
+    count = std::min(count, pending_.front().due - alloc_counter_);
+  }
   const uint64_t from = scan_cursor_;
   auto run = gam_.AllocateRun(count, from);
   if (run.first == kNoExtent && from != 0) {

@@ -81,9 +81,12 @@ class PageFile {
   /// (wrapping), growing the file if necessary.
   Result<uint64_t> AllocateExtent();
 
-  /// Allocates up to `count` consecutive extents (the first free run at
-  /// or after the scan hint, wrapping), growing the file if nothing is
-  /// free. The run may be shorter than requested.
+  /// Allocates up to `count` (>= 1) consecutive extents: the first free
+  /// run at or after the scan hint, wrapping, growing the file if
+  /// nothing is free. The run may be shorter than requested; it stops at
+  /// the first extent that is not free and before the next deferred free
+  /// comes due. Its extents, and the state left behind, are exactly those
+  /// of as many AllocateExtent calls.
   Result<std::pair<uint64_t, uint64_t>> AllocateExtentRun(uint64_t count);
 
   /// Returns `count` extents starting at `first` to the free pool.

@@ -164,6 +164,112 @@ TEST(PageFileTest, FailedDeferredReleaseIsReportedOnceAndDropped) {
   EXPECT_TRUE(file.ReleaseAllPending().ok());
 }
 
+::testing::AssertionResult SameFileState(const PageFile& a,
+                                         const PageFile& b) {
+  if (a.stats().growths != b.stats().growths ||
+      a.stats().extents_allocated != b.stats().extents_allocated ||
+      a.stats().extents_freed != b.stats().extents_freed) {
+    return ::testing::AssertionFailure() << "stats differ";
+  }
+  if (a.free_extents() != b.free_extents()) {
+    return ::testing::AssertionFailure()
+           << "free_extents " << a.free_extents() << " vs "
+           << b.free_extents();
+  }
+  if (a.pending_free_extents() != b.pending_free_extents()) {
+    return ::testing::AssertionFailure()
+           << "pending_free_extents " << a.pending_free_extents() << " vs "
+           << b.pending_free_extents();
+  }
+  if (a.file_extents() != b.file_extents()) {
+    return ::testing::AssertionFailure()
+           << "file_extents " << a.file_extents() << " vs "
+           << b.file_extents();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Drives two twin files through one seeded churn: `run` takes each
+// request through AllocateExtentRun, `single` through one
+// AllocateExtent per extent. The extent ids and the files' state must
+// agree after every call. The file starts at 4 extents on a 64-extent
+// device, so it grows, the scan wraps, and a full file reaches NoSpace
+// (after force-releasing the pending frees, when frees are deferred).
+void ExpectExtentRunMatchesSingleExtentCalls(uint32_t deferred) {
+  auto dev_run = MakeDevice(4 * kMiB);
+  auto dev_single = MakeDevice(4 * kMiB);
+  PageFileOptions opts;
+  opts.initial_bytes = 4 * 64 * kKiB;
+  opts.deferred_free_allocations = deferred;
+  PageFile run_file(dev_run.get(), opts);
+  PageFile single_file(dev_single.get(), opts);
+  Rng rng(deferred + 17);
+  std::vector<alloc::Extent> live;  // Extent runs held in both files.
+  uint64_t multi_extent_runs = 0;
+  uint64_t no_space = 0;
+  uint64_t forced_releases = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || rng.Bernoulli(0.55)) {
+      uint64_t want = 1 + rng.Uniform(rng.Bernoulli(0.3) ? 40 : 6);
+      while (want > 0) {
+        const bool full = run_file.free_extents() == 0 &&
+                          run_file.file_extents() ==
+                              run_file.capacity_extents();
+        auto run = run_file.AllocateExtentRun(want);
+        if (!run.ok()) {
+          auto e = single_file.AllocateExtent();
+          ASSERT_FALSE(e.ok()) << "step " << step;
+          ASSERT_EQ(e.status().ToString(), run.status().ToString());
+          ASSERT_TRUE(SameFileState(run_file, single_file))
+              << "step " << step;
+          ++no_space;
+          break;
+        }
+        const auto [first, length] = *run;
+        ASSERT_GE(length, 1u) << "step " << step;
+        ASSERT_LE(length, want) << "step " << step;
+        for (uint64_t i = 0; i < length; ++i) {
+          auto e = single_file.AllocateExtent();
+          ASSERT_TRUE(e.ok()) << "step " << step;
+          ASSERT_EQ(*e, first + i) << "step " << step;
+        }
+        ASSERT_TRUE(SameFileState(run_file, single_file)) << "step " << step;
+        live.push_back({first, length});
+        if (length > 1) ++multi_extent_runs;
+        if (full) ++forced_releases;
+        want -= length;
+      }
+    } else {
+      // Free a whole run or a slice of one; the rest stays live.
+      const size_t i = rng.Uniform(live.size());
+      const alloc::Extent held = live[i];
+      const uint64_t skip = rng.Uniform(held.length);
+      const uint64_t len = 1 + rng.Uniform(held.length - skip);
+      ASSERT_TRUE(run_file.FreeExtents(held.start + skip, len).ok());
+      ASSERT_TRUE(single_file.FreeExtents(held.start + skip, len).ok());
+      ASSERT_TRUE(SameFileState(run_file, single_file)) << "step " << step;
+      live[i] = live.back();
+      live.pop_back();
+      if (skip > 0) live.push_back({held.start, skip});
+      if (skip + len < held.length) {
+        live.push_back({held.start + skip + len, held.length - skip - len});
+      }
+    }
+  }
+  EXPECT_TRUE(run_file.gam().CheckConsistency().ok());
+  EXPECT_EQ(run_file.file_extents(), run_file.capacity_extents());
+  EXPECT_GT(multi_extent_runs, 20u);
+  EXPECT_GT(no_space, 10u);
+  if (deferred > 0) EXPECT_GT(forced_releases, 0u);
+}
+
+TEST(PageFileTest, ExtentRunMatchesSingleExtentCalls) {
+  for (const uint32_t deferred : {0u, 1u, 16u}) {
+    SCOPED_TRACE(deferred);
+    ExpectExtentRunMatchesSingleExtentCalls(deferred);
+  }
+}
+
 TEST(PageFileTest, PageIoBoundsChecked) {
   auto dev = MakeDevice();
   PageFileOptions opts;
@@ -523,33 +629,65 @@ TEST(LobAllocationUnitTest, RandomChurnStaysConsistent) {
 // goes through AllocatePages/FreePages, `single` through per-page
 // AllocatePage/FreePage. Every observable of the unit, the file and
 // (when `pool_bytes` > 0) the buffer pool must agree after every step.
-void ExpectBatchedCallsMatchPerPageCalls(uint64_t pool_bytes) {
-  auto dev_a = MakeDevice();
-  auto dev_b = MakeDevice();
+// Requests run up to one 10 MiB blob (1,296 pages), far past the
+// 16-allocation deferral window. A `device_bytes` smaller than the
+// churn's live set runs out of space part way through requests: both
+// units must fail at the same call, and AllocatePages' rollback must
+// match freeing the per-page unit's pages of that call.
+void ExpectBatchedCallsMatchPerPageCalls(uint64_t pool_bytes,
+                                         uint64_t device_bytes = 512 * kMiB) {
+  auto dev_a = MakeDevice(device_bytes);
+  auto dev_b = MakeDevice(device_bytes);
   sim::BufferPoolOptions pool_options;
   pool_options.capacity_bytes = pool_bytes;
   sim::BufferPool pool_a(dev_a.get(), pool_options);
   sim::BufferPool pool_b(dev_b.get(), pool_options);
   dev_a->AttachBufferPool(&pool_a);
   dev_b->AttachBufferPool(&pool_b);
-  BlobRig batched(dev_a.get());
-  BlobRig single(dev_b.get());
-  Rng rng(pool_bytes + 91);
+  // A small initial file, so the file grows under the churn.
+  PageFileOptions options;
+  options.initial_bytes = 2 * kMiB;
+  BlobRig batched(dev_a.get(), options);
+  BlobRig single(dev_b.get(), options);
+  Rng rng(pool_bytes + device_bytes + 91);
   std::vector<alloc::Extent> live;  // Page runs held by both units.
   uint64_t live_pages = 0;
   uint64_t whole_extent_frees = 0;
-  for (int step = 0; step < 4000; ++step) {
+  uint64_t mid_run_failures = 0;
+  for (int step = 0; step < 6000; ++step) {
     if (live.empty() || (live_pages < 6000 && rng.Bernoulli(0.5))) {
-      const uint64_t count = 1 + rng.Uniform(rng.Bernoulli(0.2) ? 160 : 20);
+      const uint64_t limit = rng.Bernoulli(0.05)  ? 1296
+                             : rng.Bernoulli(0.2) ? 160
+                                                  : 20;
+      const uint64_t count = 1 + rng.Uniform(limit);
       alloc::ExtentList got_a;
-      ASSERT_TRUE(batched.unit.AllocatePages(count, &got_a).ok());
+      const Status status_a = batched.unit.AllocatePages(count, &got_a);
       alloc::ExtentList got_b;
-      for (uint64_t i = 0; i < count; ++i) {
+      Status status_b = Status::OK();
+      for (uint64_t i = 0; i < count && status_b.ok(); ++i) {
         auto page = single.unit.AllocatePage();
-        ASSERT_TRUE(page.ok());
-        alloc::AppendCoalescing(&got_b, {*page, 1});
+        if (page.ok()) {
+          alloc::AppendCoalescing(&got_b, {*page, 1});
+        } else {
+          status_b = page.status();
+        }
       }
-      ASSERT_EQ(got_a, got_b) << "step " << step;
+      ASSERT_EQ(status_a.ToString(), status_b.ToString()) << "step " << step;
+      if (!status_a.ok()) {
+        ASSERT_TRUE(status_a.IsNoSpace()) << "step " << step;
+        ASSERT_TRUE(got_a.empty()) << "step " << step;
+        // Undo the per-page unit's pages as AllocatePages' rollback does.
+        uint64_t taken = 0;
+        for (const alloc::Extent& run : got_b) {
+          for (uint64_t p = run.start; p < run.end(); ++p) {
+            ASSERT_TRUE(single.unit.FreePage(p).ok()) << "step " << step;
+          }
+          taken += run.length;
+        }
+        if (taken > 2 * single.file.pages_per_extent()) ++mid_run_failures;
+      }
+      ASSERT_EQ(got_a, status_a.ok() ? got_b : alloc::ExtentList{})
+          << "step " << step;
       for (const alloc::Extent& run : got_a) {
         live.push_back(run);
         live_pages += run.length;
@@ -613,6 +751,9 @@ void ExpectBatchedCallsMatchPerPageCalls(uint64_t pool_bytes) {
   if (pool_bytes > 0) {
     EXPECT_GT(pool_a.stats().invalidations, 100u);
   }
+  if (device_bytes < 6000 * batched.file.page_bytes()) {
+    EXPECT_GT(mid_run_failures, 10u);
+  }
 }
 
 TEST(LobAllocationUnitTest, BatchedCallsMatchPerPageCalls) {
@@ -621,6 +762,10 @@ TEST(LobAllocationUnitTest, BatchedCallsMatchPerPageCalls) {
 
 TEST(LobAllocationUnitTest, BatchedCallsMatchPerPageCallsWithBufferPool) {
   ExpectBatchedCallsMatchPerPageCalls(4 * kMiB);
+}
+
+TEST(LobAllocationUnitTest, BatchedCallsMatchPerPageCallsOutOfSpace) {
+  ExpectBatchedCallsMatchPerPageCalls(0, 24 * kMiB);
 }
 
 TEST(MetadataTableTest, InsertLookupDelete) {
