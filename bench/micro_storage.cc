@@ -1,14 +1,17 @@
 // Micro-benchmarks for the storage engines (google-benchmark): file
-// store append/read/safe-write, blob B-tree write/read, and metadata
-// B+tree operations. These measure *host* CPU per simulated operation —
-// the cost of running experiments — not simulated time.
+// store append/read/safe-write, blob B-tree write/read, the LOB page
+// allocator at blob shapes, and metadata B+tree operations. These
+// measure *host* CPU per simulated operation — the cost of running
+// experiments — not simulated time.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/db_repository.h"
 #include "core/fs_repository.h"
+#include "db/lob_allocation_unit.h"
 #include "db/metadata_table.h"
 #include "fs/file_store.h"
 #include "util/random.h"
@@ -91,6 +94,49 @@ void BM_BlobStoreRead(benchmark::State& state) {
                           static_cast<int64_t>(kMiB));
 }
 BENCHMARK(BM_BlobStoreRead);
+
+// The database's page allocation layer alone, at blob shapes: 32 pages
+// (a 256 KiB blob) and 1,296 pages (a 10 MiB blob with its pointer
+// pages). About 1 GiB of blobs live in a 2 GiB device under the default
+// deferred frees; each blob is replaced ten times to age the unit, then
+// each iteration is one more replacement in safe-write order: allocate
+// the new copy, then free the old one.
+void BM_LobAllocationUnitAgedBlobWrite(benchmark::State& state) {
+  const uint64_t pages = static_cast<uint64_t>(state.range(0));
+  auto dev = std::make_unique<sim::BlockDevice>(
+      sim::DiskParams::St3400832as().WithCapacity(2 * kGiB));
+  db::PageFile file(dev.get());
+  db::LobAllocationUnit unit(&file);
+  const uint64_t blobs = kGiB / file.page_bytes() / pages;
+  std::vector<alloc::ExtentList> live(blobs);
+  for (alloc::ExtentList& blob : live) {
+    Status s = unit.AllocatePages(pages, &blob);
+    benchmark::DoNotOptimize(s.ok());
+  }
+  Rng rng(6);
+  alloc::ExtentList fresh;
+  uint64_t runs = 0;
+  auto replace = [&]() {
+    alloc::ExtentList& blob = live[rng.Uniform(blobs)];
+    fresh.clear();
+    Status s = unit.AllocatePages(pages, &fresh);
+    benchmark::DoNotOptimize(s.ok());
+    for (const alloc::Extent& run : blob) {
+      s = unit.FreePages(run);
+      benchmark::DoNotOptimize(s.ok());
+    }
+    blob.swap(fresh);
+    runs += blob.size();
+  };
+  for (uint64_t i = 0; i < 10 * blobs; ++i) replace();
+  runs = 0;
+  for (auto _ : state) replace();
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(pages));
+  state.counters["runs_per_blob"] =
+      static_cast<double>(runs) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_LobAllocationUnitAgedBlobWrite)->Arg(32)->Arg(1296);
 
 void BM_MetadataTableLookup(benchmark::State& state) {
   auto dev = std::make_unique<sim::BlockDevice>(
