@@ -1,7 +1,7 @@
 // BufferPool: a sized, sharded DRAM page-cache tier fronting one
-// BlockDevice (ROADMAP item 2). The file-system back end routes its
-// *payload* traffic through it at extent-run granularity while MFT and
-// journal traffic stay on the device (the OS page cache does not
+// BlockDevice. The file-system back end routes its *payload* traffic
+// through it at extent-run granularity while MFT and journal traffic
+// stay on the device (the OS page cache does not
 // double-cache its own metadata writes here); the database back end
 // routes every PageFile access through it — data pages, pointer pages,
 // and metadata checkpoints all live in the one page space, exactly as
