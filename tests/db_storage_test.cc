@@ -209,7 +209,7 @@ void ExpectExtentRunMatchesSingleExtentCalls(uint32_t deferred) {
   uint64_t no_space = 0;
   uint64_t forced_releases = 0;
   for (int step = 0; step < 3000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.55)) {
+    if (live.empty() || rng.Bernoulli(0.4)) {
       uint64_t want = 1 + rng.Uniform(rng.Bernoulli(0.3) ? 40 : 6);
       while (want > 0) {
         const bool full = run_file.free_extents() == 0 &&
@@ -258,7 +258,7 @@ void ExpectExtentRunMatchesSingleExtentCalls(uint32_t deferred) {
   }
   EXPECT_TRUE(run_file.gam().CheckConsistency().ok());
   EXPECT_EQ(run_file.file_extents(), run_file.capacity_extents());
-  EXPECT_GT(multi_extent_runs, 20u);
+  EXPECT_GT(multi_extent_runs, 40u);
   EXPECT_GT(no_space, 10u);
   if (deferred > 0) EXPECT_GT(forced_releases, 0u);
 }
@@ -660,6 +660,7 @@ void ExpectBatchedCallsMatchPerPageCalls(uint64_t pool_bytes,
                              : rng.Bernoulli(0.2) ? 160
                                                   : 20;
       const uint64_t count = 1 + rng.Uniform(limit);
+      const uint64_t extents_before = batched.file.stats().extents_allocated;
       alloc::ExtentList got_a;
       const Status status_a = batched.unit.AllocatePages(count, &got_a);
       alloc::ExtentList got_b;
@@ -675,16 +676,16 @@ void ExpectBatchedCallsMatchPerPageCalls(uint64_t pool_bytes,
       ASSERT_EQ(status_a.ToString(), status_b.ToString()) << "step " << step;
       if (!status_a.ok()) {
         ASSERT_TRUE(status_a.IsNoSpace()) << "step " << step;
-        ASSERT_TRUE(got_a.empty()) << "step " << step;
         // Undo the per-page unit's pages as AllocatePages' rollback does.
-        uint64_t taken = 0;
         for (const alloc::Extent& run : got_b) {
           for (uint64_t p = run.start; p < run.end(); ++p) {
             ASSERT_TRUE(single.unit.FreePage(p).ok()) << "step " << step;
           }
-          taken += run.length;
         }
-        if (taken > 2 * single.file.pages_per_extent()) ++mid_run_failures;
+        // The failed call took fresh extents before it ran out.
+        if (batched.file.stats().extents_allocated > extents_before + 1) {
+          ++mid_run_failures;
+        }
       }
       ASSERT_EQ(got_a, status_a.ok() ? got_b : alloc::ExtentList{})
           << "step " << step;
