@@ -260,7 +260,9 @@ void ExpectExtentRunMatchesSingleExtentCalls(uint32_t deferred) {
   EXPECT_EQ(run_file.file_extents(), run_file.capacity_extents());
   EXPECT_GT(multi_extent_runs, 40u);
   EXPECT_GT(no_space, 10u);
-  if (deferred > 0) EXPECT_GT(forced_releases, 0u);
+  if (deferred > 0) {
+    EXPECT_GT(forced_releases, 0u);
+  }
 }
 
 TEST(PageFileTest, ExtentRunMatchesSingleExtentCalls) {
