@@ -25,9 +25,6 @@ size_t RecycleClass(uint64_t capacity) {
 // most 2^20 of them, so the directory stays a few MiB at any volume.
 constexpr uint32_t kMinGranuleShift = 16;
 constexpr uint32_t kMaxGranuleBits = 20;
-/// CLOCK ring entries a domain may hold per resident frame (plus one)
-/// before its stale entries are merged into hole runs.
-constexpr uint64_t kRingEntriesPerFrame = 4;
 
 uint64_t Bit(size_t i) { return uint64_t{1} << (i % 64); }
 
@@ -239,11 +236,13 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
     }
   }
   const uint32_t shard = ShardOf(offset);
-  const uint64_t pred_seq = pred == kNoSlot ? 0 : state(pred).seq;
   LOR_RETURN_IF_ERROR(EvictFor(shard, len));
-  // Eviction only removes frames, so the predecessor still is one
-  // unless eviction took it.
-  if (pred != kNoSlot && state(pred).seq != pred_seq) pred = Floor(offset);
+  // Eviction only removes frames, and no freed slot is reused before
+  // the Allocate below, so the predecessor is still resident unless
+  // eviction took it.
+  if (pred != kNoSlot && state(pred).ring_index == kNoSlot) {
+    pred = Floor(offset);
+  }
   const uint32_t slot = arena_.Allocate();
   FrameSpan& sp = span(slot);
   sp.offset = offset;
@@ -252,7 +251,6 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
   // Replacing a pinned frame keeps its pin (the granularity changed,
   // the protection window did not); UnpinRange guards at zero.
   st.pin = inherited_pin;
-  st.seq = ++install_seq_;
   st.flags = kReferenced;
   if (retain_) {
     if (slot >= payloads_.size()) payloads_.resize(slot + 1);
@@ -262,76 +260,15 @@ Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, uint32_t floor,
   Shard& sh = shards_[shard];
   sh.used_bytes += len;
   cached_bytes_ += len;
-  ++sh.frames;
-  ++sh.length;
-  sh.ring.PushBack({slot, st.seq});
-  // Each frame has one live entry, so past kRingEntriesPerFrame
-  // entries per frame most are stale; merging them into hole runs
-  // leaves at most two entries per frame (plus two), so the ring's
-  // memory follows frames, not installs, at O(1) amortized per install.
-  if (sh.ring.entries() > kRingEntriesPerFrame * (sh.frames + 1)) {
-    CompactRing(&sh.ring, 0, &sh.ring.behind);
-    CompactRing(&sh.ring, sh.ring.hand, &sh.ring.end);
-  }
+  st.ring_index = static_cast<uint32_t>(sh.ring.size());
+  sh.ring.push_back(slot);
   *out = slot;
   return Status::OK();
 }
 
-void BufferPool::CompactRing(ClockRing* ring, size_t first,
-                             size_t* end) const {
-  std::vector<RingEntry>& slots = ring->slots;
-  size_t out = first;
-  for (size_t i = first; i < *end; ++i) {
-    RingEntry e = slots[i];
-    if (Stale(e) && !e.hole()) e = {1, 0};
-    if (e.hole() && out > first && slots[out - 1].hole()) {
-      slots[out - 1].slot += e.slot;
-      continue;
-    }
-    slots[out++] = e;
-  }
-  *end = out;
-}
-
-void BufferPool::ClockRing::PushFront(RingEntry e) {
-  if (behind == hand) {
-    // No gap: move [hand, end) up by at least its own length, so
-    // repeated pushes cost O(1) each, amortized.
-    const size_t shift = std::max<size_t>(16, end - hand);
-    if (slots.size() < end + shift) slots.resize(end + shift);
-    std::move_backward(slots.begin() + static_cast<ptrdiff_t>(hand),
-                       slots.begin() + static_cast<ptrdiff_t>(end),
-                       slots.begin() + static_cast<ptrdiff_t>(end + shift));
-    hand += shift;
-    end += shift;
-  }
-  slots[--hand] = e;
-}
-
-void BufferPool::ReplaceAtHandInRun(ClockRing* ring) {
-  RingEntry& at_hand = ring->slots[ring->hand];
-  // Take the ring's last entry; one hole of a trailing run is a hole.
-  RingEntry& back = ring->slots[ring->end - 1];
-  RingEntry last = back;
-  if (last.hole_run()) {
-    --back.slot;
-    last.slot = 1;
-  } else {
-    --ring->end;
-  }
-  if (!at_hand.hole_run()) {
-    at_hand = last;
-  } else if (!last.hole()) {
-    // The hand's hole leaves, the rest of its run stays right after.
-    --at_hand.slot;
-    ring->PushFront(last);
-  }
-  // Else a hole replaced a hole in a run: the run is unchanged.
-}
-
 uint64_t BufferPool::clock_ring_entries() const {
   uint64_t entries = 0;
-  for (const Shard& sh : shards_) entries += sh.ring.entries();
+  for (const Shard& sh : shards_) entries += sh.ring.size();
   return entries;
 }
 
@@ -355,35 +292,24 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   *evicted = false;
   Shard& sh = shards_[shard];
   // Sweep the ring, clearing reference bits; pinned frames are
-  // skipped, stale entries (seq mismatch: the frame was dropped and
-  // its slot freed or reused) replaced in passing by the ring's last
-  // entry. Two full sweeps bound the scan when every frame is
+  // skipped. Two full sweeps bound the scan when every frame is
   // referenced.
   size_t scanned = 0;
-  const size_t limit = sh.length * 2 + 2;
-  while (sh.length > 0 && scanned < limit) {
-    if (sh.ring.hand == sh.ring.end) sh.ring.Wrap();
-    const RingEntry entry = sh.ring.slots[sh.ring.hand];
-    if (entry.hole()) {
-      ReplaceAtHand(&sh);
-      continue;
-    }
-    FrameState& st = state(entry.slot);
-    if (st.seq != entry.seq) {
-      ReplaceAtHand(&sh);
-      continue;
-    }
+  const size_t limit = sh.ring.size() * 2 + 2;
+  while (!sh.ring.empty() && scanned < limit) {
+    if (sh.hand >= sh.ring.size()) sh.hand = 0;
+    const uint32_t slot = sh.ring[sh.hand];
+    FrameState& st = state(slot);
     if (st.pinned() || (st.flags & kReferenced) != 0) {
       if (!st.pinned()) st.flags &= ~kReferenced;
-      sh.ring.Advance();
+      ++sh.hand;
       ++scanned;
       continue;
     }
     if ((st.flags & kDirty) != 0) {
-      LOR_RETURN_IF_ERROR(WriteBackFrame(entry.slot));
+      LOR_RETURN_IF_ERROR(WriteBackFrame(slot));
     }
-    DropFrame(entry.slot);
-    ReplaceAtHand(&sh);
+    DropFrame(slot);  // The ring's last entry moves under the hand.
     ++stats_.evictions;
     *evicted = true;
     return Status::OK();
@@ -397,7 +323,10 @@ void BufferPool::DropFrame(uint32_t slot) {
   const uint64_t len = sp.length();
   Shard& sh = shards_[ShardOf(sp.offset)];
   sh.used_bytes -= len;
-  --sh.frames;
+  const uint32_t moved = sh.ring.back();
+  sh.ring[st.ring_index] = moved;
+  state(moved).ring_index = st.ring_index;
+  sh.ring.pop_back();
   cached_bytes_ -= len;
   if ((st.flags & kDirty) != 0) dirty_bytes_ -= len;
   if (retain_) {
@@ -405,7 +334,7 @@ void BufferPool::DropFrame(uint32_t slot) {
     payloads_[slot] = {};
   }
   Unlink(slot);
-  st.seq = 0;  // Any ring entry for this slot is now stale.
+  st.ring_index = kNoSlot;
   arena_.Free(slot);
 }
 

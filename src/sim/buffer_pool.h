@@ -20,7 +20,7 @@
 //   * Frames live in a slot arena of fixed-size chunks (records never
 //     move, and a free slot chains to the next through its link). Each
 //     slot splits into a span record (start, end and the slots of the
-//     offset-ordered neighbours) and a CLOCK record (install seq, pin
+//     offset-ordered neighbours) and a CLOCK record (ring index, pin
 //     count, dirty/referenced/held flags); payload buffers sit in a
 //     separate per-slot store that metadata-only devices never touch.
 //     Frames are found through an offset directory sized from the
@@ -52,17 +52,14 @@
 //     in DRAM. Reset() drops everything (mount-time recovery).
 //   * Eviction is CLOCK (second chance), sharded: frames hash to
 //     `shards` independent eviction domains, each with its own capacity
-//     slice and clock hand. Every install stamps the frame with a fresh
-//     sequence number; ring entries are (slot, install seq) pairs, so an
-//     entry whose frame was dropped (its slot freed or reused) is
-//     recognised as stale by one compare and replaced by the ring's
-//     last entry as the hand passes it. A domain whose ring is mostly
-//     stale (invalidate/reinstall churn that never evicts) merges its
-//     stale entries into hole runs in place, so the ring's memory
-//     follows resident frames, not installs, and every eviction
-//     decision stays as it was. Pinned frames are never evicted — when
-//     a domain is entirely pinned the pool grows past its slice and
-//     counts the refusal.
+//     slice and clock hand. A domain's ring holds exactly the slots of
+//     its resident frames: an install appends its frame to the ring,
+//     and a frame that leaves by any path (eviction, Invalidate, an
+//     overlapping install, a failed fill) has its place taken by the
+//     ring's last entry at once, so after an eviction the hand next
+//     looks at the frame that moved under it. Pinned frames are never
+//     evicted — when a domain is entirely pinned the pool grows past
+//     its slice and counts the refusal.
 //   * Pin/Unpin operate on the frames resident in a byte range; the
 //     handle layer pins an object's cached frames for the open window.
 //
@@ -253,7 +250,7 @@ class BufferPool {
   uint64_t cached_bytes() const { return cached_bytes_; }
   uint64_t dirty_bytes() const { return dirty_bytes_; }
   uint64_t frame_count() const { return frame_count_; }
-  /// CLOCK ring entries across domains, stale ones included (tests).
+  /// CLOCK ring entries across domains: one per resident frame (tests).
   uint64_t clock_ring_entries() const;
   BlockDevice* device() { return device_; }
 
@@ -285,8 +282,8 @@ class BufferPool {
 
   /// What eviction and the flush paths read per frame.
   struct FrameState {
-    /// Install seq; 0 marks a free slot (seqs start at 1).
-    uint64_t seq = 0;
+    /// Position in its domain's CLOCK ring; kNoSlot marks a free slot.
+    uint32_t ring_index = kNoSlot;
     uint32_t pin = 0;
     uint8_t flags = 0;
     bool pinned() const { return pin > 0 || (flags & kHeld) != 0; }
@@ -354,60 +351,12 @@ class BufferPool {
     uint64_t length = 0;
   };
 
-  /// CLOCK ring entry: stale once the slot's frame has another seq.
-  /// Seq 0 (installs start at 1) marks a *hole run* instead: `slot`
-  /// consecutive stale entries, merged by CompactRing.
-  struct RingEntry {
-    uint32_t slot;
-    uint64_t seq;
-    bool hole() const { return seq == 0; }
-    bool hole_run() const { return seq == 0 && slot > 1; }
-  };
-
-  /// One domain's CLOCK ring, kept as a gap buffer in one vector: the
-  /// entries the hand has passed this lap at [0, behind), the hand's
-  /// entry and those after it at [hand, end). Usually there is no gap
-  /// (behind == hand) and the ring is a plain vector with a hand index;
-  /// PushFront opens one when an entry must go in front of the hand
-  /// (before the rest of a hole run there), and the next wrap closes it.
-  struct ClockRing {
-    std::vector<RingEntry> slots;
-    size_t behind = 0;
-    size_t hand = 0;
-    size_t end = 0;
-
-    size_t entries() const { return behind + (end - hand); }
-    /// Moves the hand one entry on. There is no gap to copy across
-    /// unless PushFront opened one this lap.
-    void Advance() {
-      if (behind != hand) slots[behind] = slots[hand];
-      ++behind;
-      ++hand;
-    }
-    /// The hand passed the last entry: start the next lap.
-    void Wrap() {
-      hand = 0;
-      end = behind;
-      behind = 0;
-    }
-    void PushBack(RingEntry e) {
-      if (end == slots.size()) {
-        slots.push_back(e);
-      } else {
-        slots[end] = e;
-      }
-      ++end;
-    }
-    /// Puts `e` at the hand, before the hand's entry.
-    void PushFront(RingEntry e);
-  };
-
-  /// Per-domain eviction state.
+  /// Per-domain eviction state: the CLOCK ring of the domain's
+  /// resident frames (their slots) and its hand.
   struct Shard {
     uint64_t used_bytes = 0;
-    uint64_t frames = 0;  ///< Resident frames: the ring's live entries.
-    uint64_t length = 0;  ///< Ring entries, each hole in a run counted.
-    ClockRing ring;
+    std::vector<uint32_t> ring;
+    size_t hand = 0;
   };
 
   uint32_t ShardOf(uint64_t offset) const {
@@ -477,38 +426,10 @@ class BufferPool {
   /// one existed.
   Status EvictOne(uint32_t shard, bool* evicted);
 
-  /// True when `e` is a hole run or its frame has been dropped.
-  bool Stale(const RingEntry& e) const {
-    return e.hole() || arena_.state(e.slot).seq != e.seq;
-  }
-
-  /// The ring step that retires the entry at the hand: the ring's last
-  /// entry (or one hole of a trailing run) takes its place.
-  static void ReplaceAtHand(Shard* sh) {
-    ClockRing& ring = sh->ring;
-    --sh->length;
-    RingEntry& at_hand = ring.slots[ring.hand];
-    const RingEntry& last = ring.slots[ring.end - 1];
-    if (at_hand.hole_run() || last.hole_run()) {
-      ReplaceAtHandInRun(&ring);
-      return;
-    }
-    at_hand = last;  // A self-copy when the hand's entry is the last.
-    --ring.end;
-  }
-  /// ReplaceAtHand when the hand's entry or the last one is a hole run.
-  static void ReplaceAtHandInRun(ClockRing* ring);
-
-  /// Merges each run of stale entries in `ring`'s [first, *end) into
-  /// one hole run, moving `*end` down. Every entry keeps its position,
-  /// so the hand's future sweeps (which pull the ring's last entry into
-  /// each stale slot they reach) are exactly those of the uncompacted
-  /// ring.
-  void CompactRing(ClockRing* ring, size_t first, size_t* end) const;
-
   /// Removes the frame in `slot` from the directory and eviction state,
-  /// recycling its buffer and its slot. Does not write anything back —
-  /// callers flush or discard dirty content first.
+  /// recycling its buffer and its slot; the ring's last entry takes its
+  /// ring position. Does not write anything back — callers flush or
+  /// discard dirty content first.
   void DropFrame(uint32_t slot);
 
   /// Marks a clean frame dirty.
@@ -558,7 +479,6 @@ class BufferPool {
   std::vector<Shard> shards_;
   uint64_t cached_bytes_ = 0;
   uint64_t dirty_bytes_ = 0;
-  uint64_t install_seq_ = 0;
   /// Recycled buffers by floor-log2 capacity class.
   std::vector<std::vector<std::vector<uint8_t>>> free_lists_;
   uint64_t free_list_bytes_ = 0;

@@ -231,8 +231,8 @@ TEST(BufferPoolTest, EvictionRecyclesFrameBuffers) {
 
 TEST(BufferPoolTest, ClockRingStaysBoundedUnderInvalidateChurn) {
   // Invalidate/reinstall churn under capacity never evicts, so no hand
-  // ever sweeps the ring; its stale entries must still not pile up with
-  // every install. 1M installs over 32 live frames.
+  // ever sweeps the ring; it must still hold exactly the resident
+  // frames, not one entry per install. 1M installs over 32 live frames.
   BlockDevice dev(SmallDisk(64 * kMiB));
   BufferPool pool(&dev, {.capacity_bytes = 16 * kMiB, .shards = 4});
   constexpr uint64_t kFrames = 32;
@@ -243,12 +243,69 @@ TEST(BufferPoolTest, ClockRingStaysBoundedUnderInvalidateChurn) {
     const std::vector<CacheSlice> r = {Slice(offset, kFrame, nullptr, nullptr)};
     ASSERT_TRUE(pool.ReadThrough(r).ok());
     if (i % 4096 == 0 || i + 1 == kInstalls) {
-      ASSERT_LE(pool.clock_ring_entries(), 4 * (pool.frame_count() + 4)) << i;
+      ASSERT_EQ(pool.clock_ring_entries(), pool.frame_count()) << i;
     }
   }
   EXPECT_EQ(pool.frame_count(), kFrames);
   EXPECT_EQ(pool.stats().fills, kInstalls);
   EXPECT_EQ(pool.stats().evictions, 0u);
+}
+
+TEST(BufferPoolTest, ClockOrderMatchesDenseRingModel) {
+  // The CLOCK policy as a model: a ring of resident frame ids and a
+  // hand. A read sets its frame's reference bit; a miss on a full pool
+  // first sweeps the hand, clearing set bits, to the first clear one
+  // and evicts it. Any frame that leaves, evicted or invalidated, has
+  // its place taken by the ring's last entry. Whole-frame reads and
+  // invalidations never overlap a frame partially, so the pool must
+  // keep exactly the model's frames resident after every step.
+  constexpr uint64_t kFrames = 48;
+  constexpr uint64_t kResident = 12;
+  BlockDevice dev(SmallDisk(8 * kMiB));
+  BufferPool pool(&dev, {.capacity_bytes = kResident * kFrame, .shards = 1});
+  std::vector<uint64_t> ring;
+  std::vector<bool> referenced(kFrames, false);
+  size_t hand = 0;
+  const auto drop = [&ring](std::vector<uint64_t>::iterator it) {
+    *it = ring.back();
+    ring.pop_back();
+  };
+  Rng rng(0xc10c);
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t f = rng.Uniform(kFrames);
+    if (rng.Bernoulli(0.75)) {
+      const std::vector<CacheSlice> r = {
+          Slice(f * kFrame, kFrame, nullptr, nullptr)};
+      ASSERT_TRUE(pool.ReadThrough(r).ok());
+      if (std::find(ring.begin(), ring.end(), f) == ring.end()) {
+        for (; ring.size() == kResident; ++hand) {
+          if (hand >= ring.size()) hand = 0;
+          if (!referenced[ring[hand]]) {
+            drop(ring.begin() + static_cast<ptrdiff_t>(hand));
+            break;
+          }
+          referenced[ring[hand]] = false;
+        }
+        ring.push_back(f);
+      }
+      referenced[f] = true;
+    } else {
+      const uint64_t n = std::min<uint64_t>(kFrames - f, 1 + rng.Uniform(3));
+      pool.Invalidate(f * kFrame, n * kFrame);
+      for (uint64_t g = f; g < f + n; ++g) {
+        const auto it = std::find(ring.begin(), ring.end(), g);
+        if (it != ring.end()) drop(it);
+      }
+    }
+    for (uint64_t g = 0; g < kFrames; ++g) {
+      const bool resident = std::find(ring.begin(), ring.end(), g) != ring.end();
+      ASSERT_EQ(pool.PinRange(g * kFrame, kFrame), resident ? 1u : 0u)
+          << "step " << step << ", frame " << g;
+      pool.UnpinRange(g * kFrame, kFrame);
+    }
+  }
+  EXPECT_GT(pool.stats().evictions, 1000u);
+  EXPECT_GT(pool.stats().invalidations, 1000u);
 }
 
 TEST(BufferPoolTest, PinnedFramesRefuseEviction) {
@@ -946,10 +1003,9 @@ class SeededChurn {
 
 TEST(BufferPoolTest, SeededChurnDecisionsArePinned) {
   // 4 configurations x 25k ops: 1 and 4 eviction domains,
-  // payload-carrying and bookkeeping frames, CLOCK eviction. Each
-  // configuration's hash is the one the std::map-indexed pool produced;
-  // any change to a decision, a counter or a device charge changes the
-  // fold.
+  // payload-carrying and bookkeeping frames, CLOCK eviction over the
+  // dense ring of resident frames; any change to a decision, a counter
+  // or a device charge changes the fold.
   uint64_t hash = kFnvBasis;
   uint64_t seed = 7;
   for (const uint32_t shards : {1u, 4u}) {
@@ -959,13 +1015,12 @@ TEST(BufferPoolTest, SeededChurnDecisionsArePinned) {
       hash = (hash ^ h) * kFnvPrime;
     }
   }
-  EXPECT_EQ(hash, 0x88a6fef7a55e1d30ull);
+  EXPECT_EQ(hash, 0xf000c28d761b2223ull);
 
-  // A fifth configuration at bench shape, pinned by the bucketed-index
-  // pool: bookkeeping frames spread over a 64 GiB device, most of which
-  // no frame ever touches, under a 256 MiB pool with a low dirty ratio
-  // and no explicit FlushAll, so dirty bytes pile up until the lazy
-  // writer trips.
+  // A fifth configuration at bench shape: bookkeeping frames spread
+  // over a 64 GiB device, most of which no frame ever touches, under a
+  // 256 MiB pool with a low dirty ratio and no explicit FlushAll, so
+  // dirty bytes pile up until the lazy writer trips.
   ChurnShape wide;
   wide.capacity = 64 * kGiB;
   wide.pool_bytes = 256 * kMiB;
@@ -974,7 +1029,7 @@ TEST(BufferPoolTest, SeededChurnDecisionsArePinned) {
   SeededChurn churn(seed, 4, DataMode::kMetadataOnly, wide);
   hash = (hash ^ churn.Run(25000)) * kFnvPrime;
   EXPECT_GT(churn.lazy_flushes(), 0u);
-  EXPECT_EQ(hash, 0xcbbd545016f326e5ull);
+  EXPECT_EQ(hash, 0xcaac4fdef54393fcull);
 }
 
 }  // namespace

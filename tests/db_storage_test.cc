@@ -539,7 +539,7 @@ TEST(BlobBtreeTest, WriteDecisionsArePinned) {
     }
   }
   pin = Fold(pin, NoSpaceMidBlobDigest());
-  EXPECT_EQ(pin, 0x935a949ea531e416ull) << std::hex << pin;
+  EXPECT_EQ(pin, 0xf9a3c58cfddbcb45ull) << std::hex << pin;
 }
 
 TEST(LobAllocationUnitTest, SharesExtentsBetweenAllocations) {

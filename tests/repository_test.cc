@@ -612,7 +612,7 @@ TEST(RepositoryPinTest, RepositoryDecisionsArePinned) {
       hash.Mix(value);
     }
   }
-  EXPECT_EQ(hash.value(), 0xb6c04d1bc313b215ull);
+  EXPECT_EQ(hash.value(), 0xb882dd0a034070e6ull);
 }
 
 TEST(RecordingRepositoryTest, ForwardsTheSharedSpindleFence) {
